@@ -30,7 +30,6 @@ from .grid import (
     align_segments,
     apply_pue,
     operational_emissions,
-    oracle_emissions,
 )
 from .power import (
     Allocation,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import TransportError, ValidationError
 from .ingest import load_config, parse_ledger, parse_usage_trace
 from .report import (
@@ -73,7 +74,7 @@ def _apply_overrides(config, clamp_usage: bool, strict_coverage: bool = False):
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main():
     """Estimate the carbon footprint of software workloads."""
 

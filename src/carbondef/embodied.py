@@ -10,6 +10,7 @@ object's idle residual: reported, never allocated to anyone.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -112,10 +113,22 @@ class Ledger:
     """Objects plus consumption records; build with :meth:`build`.
 
     Built single-writer and then treated as immutable; queries are pure.
+    Construction indexes the records by object and by consumer, in ledger order.
     """
 
     objects: dict[str, EmbodiedObject]
     records: tuple[ConsumptionRecord, ...] = field(default=())
+    _by_object: dict[str, list[ConsumptionRecord]] = field(init=False, repr=False, compare=False)
+    _by_consumer: dict[str, list[ConsumptionRecord]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_object: dict[str, list[ConsumptionRecord]] = {}
+        by_consumer: dict[str, list[ConsumptionRecord]] = {}
+        for record in self.records:
+            by_object.setdefault(record.object_id, []).append(record)
+            by_consumer.setdefault(record.consumer_id, []).append(record)
+        object.__setattr__(self, "_by_object", by_object)
+        object.__setattr__(self, "_by_consumer", by_consumer)
 
     @classmethod
     def build(
@@ -155,35 +168,42 @@ class Ledger:
                     f"lifespan [{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
                 )
 
+        ledger = cls(objects=by_id, records=record_tuple)
         for object_id in by_id:
-            _check_oversubscription(object_id, record_tuple)
-        return cls(objects=by_id, records=record_tuple)
+            steps = [s for r in ledger.records_for_object(object_id) for s in r.profile.steps]
+            _check_oversubscription(object_id, steps)
+        return ledger
 
     def records_for_object(self, object_id: str) -> tuple[ConsumptionRecord, ...]:
-        return tuple(r for r in self.records if r.object_id == object_id)
+        return tuple(self._by_object.get(object_id, ()))
 
     def records_for_consumer(self, consumer_id: str) -> tuple[ConsumptionRecord, ...]:
-        return tuple(r for r in self.records if r.consumer_id == consumer_id)
+        return tuple(self._by_consumer.get(consumer_id, ()))
 
     def consumer_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({r.consumer_id for r in self.records}))
+        return tuple(sorted(self._by_consumer))
 
 
-def _check_oversubscription(object_id: str, records: tuple[ConsumptionRecord, ...]) -> None:
-    """Sweep all step boundaries of one object; fractions may never sum past 1."""
-    steps = [
-        step
-        for record in records
-        if record.object_id == object_id
-        for step in record.profile.steps
-    ]
-    boundaries = sorted({edge for step in steps for edge in (step.start, step.end)})
-    for left, right in zip(boundaries, boundaries[1:]):
-        total = sum(
-            step.fraction for step in steps if step.start <= left and step.end >= right
-        )
+def _check_oversubscription(object_id: str, steps: list[ProfileStep]) -> None:
+    """Sweep one object's steps (ledger order); fractions may never sum past 1.
+
+    The active steps are re-summed in ledger order at each edge, never kept as a
+    running total, so the reported total carries no drift from earlier edges.
+    """
+    opening: dict[int, list[int]] = {}
+    closing: dict[int, list[int]] = {}
+    for position, step in enumerate(steps):
+        opening.setdefault(step.start, []).append(position)
+        closing.setdefault(step.end, []).append(position)
+    active: list[int] = []
+    for edge in sorted(opening.keys() | closing.keys()):
+        for position in closing.get(edge, ()):
+            active.remove(position)
+        for position in opening.get(edge, ()):
+            insort(active, position)
+        total = sum(steps[position].fraction for position in active)
         if total > 1.0 + OVERSUBSCRIPTION_TOL:
-            raise OversubscriptionError(object_id, left, total)
+            raise OversubscriptionError(object_id, edge, total)
 
 
 def lifecycle_total(obj: EmbodiedObject) -> float:
@@ -211,6 +231,11 @@ def attribute_shared(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
             f"profile [{span[0]}, {span[1]}) outside lifespan "
             f"[{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
         )
+    return _attributed_kg(obj, record)
+
+
+def _attributed_kg(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
+    """attribute_shared minus the lifespan check, which Ledger.build already made."""
     return lifecycle_total(obj) * record.profile.weighted_seconds() / obj.lifespan_s
 
 

@@ -42,10 +42,6 @@ class CoverageError(ValidationError):
     """Strict mode: energy falls outside intensity coverage."""
 
 
-class OracleResolutionError(ValidationError):
-    """Reference-oracle input has a boundary off the whole-second grid."""
-
-
 # --- embodied ledger ---
 
 class DurationError(ValidationError):

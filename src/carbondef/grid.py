@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CoverageError, OracleResolutionError
+from .errors import CoverageError
 from .power import EnergySeries
 
 #: exact joule content of one kilowatt-hour
@@ -235,34 +235,3 @@ def operational_emissions(
         uncovered=uncovered,
     )
 
-
-def oracle_emissions(
-    energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
-) -> float:
-    """Reference result by brute-force 1-second enumeration.
-
-    Spreads each interval's joules uniformly over its seconds, looks up
-    that second's intensity independently, and sums. Seconds without
-    coverage are skipped, mirroring the skip_uncovered policy. Kept
-    deliberately naive; only tests should call this.
-    """
-    for interval in energy.entries:
-        if not float(interval.start).is_integer() or not float(interval.duration_s).is_integer():
-            raise OracleResolutionError(
-                f"energy boundary off the whole-second grid at start={interval.start}"
-            )
-    for entry in intensity.entries:
-        if not float(entry.start).is_integer() or not float(entry.end).is_integer():
-            raise OracleResolutionError(
-                f"intensity boundary off the whole-second grid at start={entry.start}"
-            )
-
-    total = 0.0
-    for interval in energy.entries:
-        joules_per_second = interval.joules_total / interval.duration_s
-        for second in range(int(interval.start), int(interval.start + interval.duration_s)):
-            value = intensity.value_at(second)
-            if value is None:
-                continue
-            total += value * joules_per_second
-    return pue.value * total / JOULES_PER_KWH

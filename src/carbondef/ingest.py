@@ -365,6 +365,7 @@ def parse_ledger(data: bytes) -> Ledger:
             ConsumptionRecord(consumer_id=consumer_id, object_id=object_id, profile=profile)
         )
 
+    del doc, raw_objects, raw_records  # free the parsed JSON before Ledger.build indexes
     try:
         return Ledger.build(objects, records)
     except ValueError as exc:  # duplicate object ids

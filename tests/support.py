@@ -1,5 +1,6 @@
 """Shared helpers: relative-error checks, seeded random generators for
-specs/series/ledgers, and the malformed-fixture manifest."""
+specs/series/ledgers, naive reference implementations, and the
+malformed-fixture manifest."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from carbondef import (
     IntensitySeries,
     Ledger,
     ProfileStep,
+    PueFactor,
     ServerSpec,
     SharingProfile,
     UsageLimits,
@@ -34,7 +36,10 @@ from carbondef.errors import (
     SchemaError,
     SpecError,
     TraceOrderError,
+    ValidationError,
 )
+from carbondef.embodied import OVERSUBSCRIPTION_TOL
+from carbondef.grid import JOULES_PER_KWH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -159,6 +164,62 @@ def gen_ledger(rng: random.Random) -> Ledger:
                 )
             )
     return Ledger.build(objects, records)
+
+
+# --- naive reference implementations ---
+
+class OracleResolutionError(ValidationError):
+    """Reference-oracle input has a boundary off the whole-second grid."""
+
+
+def oracle_emissions(
+    energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
+) -> float:
+    """Reference result by brute-force 1-second enumeration.
+
+    Spreads each interval's joules uniformly over its seconds, looks up
+    that second's intensity independently, and sums. Seconds without
+    coverage are skipped, mirroring the skip_uncovered policy. Kept
+    deliberately naive.
+    """
+    for interval in energy.entries:
+        if not float(interval.start).is_integer() or not float(interval.duration_s).is_integer():
+            raise OracleResolutionError(
+                f"energy boundary off the whole-second grid at start={interval.start}"
+            )
+    for entry in intensity.entries:
+        if not float(entry.start).is_integer() or not float(entry.end).is_integer():
+            raise OracleResolutionError(
+                f"intensity boundary off the whole-second grid at start={entry.start}"
+            )
+
+    total = 0.0
+    for interval in energy.entries:
+        joules_per_second = interval.joules_total / interval.duration_s
+        for second in range(int(interval.start), int(interval.start + interval.duration_s)):
+            value = intensity.value_at(second)
+            if value is None:
+                continue
+            total += value * joules_per_second
+    return pue.value * total / JOULES_PER_KWH
+
+
+def naive_check_oversubscription(object_id: str, records) -> None:
+    """Reference oversubscription check: for every pair of adjacent step
+    boundaries of one object, sum the covering fractions in ledger order."""
+    steps = [
+        step
+        for record in records
+        if record.object_id == object_id
+        for step in record.profile.steps
+    ]
+    boundaries = sorted({edge for step in steps for edge in (step.start, step.end)})
+    for left, right in zip(boundaries, boundaries[1:]):
+        total = sum(
+            step.fraction for step in steps if step.start <= left and step.end >= right
+        )
+        if total > 1.0 + OVERSUBSCRIPTION_TOL:
+            raise OversubscriptionError(object_id, left, total)
 
 
 # (fixture file, parser kind, expected error class, location marker in str(exc))

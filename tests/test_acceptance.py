@@ -25,7 +25,6 @@ from carbondef import (
     lifecycle_total,
     marginal_power,
     operational_emissions,
-    oracle_emissions,
 )
 from carbondef.cli import main
 from carbondef.embodied import ConsumptionRecord, full_use_profile
@@ -41,6 +40,7 @@ from support import (
     gen_series_pair,
     gen_spec,
     gen_usage,
+    oracle_emissions,
     parse_malformed,
     rel_close,
 )

@@ -1,4 +1,5 @@
 import csv
+import importlib.metadata
 import importlib.resources
 import io
 import json
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from carbondef import __version__
 from carbondef.cli import main
 
 from support import FIXTURES
@@ -36,6 +38,17 @@ def validate(report, schema):
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def test_version_from_source_checkout(runner, monkeypatch):
+    # a source checkout on PYTHONPATH has no installed package metadata
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    result = invoke(runner, ["--version"])
+    assert result.exit_code == 0
+    assert result.output.rstrip().endswith(f"version {__version__}")
 
 
 class TestEstimate:

@@ -17,6 +17,7 @@ from carbondef import (
     idle_residual,
     lifecycle_total,
 )
+from carbondef.embodied import _check_oversubscription
 from carbondef.errors import (
     DurationError,
     FractionError,
@@ -25,8 +26,9 @@ from carbondef.errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
+from carbondef.report import build_embodied_report
 
-from support import gen_ledger, rel_close
+from support import gen_ledger, naive_check_oversubscription, rel_close
 
 YEAR = 31536000
 T0 = 1600000000
@@ -41,6 +43,37 @@ def record(steps, consumer="svc-a", object_id="rack-1"):
 
 
 random_ledgers = st.integers(0, 10**9).map(lambda seed: gen_ledger(random.Random(seed)))
+
+# fractions whose sums land on or near 1 + OVERSUBSCRIPTION_TOL
+tricky_fractions = st.one_of(
+    st.sampled_from(
+        [1 / 3, 2 / 3, 0.1, 0.2, 0.3, 0.7, 0.25, 0.5, 0.5 + 5e-10, 0.5 + 6e-10, 0.5 - 5e-10, 1e-9, 1.0, 0.0]
+    ),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def step_profiles(draw):
+    """1-6 records on one small time grid: touching, overlapping and gapped steps."""
+    records = []
+    for index in range(draw(st.integers(1, 6))):
+        edges = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True)))
+        steps = [
+            ProfileStep(T0 + lo, T0 + hi, draw(tricky_fractions))
+            for lo, hi in zip(edges, edges[1:])
+            if draw(st.booleans()) or hi == edges[-1]
+        ]
+        records.append(record(steps, consumer=f"c{index}"))
+    return records
+
+
+def oversubscription_outcome(check):
+    try:
+        check()
+    except OversubscriptionError as exc:
+        return exc.object_id, exc.instant, exc.total
+    return None
 
 
 class TestLifecycleTotal:
@@ -206,6 +239,61 @@ class TestLedger:
             )
         assert exc_info.value.object_id == "rack-1"
         assert exc_info.value.instant == T0 + 100
+
+    @settings(max_examples=300)
+    @given(step_profiles())
+    def test_sweep_matches_naive_oracle(self, records):
+        steps = [step for rec in records for step in rec.profile.steps]
+        expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
+        assert oversubscription_outcome(lambda: _check_oversubscription("rack-1", steps)) == expected
+        assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
+
+    def test_first_oversubscribed_object_in_ledger_order_reported(self):
+        first = dataclasses.replace(rack(), id="rack-a")
+        second = dataclasses.replace(rack(), id="rack-b")
+        records = [
+            # rack-b is oversubscribed earlier in time and listed first
+            record([ProfileStep(T0, T0 + 10, 0.6)], consumer="x", object_id="rack-b"),
+            record([ProfileStep(T0 + 5, T0 + 10, 0.6)], consumer="y", object_id="rack-b"),
+            record([ProfileStep(T0 + 50, T0 + 60, 0.6)], consumer="x", object_id="rack-a"),
+            record([ProfileStep(T0 + 55, T0 + 60, 0.6)], consumer="y", object_id="rack-a"),
+        ]
+        with pytest.raises(OversubscriptionError) as exc_info:
+            Ledger.build([first, second], records)
+        assert (exc_info.value.object_id, exc_info.value.instant) == ("rack-a", T0 + 55)
+
+    @settings(max_examples=100)
+    @given(random_ledgers)
+    def test_index_matches_filtered_scan(self, ledger):
+        for object_id in [*ledger.objects, "missing"]:
+            expected = tuple(r for r in ledger.records if r.object_id == object_id)
+            assert ledger.records_for_object(object_id) == expected
+        consumer_ids = {r.consumer_id for r in ledger.records}
+        assert ledger.consumer_ids() == tuple(sorted(consumer_ids))
+        for consumer_id in [*consumer_ids, "missing"]:
+            expected = tuple(r for r in ledger.records if r.consumer_id == consumer_id)
+            assert ledger.records_for_consumer(consumer_id) == expected
+
+    def test_direct_construction_is_indexed(self):
+        first = record([ProfileStep(T0, T0 + YEAR, 0.5)], consumer="a")
+        second = record([ProfileStep(T0, T0 + YEAR, 0.25)], consumer="b")
+        ledger = Ledger(objects={"rack-1": rack()}, records=(first, second))
+        assert ledger.records_for_object("rack-1") == (first, second)
+        assert ledger.records_for_consumer("b") == (second,)
+        assert ledger.consumer_ids() == ("a", "b")
+
+    @settings(max_examples=100)
+    @given(random_ledgers)
+    def test_report_section_matches_per_query_functions(self, ledger):
+        section = build_embodied_report(ledger, "sha")["embodied"]
+        for consumer in section["consumers"]:
+            attribution = consumer_embodied(ledger, consumer["consumer_id"])
+            assert consumer["kg_co2e"] == attribution.total_kg
+            assert consumer["objects"] == [
+                {"object_id": oid, "kg_co2e": kg} for oid, kg in sorted(attribution.by_object.items())
+            ]
+        for obj in section["objects"]:
+            assert obj["idle_residual_kg_co2e"] == idle_residual(ledger, obj["object_id"])
 
     def test_exactly_full_subscription_allowed(self):
         Ledger.build(

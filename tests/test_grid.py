@@ -11,12 +11,17 @@ from carbondef import (
     align_segments,
     apply_pue,
     operational_emissions,
-    oracle_emissions,
 )
-from carbondef.errors import CoverageError, OracleResolutionError
+from carbondef.errors import CoverageError
 from carbondef.grid import JOULES_PER_KWH
 
-from support import energy_entry, gen_series_pair, rel_close
+from support import (
+    OracleResolutionError,
+    energy_entry,
+    gen_series_pair,
+    oracle_emissions,
+    rel_close,
+)
 
 
 def one_kwh_series(start=0, duration=3600.0):
