@@ -231,11 +231,6 @@ def attribute_shared(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
             f"profile [{span[0]}, {span[1]}) outside lifespan "
             f"[{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
         )
-    return _attributed_kg(obj, record)
-
-
-def _attributed_kg(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
-    """attribute_shared minus the lifespan check, which Ledger.build already made."""
     return lifecycle_total(obj) * record.profile.weighted_seconds() / obj.lifespan_s
 
 

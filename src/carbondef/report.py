@@ -18,7 +18,7 @@ import math
 from typing import Any
 
 from . import __version__
-from .embodied import Ledger, _attributed_kg, lifecycle_total
+from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
 from .grid import (
     JOULES_PER_KWH,
     EmissionsReport,
@@ -121,25 +121,32 @@ def _operational_section(
 
 
 def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[str, Any]:
-    # Each record is attributed once; sums run in ledger order, as in consumer_embodied
-    # and idle_residual, so values match bit for bit. Popping used groups caps peak memory.
-    kg_by_object: dict[str, list[float]] = {}
-    by_consumer: dict[str, dict[str, float]] = {}
-    consumer_totals: dict[str, float] = {}
-    for record in ledger.records:
-        kg = _attributed_kg(ledger.objects[record.object_id], record)
-        oid, cid = record.object_id, record.consumer_id
-        kg_by_object.setdefault(oid, []).append(kg)
-        by_object = by_consumer.setdefault(cid, {})
-        by_object[oid] = by_object.get(oid, 0.0) + kg
-        consumer_totals[cid] = consumer_totals.get(cid, 0.0) + kg
+    consumer_ids = (
+        (consumer_id,) if consumer_id is not None else ledger.consumer_ids()
+    )
+    consumers = []
+    total_attributed = 0.0
+    for cid in consumer_ids:
+        attribution = consumer_embodied(ledger, cid)
+        consumers.append(
+            {
+                "consumer_id": cid,
+                "kg_co2e": attribution.total_kg,
+                "objects": [
+                    {"object_id": oid, "kg_co2e": kg}
+                    for oid, kg in sorted(attribution.by_object.items())
+                ],
+            }
+        )
+        total_attributed += attribution.total_kg
 
     objects = []
     lifecycle_sum = 0.0
     conserved_sum = 0.0
     for oid in sorted(ledger.objects):
-        lifecycle = lifecycle_total(ledger.objects[oid])
-        residual = lifecycle - sum(kg_by_object.pop(oid, ()))
+        obj = ledger.objects[oid]
+        residual = idle_residual(ledger, oid)
+        lifecycle = lifecycle_total(obj)
         attributed = lifecycle - residual
         objects.append(
             {
@@ -151,22 +158,6 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
         )
         lifecycle_sum += lifecycle
         conserved_sum += attributed + residual
-
-    consumer_ids = (consumer_id,) if consumer_id is not None else ledger.consumer_ids()
-    consumers = []
-    total_attributed = 0.0
-    for cid in consumer_ids:
-        consumers.append(
-            {
-                "consumer_id": cid,
-                "kg_co2e": consumer_totals.get(cid, 0.0),
-                "objects": [
-                    {"object_id": oid, "kg_co2e": kg}
-                    for oid, kg in sorted(by_consumer.pop(cid, {}).items())
-                ],
-            }
-        )
-        total_attributed += consumer_totals.get(cid, 0.0)
 
     return {
         "consumers": consumers,

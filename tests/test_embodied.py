@@ -282,18 +282,12 @@ class TestLedger:
         assert ledger.records_for_consumer("b") == (second,)
         assert ledger.consumer_ids() == ("a", "b")
 
-    @settings(max_examples=100)
-    @given(random_ledgers)
-    def test_report_section_matches_per_query_functions(self, ledger):
-        section = build_embodied_report(ledger, "sha")["embodied"]
-        for consumer in section["consumers"]:
-            attribution = consumer_embodied(ledger, consumer["consumer_id"])
-            assert consumer["kg_co2e"] == attribution.total_kg
-            assert consumer["objects"] == [
-                {"object_id": oid, "kg_co2e": kg} for oid, kg in sorted(attribution.by_object.items())
-            ]
-        for obj in section["objects"]:
-            assert obj["idle_residual_kg_co2e"] == idle_residual(ledger, obj["object_id"])
+    def test_report_on_direct_ledger_still_checks_lifespan(self):
+        # a hand-built Ledger skips build's checks; the report must not skip them too
+        late = record([ProfileStep(T0 + 10 * YEAR - 5, T0 + 10 * YEAR + 5, 0.5)])
+        ledger = Ledger(objects={"rack-1": rack()}, records=(late,))
+        with pytest.raises(ProfileOutOfLifespan):
+            build_embodied_report(ledger, "sha")
 
     def test_exactly_full_subscription_allowed(self):
         Ledger.build(
