@@ -11,17 +11,16 @@ import math
 import random
 
 from carbondef import (
-    Allocation,
     ConsumptionRecord,
     EmbodiedObject,
     IntensityEntry,
     IntensitySeries,
     Ledger,
+    PerComponent,
     ProfileStep,
     PueFactor,
     ServerSpec,
     SharingProfile,
-    UsageLimits,
     UsageSample,
     consumer_embodied,
     idle_residual,
@@ -40,8 +39,8 @@ SPEC = validate_spec(
     ServerSpec(
         tdp_watts=120.0,
         n_cpu=2,
-        alpha=Allocation(cpu=0.55, mem=0.25, io=0.12, net=0.08),
-        u_max=UsageLimits(cpu=16.0, mem=128e9, io=2e12, net=1e12),
+        alpha=PerComponent(cpu=0.55, mem=0.25, io=0.12, net=0.08),
+        u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
         idle_watts=35.0,
     )
 )

@@ -12,9 +12,8 @@ share raises the charged energy for the same observed usage.
 import random
 
 from carbondef import (
-    Allocation,
+    PerComponent,
     ServerSpec,
-    UsageLimits,
     UsageSample,
     component_power,
     validate_spec,
@@ -30,13 +29,13 @@ def spec_for(cpu_share: float) -> ServerSpec:
         ServerSpec(
             tdp_watts=120.0,
             n_cpu=2,
-            alpha=Allocation(
+            alpha=PerComponent(
                 cpu=cpu_share,
                 mem=rest * BASE_REST[0] / weight,
                 io=rest * BASE_REST[1] / weight,
                 net=rest * BASE_REST[2] / weight,
             ),
-            u_max=UsageLimits(cpu=16.0, mem=128e9, io=2e12, net=1e12),
+            u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
         )
     )
 
@@ -57,7 +56,7 @@ def main():
 
     def mean_watts(cpu_share: float) -> float:
         spec = spec_for(cpu_share)
-        return sum(component_power(spec, s).total_w for s in workload) / len(workload)
+        return sum(sum(component_power(spec, s).values()) for s in workload) / len(workload)
 
     baseline = mean_watts(0.50)
     print(f"{'alpha_cpu':>10} {'mean W':>10} {'vs 0.50':>8}")

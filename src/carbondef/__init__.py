@@ -32,12 +32,10 @@ from .grid import (
     operational_emissions,
 )
 from .power import (
-    Allocation,
     EnergyEntry,
     EnergySeries,
-    PowerBreakdown,
+    PerComponent,
     ServerSpec,
-    UsageLimits,
     UsageSample,
     UsageTrace,
     component_power,

@@ -57,10 +57,10 @@ class ProfileStep:
     fraction: float
 
     def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError(f"profile step end {self.end} <= start {self.start}")
         if not 0.0 <= self.fraction <= 1.0:
             raise FractionError(f"fraction must be within [0, 1], got {self.fraction}")
+        if self.end <= self.start:
+            raise ValueError(f"profile step end {self.end} <= start {self.start}")
 
     @property
     def duration_s(self) -> int:
@@ -159,14 +159,7 @@ class Ledger:
                     f"record references unknown object {record.object_id!r}",
                     location=f"records[{index}]",
                 )
-            span = record.profile.span()
-            if span is not None and (
-                span[0] < obj.lifespan_start or span[1] > obj.lifespan_end
-            ):
-                raise ProfileOutOfLifespan(
-                    f"records[{index}]: profile [{span[0]}, {span[1]}) outside "
-                    f"lifespan [{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
-                )
+            _check_within_lifespan(obj, record, f"records[{index}]: ")
 
         ledger = cls(objects=by_id, records=record_tuple)
         for object_id in by_id:
@@ -206,6 +199,15 @@ def _check_oversubscription(object_id: str, steps: list[ProfileStep]) -> None:
             raise OversubscriptionError(object_id, edge, total)
 
 
+def _check_within_lifespan(obj: EmbodiedObject, record: ConsumptionRecord, prefix: str = "") -> None:
+    span = record.profile.span()
+    if span is not None and (span[0] < obj.lifespan_start or span[1] > obj.lifespan_end):
+        raise ProfileOutOfLifespan(
+            f"{prefix}profile [{span[0]}, {span[1]}) outside lifespan "
+            f"[{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
+        )
+
+
 def lifecycle_total(obj: EmbodiedObject) -> float:
     """Manufacturing + repair + end-of-life emissions, kg CO2e."""
     return obj.m_kg + obj.r_kg + obj.eol_kg
@@ -225,12 +227,7 @@ def attribute_shared(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
 
     A constant fraction-1 profile reproduces attribute_simple exactly.
     """
-    span = record.profile.span()
-    if span is not None and (span[0] < obj.lifespan_start or span[1] > obj.lifespan_end):
-        raise ProfileOutOfLifespan(
-            f"profile [{span[0]}, {span[1]}) outside lifespan "
-            f"[{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
-        )
+    _check_within_lifespan(obj, record)
     return lifecycle_total(obj) * record.profile.weighted_seconds() / obj.lifespan_s
 
 

@@ -82,16 +82,6 @@ class PueFactor:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Slice of one energy interval lying inside one intensity window."""
-
-    start: float
-    duration_s: float
-    joules_share: float
-    intensity_kg_per_kwh: float
-
-
-@dataclass(frozen=True)
 class UncoveredSpan:
     """Slice of an energy interval with no intensity coverage."""
 
@@ -136,16 +126,17 @@ def apply_pue(joules: float, pue: PueFactor) -> float:
 
 
 def align_segments(
-    energy: EnergySeries, intensity: IntensitySeries
-) -> tuple[tuple[Segment, ...], tuple[UncoveredSpan, ...]]:
-    """Split energy intervals at intensity boundaries.
+    energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
+) -> tuple[tuple[EmissionsSegment, ...], tuple[UncoveredSpan, ...]]:
+    """Split energy intervals at intensity boundaries into emissions rows.
 
     Each returned segment lies inside exactly one energy interval and one
-    intensity window; its joules share is the interval's energy prorated
-    by duration. Spans without intensity coverage come back separately,
-    never silently dropped.
+    intensity window; its joules are the interval's energy prorated by
+    duration, its kg CO2e those joules times intensity and PUE. Spans
+    without intensity coverage come back separately, never silently
+    dropped.
     """
-    segments: list[Segment] = []
+    segments: list[EmissionsSegment] = []
     uncovered: list[UncoveredSpan] = []
     entries = intensity.entries
     starts = [entry.start for entry in entries]
@@ -168,13 +159,15 @@ def align_segments(
                     UncoveredSpan(cursor, overlap_start - cursor, rate * (overlap_start - cursor))
                 )
             overlap_end = min(interval_end, entry.end)
+            joules = interval.joules_total * ((overlap_end - overlap_start) / interval.duration_s)
             segments.append(
-                Segment(
+                EmissionsSegment(
                     start=overlap_start,
                     duration_s=overlap_end - overlap_start,
-                    joules_share=interval.joules_total
-                    * ((overlap_end - overlap_start) / interval.duration_s),
+                    joules=joules,
                     intensity_kg_per_kwh=entry.intensity_kg_per_kwh,
+                    kg_co2e=pue.value
+                    * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH),
                 )
             )
             cursor = overlap_end
@@ -203,7 +196,7 @@ def operational_emissions(
     if coverage_policy not in COVERAGE_POLICIES:
         raise ValueError(f"coverage_policy must be one of {COVERAGE_POLICIES}")
 
-    segments, uncovered = align_segments(energy, intensity)
+    segments, uncovered = align_segments(energy, intensity, pue)
     if coverage_policy == "strict" and uncovered:
         gap = uncovered[0]
         raise CoverageError(
@@ -211,27 +204,14 @@ def operational_emissions(
             f"({gap.joules_share} J); {len(uncovered)} uncovered span(s) total"
         )
 
-    rows = []
     total_kg = 0.0
     for segment in segments:
-        kg = pue.value * (
-            segment.intensity_kg_per_kwh * segment.joules_share / JOULES_PER_KWH
-        )
-        rows.append(
-            EmissionsSegment(
-                start=segment.start,
-                duration_s=segment.duration_s,
-                joules=segment.joules_share,
-                intensity_kg_per_kwh=segment.intensity_kg_per_kwh,
-                kg_co2e=kg,
-            )
-        )
-        total_kg += kg
+        total_kg += segment.kg_co2e
     return EmissionsReport(
         total_kg_co2e=total_kg,
         pue=pue.value,
         coverage_policy=coverage_policy,
-        segments=tuple(rows),
+        segments=segments,
         uncovered=uncovered,
     )
 

@@ -23,15 +23,16 @@ cache location.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import tempfile
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-import requests
 
 from .errors import (
     FractionError,
@@ -42,19 +43,10 @@ from .errors import (
     ParseError,
     SchemaError,
     StaleCacheError,
-    TraceOrderError,
 )
 from .embodied import ConsumptionRecord, EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import (
-    Allocation,
-    ServerSpec,
-    UnitTags,
-    UsageLimits,
-    UsageSample,
-    UsageTrace,
-    validate_spec,
-)
+from .power import PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, validate_spec
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -129,17 +121,6 @@ def parse_usage_trace(data: bytes, format: str = "csv") -> UsageTrace:
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
-def _check_trace_order(samples: list[UsageSample], labels: list[str]) -> None:
-    previous_end = None
-    for sample, label in zip(samples, labels):
-        if previous_end is not None and sample.start < previous_end:
-            raise TraceOrderError(
-                f"{label}: sample starts at {sample.start}, "
-                f"before previous sample end {previous_end}"
-            )
-        previous_end = sample.end
-
-
 def _parse_trace_csv(data: bytes) -> UsageTrace:
     text = _decode_utf8(data)
     lines = text.split("\n")
@@ -177,7 +158,6 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
             raise ParseError(str(exc), location=location) from exc
         rows.append(row)
 
-    _check_trace_order(samples, [f"row {r}" for r in rows])
     return UsageTrace(samples=tuple(samples), source_rows=tuple(rows))
 
 
@@ -200,7 +180,6 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
         except ValueError as exc:
             raise ParseError(str(exc), location=location) from exc
 
-    _check_trace_order(samples, [f"samples[{i}]" for i in range(len(samples))])
     return UsageTrace(samples=tuple(samples), source_rows=tuple(range(len(samples))))
 
 
@@ -349,12 +328,10 @@ def parse_ledger(data: bytes) -> Ledger:
             fraction = _number(
                 _require(raw_step, "fraction", step_location), f"{step_location}.fraction"
             )
-            if not 0.0 <= fraction <= 1.0:
-                raise FractionError(
-                    f"{step_location}: fraction must be within [0, 1], got {fraction}"
-                )
             try:
                 steps.append(ProfileStep(start, end, fraction))
+            except FractionError as exc:
+                raise FractionError(f"{step_location}: {exc}") from exc
             except ValueError as exc:
                 raise ParseError(str(exc), location=step_location) from exc
         try:
@@ -443,24 +420,25 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
     raw_server = _require(doc, "server", "$")
     raw_alpha = _require(raw_server, "alpha", "$.server")
     raw_umax = _require(raw_server, "u_max", "$.server")
+    raw_units = raw_server.get("u_max_units", {})
+    if not isinstance(raw_units, dict):
+        raise SchemaError("'u_max_units' must be an object", location="$.server.u_max_units")
     unit_kwargs = {}
-    if isinstance(raw_server, dict) and "u_max_units" in raw_server:
-        raw_units = raw_server["u_max_units"]
-        for component in ("mem", "io", "net"):
-            if component in raw_units:
-                unit_kwargs[component] = _string(
-                    raw_units[component], f"$.server.u_max_units.{component}"
-                )
+    for component in ("mem", "io", "net"):
+        if component in raw_units:
+            unit_kwargs[component] = _string(
+                raw_units[component], f"$.server.u_max_units.{component}"
+            )
     spec = ServerSpec(
         tdp_watts=_number(_require(raw_server, "tdp_watts", "$.server"), "$.server.tdp_watts"),
         n_cpu=_epoch(_require(raw_server, "n_cpu", "$.server"), "$.server.n_cpu"),
-        alpha=Allocation(
+        alpha=PerComponent(
             cpu=_number(_require(raw_alpha, "cpu", "$.server.alpha"), "$.server.alpha.cpu"),
             mem=_number(_require(raw_alpha, "mem", "$.server.alpha"), "$.server.alpha.mem"),
             io=_number(_require(raw_alpha, "io", "$.server.alpha"), "$.server.alpha.io"),
             net=_number(_require(raw_alpha, "net", "$.server.alpha"), "$.server.alpha.net"),
         ),
-        u_max=UsageLimits(
+        u_max=PerComponent(
             cpu=_number(_require(raw_umax, "cpu", "$.server.u_max"), "$.server.u_max.cpu"),
             mem=_number(_require(raw_umax, "mem", "$.server.u_max"), "$.server.u_max.mem"),
             io=_number(_require(raw_umax, "io", "$.server.u_max"), "$.server.u_max.io"),
@@ -568,23 +546,33 @@ def _cache_path(cache_dir: Path, endpoint: str, region: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def _read_cache(path: Path) -> dict | None:
+def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySeries] | None:
+    """(fetched_at, series) of a well-formed entry covering ``window``.
+
+    Anything else is a miss, never an input error: a corrupt, foreign or
+    unparsable entry is refetched and overwritten.
+    """
     try:
         entry = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(entry, dict):
+    if not isinstance(entry, dict) or not {"payload", "window", "fetched_at"} <= entry.keys():
         return None
-    if not {"payload", "window", "fetched_at"} <= entry.keys():
-        return None  # corrupt or foreign file: treat as a miss
-    if not isinstance(entry["window"], dict) or not {"start", "end"} <= entry["window"].keys():
+    cached, fetched_at, payload = entry["window"], entry["fetched_at"], entry["payload"]
+    if not (
+        isinstance(cached, dict)
+        and type(cached.get("start")) is int
+        and type(cached.get("end")) is int
+        and type(fetched_at) in (int, float)
+        and isinstance(payload, str)
+    ):
         return None
-    return entry
-
-
-def _covers(entry: dict, window: tuple[int, int]) -> bool:
-    cached = entry["window"]
-    return cached["start"] <= window[0] and cached["end"] >= window[1]
+    if cached["start"] > window[0] or cached["end"] < window[1]:
+        return None
+    try:
+        return fetched_at, parse_intensity_feed(payload.encode("utf-8"))
+    except (ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
+        return None
 
 
 def _write_cache(path: Path, entry: dict) -> None:
@@ -622,31 +610,30 @@ def fetch_intensity(
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _cache_path(cache_dir, endpoint, region)
-    entry = _read_cache(path)
+    cached = _read_cache(path, window)
     now = time.time()
 
-    if entry is not None and _covers(entry, window):
-        if now - entry.get("fetched_at", 0.0) <= freshness_s:
-            return parse_intensity_feed(entry["payload"].encode("utf-8"))
+    if cached is not None and now - cached[0] <= freshness_s:
+        return cached[1]
 
     headers = {"Authorization": f"Bearer {token}"} if token else {}
+    query = urllib.parse.urlencode({"region": region, "start": window[0], "end": window[1]})
+    url = f"{endpoint}{'&' if '?' in endpoint else '?'}{query}"
     try:
-        response = requests.get(
-            endpoint,
-            params={"region": region, "start": window[0], "end": window[1]},
-            headers=headers,
-            timeout=timeout_s,
-        )
-        response.raise_for_status()
-        payload = response.content
-    except requests.RequestException as exc:
-        if entry is not None and _covers(entry, window):
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise ValueError(f"not an http(s) URL: {endpoint!r}")
+        request = urllib.request.Request(url, headers=headers)
+        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            payload = response.read()
+    # OSError covers URLError, HTTPError (non-2xx) and timeouts; ValueError an unusable URL
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        if cached is not None:
             if strict_freshness:
                 raise StaleCacheError(
                     f"cache for {region!r} is older than {freshness_s}s and "
                     f"refresh failed: {exc}"
                 ) from exc
-            return parse_intensity_feed(entry["payload"].encode("utf-8"))
+            return cached[1]
         raise NetworkError(f"intensity fetch from {endpoint} failed: {exc}") from exc
 
     series = parse_intensity_feed(payload)

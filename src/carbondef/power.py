@@ -28,23 +28,9 @@ USAGE_UNITS = ("bytes", "bytes_per_interval")
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """Fractions splitting full-load server energy across components."""
-
-    cpu: float
-    mem: float
-    io: float
-    net: float
-
-    def get(self, component: str) -> float:
-        if component not in COMPONENTS:
-            raise ValueError(f"unknown component {component!r}")
-        return getattr(self, component)
-
-
-@dataclass(frozen=True)
-class UsageLimits:
-    """Per-component maximum usage (cpu in cores, others in bytes)."""
+class PerComponent:
+    """One value per component: allocation shares (``alpha``) or usage
+    maxima (``u_max``, cpu in cores, others in bytes)."""
 
     cpu: float
     mem: float
@@ -76,8 +62,8 @@ class ServerSpec:
 
     tdp_watts: float
     n_cpu: int
-    alpha: Allocation
-    u_max: UsageLimits
+    alpha: PerComponent
+    u_max: PerComponent
     idle_watts: float = 0.0
     u_max_units: UnitTags = field(default_factory=UnitTags)
 
@@ -112,7 +98,8 @@ class UsageSample:
 
 @dataclass(frozen=True)
 class UsageTrace:
-    """Sorted, non-overlapping usage samples.
+    """Sorted, non-overlapping usage samples; construction raises
+    TraceOrderError otherwise, the one place trace order is checked.
 
     ``source_rows`` keeps the originating input row per sample so later
     diagnostics (clamping, range errors) can name the offending line.
@@ -121,28 +108,22 @@ class UsageTrace:
     samples: tuple[UsageSample, ...]
     source_rows: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        previous_end = None
+        for index, sample in enumerate(self.samples):
+            if previous_end is not None and sample.start < previous_end:
+                row = f" (row {self.source_rows[index]})" if self.source_rows is not None else ""
+                raise TraceOrderError(
+                    f"sample {index}{row} starts at {sample.start}, "
+                    f"before previous sample end {previous_end}"
+                )
+            previous_end = sample.end
+
     def __len__(self) -> int:
         return len(self.samples)
 
     def __iter__(self) -> Iterator[UsageSample]:
         return iter(self.samples)
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Instantaneous power split by source; total is the fixed-order sum."""
-
-    cpu_w: float
-    mem_w: float
-    io_w: float
-    net_w: float
-    idle_w: float
-    total_w: float
-
-    def get(self, source: str) -> float:
-        if source not in ENERGY_SOURCES:
-            raise ValueError(f"unknown source {source!r}")
-        return getattr(self, f"{source}_w")
 
 
 @dataclass(frozen=True)
@@ -161,22 +142,16 @@ class EnergyEntry:
 
 @dataclass(frozen=True)
 class EnergySeries:
-    """Ordered, non-overlapping energy entries."""
+    """Energy entries in trace order, which UsageTrace has checked."""
 
     entries: tuple[EnergyEntry, ...]
 
     def __post_init__(self):
-        previous_end = None
         for entry in self.entries:
-            if previous_end is not None and entry.start < previous_end:
-                raise ValueError(
-                    f"energy entries unsorted or overlapping at start={entry.start}"
-                )
             if entry.joules_total < 0 or any(
                 j < 0 for j in entry.joules_by_component.values()
             ):
                 raise ValueError("energy values must be >= 0")
-            previous_end = entry.end
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -238,8 +213,8 @@ def _usage_ratio(spec: ServerSpec, sample: UsageSample, component: str, clamp: b
     return usage / limit
 
 
-def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> PowerBreakdown:
-    """Instantaneous power for one usage sample.
+def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> dict[str, float]:
+    """Instantaneous power for one usage sample, watts per ENERGY_SOURCES entry.
 
     CPU power is (usage / max) of the full-load anchor tdp_watts * n_cpu;
     each other component gets the same linear ramp scaled by its share of
@@ -254,11 +229,7 @@ def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) 
     mem_w = _usage_ratio(spec, sample, "mem", clamp) * (spec.alpha.mem / spec.alpha.cpu) * anchor
     io_w = _usage_ratio(spec, sample, "io", clamp) * (spec.alpha.io / spec.alpha.cpu) * anchor
     net_w = _usage_ratio(spec, sample, "net", clamp) * (spec.alpha.net / spec.alpha.cpu) * anchor
-    idle_w = spec.idle_watts
-    total_w = cpu_w + mem_w + io_w + net_w + idle_w
-    return PowerBreakdown(
-        cpu_w=cpu_w, mem_w=mem_w, io_w=io_w, net_w=net_w, idle_w=idle_w, total_w=total_w
-    )
+    return {"cpu": cpu_w, "mem": mem_w, "io": io_w, "net": net_w, "idle": spec.idle_watts}
 
 
 def marginal_power(spec: ServerSpec, component: str) -> float:
@@ -279,9 +250,7 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
 def energy_over_interval(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> EnergyEntry:
     """Energy for one sample, treating usage as constant over the interval."""
     power = component_power(spec, sample, clamp=clamp)
-    joules = {
-        source: power.get(source) * sample.duration_s for source in ENERGY_SOURCES
-    }
+    joules = {source: watts * sample.duration_s for source, watts in power.items()}
     total = (
         joules["cpu"] + joules["mem"] + joules["io"] + joules["net"] + joules["idle"]
     )
@@ -305,17 +274,10 @@ def trace_to_energy_series(
         UsageOutOfRange: some usage exceeds its maximum (clamp off);
             the message names the offending sample index.
     """
-    samples = trace.samples if isinstance(trace, UsageTrace) else tuple(trace)
-    previous_end = None
-    for index, sample in enumerate(samples):
-        if previous_end is not None and sample.start < previous_end:
-            raise TraceOrderError(
-                f"sample {index} starts at {sample.start}, before previous end {previous_end}"
-            )
-        previous_end = sample.end
-
+    if not isinstance(trace, UsageTrace):
+        trace = UsageTrace(samples=tuple(trace))
     entries = []
-    for index, sample in enumerate(samples):
+    for index, sample in enumerate(trace.samples):
         try:
             entries.append(energy_over_interval(spec, sample, clamp=clamp))
         except UsageOutOfRange as exc:

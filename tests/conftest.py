@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from carbondef import Allocation, ServerSpec, UsageLimits, validate_spec
+from carbondef import PerComponent, ServerSpec, validate_spec
 
 
 @pytest.fixture
@@ -16,8 +16,8 @@ def example_spec() -> ServerSpec:
         ServerSpec(
             tdp_watts=100.0,
             n_cpu=4,
-            alpha=Allocation(cpu=0.4, mem=0.3, io=0.2, net=0.1),
-            u_max=UsageLimits(cpu=4.0, mem=64e9, io=1e12, net=1e12),
+            alpha=PerComponent(cpu=0.4, mem=0.3, io=0.2, net=0.1),
+            u_max=PerComponent(cpu=4.0, mem=64e9, io=1e12, net=1e12),
         )
     )
 
@@ -28,7 +28,7 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         self.server.last_path = self.path
         self.server.last_headers = dict(self.headers)
         body = json.dumps(self.server.payload).encode("utf-8")
-        self.send_response(200)
+        self.send_response(self.server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -39,7 +39,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
 
 class StubFeedServer(http.server.ThreadingHTTPServer):
-    """Feed endpoint serving a canned payload and counting requests."""
+    """Feed endpoint serving a canned payload with a settable HTTP status,
+    counting requests."""
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _StubHandler)
@@ -50,6 +51,7 @@ class StubFeedServer(http.server.ThreadingHTTPServer):
                 {"start": 1800, "end": 3600, "intensity_kg_per_kwh": 0.2},
             ],
         }
+        self.status = 200
         self.hits = 0
         self.last_path = None
         self.last_headers = None

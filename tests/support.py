@@ -9,7 +9,6 @@ import random
 from pathlib import Path
 
 from carbondef import (
-    Allocation,
     ConsumptionRecord,
     EmbodiedObject,
     EnergyEntry,
@@ -18,10 +17,10 @@ from carbondef import (
     IntensitySeries,
     Ledger,
     ProfileStep,
+    PerComponent,
     PueFactor,
     ServerSpec,
     SharingProfile,
-    UsageLimits,
     UsageSample,
 )
 from carbondef.errors import (
@@ -55,8 +54,8 @@ def gen_spec(rng: random.Random, idle_max: float = 0.0) -> ServerSpec:
     return ServerSpec(
         tdp_watts=rng.uniform(10.0, 500.0),
         n_cpu=rng.randint(1, 64),
-        alpha=Allocation(*(w / total for w in weights)),
-        u_max=UsageLimits(
+        alpha=PerComponent(*(w / total for w in weights)),
+        u_max=PerComponent(
             cpu=rng.uniform(1.0, 256.0),
             mem=rng.uniform(1e6, 1e12),
             io=rng.uniform(1e6, 1e12),
@@ -235,6 +234,7 @@ MALFORMED = [
     ("trace_negative_usage.csv", "trace_csv", ParseError, "row 2"),
     ("trace_unsorted.csv", "trace_csv", TraceOrderError, "row 3"),
     ("trace_overlap.csv", "trace_csv", TraceOrderError, "row 3"),
+    ("trace_unsorted.json", "trace_json", TraceOrderError, "sample 1"),
     ("trace_bad_syntax.json", "trace_json", ParseError, "byte"),
     ("trace_missing_samples.json", "trace_json", SchemaError, "$"),
     ("trace_missing_field.json", "trace_json", SchemaError, "samples[0]"),
@@ -267,6 +267,7 @@ MALFORMED = [
     ("config_zero_units.json", "config", ParseError, "$.functional_unit.count"),
     ("config_bad_tdp.json", "config", SpecError, "tdp_watts"),
     ("config_bad_units_tag.json", "config", SpecError, "u_max_units"),
+    ("config_units_not_object.json", "config", SchemaError, "$.server.u_max_units"),
 ]
 
 

@@ -62,15 +62,15 @@ class TestApplyPue:
 class TestAlignSegments:
     def test_aligned_boundaries(self):
         energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
-        segments, uncovered = align_segments(energy, constant_intensity(0.4))
+        segments, uncovered = align_segments(energy, constant_intensity(0.4), PueFactor(1.0))
         assert len(segments) == 1 and not uncovered
-        assert segments[0].joules_share == 720000.0
+        assert segments[0].joules == 720000.0
         assert segments[0].duration_s == 3600.0
 
     def test_uniform_split(self):
         energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
-        segments, uncovered = align_segments(energy, split_intensity)
-        assert [s.joules_share for s in segments] == [360000.0, 360000.0]
+        segments, uncovered = align_segments(energy, split_intensity, PueFactor(1.0))
+        assert [s.joules for s in segments] == [360000.0, 360000.0]
         assert [s.intensity_kg_per_kwh for s in segments] == [0.4, 0.2]
         assert not uncovered
 
@@ -79,10 +79,10 @@ class TestAlignSegments:
         # seconds 0..49 uncovered -> 50 J in diagnostics
         energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
         intensity = constant_intensity(0.3, start=50, end=150)
-        segments, uncovered = align_segments(energy, intensity)
+        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
         assert len(segments) == 1
         assert (segments[0].start, segments[0].duration_s) == (50, 50.0)
-        assert segments[0].joules_share == 50.0
+        assert segments[0].joules == 50.0
         assert len(uncovered) == 1
         assert (uncovered[0].start, uncovered[0].duration_s) == (0, 50.0)
         assert uncovered[0].joules_share == 50.0
@@ -93,7 +93,7 @@ class TestAlignSegments:
             region="ZZ",
             entries=(IntensityEntry(0, 30, 0.5), IntensityEntry(70, 100, 0.5)),
         )
-        segments, uncovered = align_segments(energy, intensity)
+        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
         assert [(s.start, s.duration_s) for s in segments] == [(0, 30.0), (70, 70.0 - 40.0)]
         assert [(u.start, u.duration_s) for u in uncovered] == [(30, 40.0)]
 
@@ -101,16 +101,16 @@ class TestAlignSegments:
         energy = EnergySeries(
             entries=(energy_entry(0, 100.0, 100.0), energy_entry(100, 100.0, 200.0))
         )
-        segments, uncovered = align_segments(energy, constant_intensity(0.1, 0, 200))
+        segments, uncovered = align_segments(energy, constant_intensity(0.1, 0, 200), PueFactor(1.0))
         assert not uncovered
-        assert [s.joules_share for s in segments] == [100.0, 200.0]
+        assert [s.joules for s in segments] == [100.0, 200.0]
 
     @settings(max_examples=200)
     @given(series_pairs)
     def test_conservation(self, pair):
         energy, intensity = pair
-        segments, uncovered = align_segments(energy, intensity)
-        covered = sum(s.joules_share for s in segments)
+        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
+        covered = sum(s.joules for s in segments)
         missing = sum(u.joules_share for u in uncovered)
         total = energy.total_joules()
         assert total == 0.0 or rel_close(covered + missing, total, 1e-9)
@@ -119,7 +119,7 @@ class TestAlignSegments:
     @given(series_pairs)
     def test_segments_sorted_and_inside_energy(self, pair):
         energy, intensity = pair
-        segments, _ = align_segments(energy, intensity)
+        segments, _ = align_segments(energy, intensity, PueFactor(1.0))
         for a, b in zip(segments, segments[1:]):
             assert a.start + a.duration_s <= b.start + 1e-9
         bounds = [(e.start, e.end) for e in energy.entries]

@@ -242,6 +242,53 @@ class TestFetchIntensity:
                 freshness_s=0.0, strict_freshness=True, timeout_s=0.2,
             )
 
+    def test_http_error_no_cache(self, feed_server, tmp_path):
+        feed_server.status = 500
+        with pytest.raises(NetworkError):
+            fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+
+    def test_http_error_stale_fallback(self, feed_server, tmp_path):
+        first = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        feed_server.status = 500
+        series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, freshness_s=0.0)
+        assert feed_server.hits == 2
+        assert series == first
+
+    # "data:" is a scheme urllib would serve without any network
+    @pytest.mark.parametrize("endpoint", ["not a url", "data:,{}"])
+    def test_unusable_url_is_network_error(self, endpoint, tmp_path):
+        with pytest.raises(NetworkError):
+            fetch_intensity(endpoint, "NL", (0, 3600), tmp_path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("payload", 42),
+            ("payload", "{not json"),
+            ("payload", "\ud800"),
+            ("fetched_at", "yesterday"),
+            ("fetched_at", True),
+            ("window", {"start": 0.0, "end": 3600}),
+        ],
+        ids=["payload-not-string", "payload-unparsable", "payload-lone-surrogate",
+             "fetched-at-string", "fetched-at-bool", "window-float-bound"],
+    )
+    def test_malformed_cache_entry_is_a_miss(self, feed_server, tmp_path, field, value):
+        series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        (path,) = tmp_path.iterdir()
+        entry = json.loads(path.read_text())
+        entry[field] = value
+        path.write_text(json.dumps(entry))
+        feed_server.hits = 0
+        # served from this entry if it were accepted: it covers the window and is fresh
+        assert fetch_intensity(
+            feed_server.endpoint, "NL", (0, 3600), tmp_path, freshness_s=1e12
+        ) == series
+        assert feed_server.hits == 1
+        # rewritten well-formed: the next call is a cache hit
+        assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
+        assert feed_server.hits == 1
+
     def test_bearer_token_passthrough(self, feed_server, tmp_path):
         fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, token="sesame")
         assert feed_server.last_headers.get("Authorization") == "Bearer sesame"

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carbondef import (
-    Allocation,
+    PerComponent,
     ServerSpec,
-    UsageLimits,
     UsageSample,
     component_power,
     energy_over_interval,
@@ -24,8 +23,8 @@ def spec_with_alpha(cpu, mem, io, net):
     return ServerSpec(
         tdp_watts=100.0,
         n_cpu=4,
-        alpha=Allocation(cpu, mem, io, net),
-        u_max=UsageLimits(cpu=4.0, mem=64e9, io=1e12, net=1e12),
+        alpha=PerComponent(cpu, mem, io, net),
+        u_max=PerComponent(cpu=4.0, mem=64e9, io=1e12, net=1e12),
     )
 
 
@@ -67,8 +66,8 @@ class TestValidateSpec:
         spec = ServerSpec(
             tdp_watts=100.0,
             n_cpu=4,
-            alpha=Allocation(0.4, 0.3, 0.2, 0.1),
-            u_max=UsageLimits(cpu=4.0, mem=0.0, io=1e12, net=1e12),
+            alpha=PerComponent(0.4, 0.3, 0.2, 0.1),
+            u_max=PerComponent(cpu=4.0, mem=0.0, io=1e12, net=1e12),
         )
         with pytest.raises(SpecError):
             validate_spec(spec)
@@ -89,29 +88,29 @@ class TestValidateSpec:
 class TestComponentPower:
     def test_full_load_breakdown(self, example_spec):
         power = component_power(example_spec, full_load_sample(example_spec))
-        assert power.cpu_w == pytest.approx(400.0, rel=1e-12)
-        assert power.mem_w == pytest.approx(300.0, rel=1e-12)
-        assert power.io_w == pytest.approx(200.0, rel=1e-12)
-        assert power.net_w == pytest.approx(100.0, rel=1e-12)
-        assert power.total_w == pytest.approx(1000.0, rel=1e-12)
+        assert power["cpu"] == pytest.approx(400.0, rel=1e-12)
+        assert power["mem"] == pytest.approx(300.0, rel=1e-12)
+        assert power["io"] == pytest.approx(200.0, rel=1e-12)
+        assert power["net"] == pytest.approx(100.0, rel=1e-12)
+        assert sum(power.values()) == pytest.approx(1000.0, rel=1e-12)
 
     def test_zero_usage_is_zero_power(self, example_spec):
         power = component_power(example_spec, UsageSample(0, 60.0, 0, 0, 0, 0))
-        assert power.total_w == 0.0
+        assert sum(power.values()) == 0.0
 
     def test_half_cpu_load(self, example_spec):
         power = component_power(example_spec, UsageSample(0, 60.0, 2.0, 0, 0, 0))
-        assert power.cpu_w == 200.0
-        assert power.total_w == 200.0
+        assert power["cpu"] == 200.0
+        assert sum(power.values()) == 200.0
 
     def test_idle_baseline_unconditional(self, example_spec):
         import dataclasses
 
         spec = dataclasses.replace(example_spec, idle_watts=50.0)
-        assert component_power(spec, UsageSample(0, 60.0, 0, 0, 0, 0)).total_w == 50.0
+        assert sum(component_power(spec, UsageSample(0, 60.0, 0, 0, 0, 0)).values()) == 50.0
         # idle is added on top of full load, outside the allocated budget
         full = component_power(spec, full_load_sample(spec))
-        assert full.total_w == pytest.approx(1050.0, rel=1e-12)
+        assert sum(full.values()) == pytest.approx(1050.0, rel=1e-12)
 
     def test_usage_above_max_rejected(self, example_spec):
         sample = UsageSample(0, 60.0, 5.0, 0, 0, 0)
@@ -121,14 +120,14 @@ class TestComponentPower:
     def test_usage_above_max_clamped_on_request(self, example_spec):
         sample = UsageSample(0, 60.0, 5.0, 0, 0, 0)
         power = component_power(example_spec, sample, clamp=True)
-        assert power.cpu_w == 400.0
+        assert power["cpu"] == 400.0
 
     def test_additivity_fixed_order(self, example_spec):
         rng = random.Random(7)
         for _ in range(50):
             sample = gen_usage(rng, example_spec)
             p = component_power(example_spec, sample)
-            assert p.total_w == p.cpu_w + p.mem_w + p.io_w + p.net_w + p.idle_w
+            assert sum(p.values()) == p["cpu"] + p["mem"] + p["io"] + p["net"] + p["idle"]
 
     # exact zero plus a non-denormal range: subnormal scale factors void
     # any relative-tolerance statement
@@ -205,7 +204,7 @@ class TestEnergy:
         sample = gen_usage(random.Random(seed), spec)
         entry = energy_over_interval(spec, sample)
         power = component_power(spec, sample)
-        assert rel_close(entry.joules_total, power.total_w * sample.duration_s, 1e-12)
+        assert rel_close(entry.joules_total, sum(power.values()) * sample.duration_s, 1e-12)
 
 
 class TestTraceToSeries:
