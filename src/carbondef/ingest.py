@@ -25,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import os
+import sys
 import tempfile
 import time
 import urllib.parse
@@ -89,6 +91,8 @@ def _require(mapping: Any, key: str, location: str) -> Any:
 def _number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", location=location)
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int beyond the float range
+        raise ParseError(f"expected a finite number, got {value!r}", location=location)
     return float(value)
 
 
@@ -109,7 +113,8 @@ def _string(value: Any, location: str) -> str:
 # --- usage traces ---
 
 def parse_usage_trace(data: bytes, format: str = "csv") -> UsageTrace:
-    """Parse a usage trace, keeping source row numbers for diagnostics.
+    """Parse a usage trace. A CSV trace keeps its source row numbers for
+    diagnostics; a JSON trace has no rows, so its ``source_rows`` is None.
 
     Raises ParseError/SchemaError with the offending row or field, and
     TraceOrderError when samples are unsorted or overlapping.
@@ -152,6 +157,8 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
             values = [float(field) for field in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=location) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite number in {line!r}", location=location)
         try:
             samples.append(UsageSample(start, *values))
         except ValueError as exc:
@@ -180,7 +187,7 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
         except ValueError as exc:
             raise ParseError(str(exc), location=location) from exc
 
-    return UsageTrace(samples=tuple(samples), source_rows=tuple(range(len(samples))))
+    return UsageTrace(samples=tuple(samples))
 
 
 def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -109,15 +110,15 @@ def _operational_section(
             }
             for segment in emissions.segments
         ],
-        "uncovered": [
-            {
-                "start": span.start,
-                "duration_s": span.duration_s,
-                "kwh": _kwh(span.joules_share),
-            }
-            for span in emissions.uncovered
-        ],
+        "uncovered": _uncovered_rows(emissions),
     }
+
+
+def _uncovered_rows(emissions: EmissionsReport) -> list[dict[str, Any]]:
+    return [
+        {"start": span.start, "duration_s": span.duration_s, "kwh": _kwh(span.joules_share)}
+        for span in emissions.uncovered
+    ]
 
 
 def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[str, Any]:
@@ -182,16 +183,7 @@ def _diagnostics(
             {"index": index, "row": rows[index] if rows is not None else None}
             for index in clamped_sample_indices(config.server, trace)
         ]
-    uncovered = []
-    if emissions is not None:
-        uncovered = [
-            {
-                "start": span.start,
-                "duration_s": span.duration_s,
-                "kwh": _kwh(span.joules_share),
-            }
-            for span in emissions.uncovered
-        ]
+    uncovered = _uncovered_rows(emissions) if emissions is not None else []
     return {"clamped_samples": clamped, "uncovered_intervals": uncovered}
 
 
@@ -299,90 +291,171 @@ def build_full_report(
     }
 
 
-def to_json_bytes(report: dict[str, Any]) -> bytes:
-    return (json.dumps(report, indent=2) + "\n").encode("utf-8")
+_NUMBER_TYPES = frozenset((int, float))
+# json's C encoder spells a str, None, a bool or a number as indent=2 does
+_scalar = json.JSONEncoder().encode
 
 
-def _csv_bytes(header: list[str], rows: list[list[Any]]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
+def _dict_template(slots: list[tuple[str, str]], indent: str) -> str:
+    inner = indent + "  "
+    lines = [f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: {slot}" for key, slot in slots]
+    return "{" + ",".join(lines) + indent + "}"
+
+
+def _row_template(row: Any, indent: str) -> tuple[str, tuple, tuple] | None:
+    """For a dict of numbers (and of dicts of numbers): a '%'-template, its
+    key order and each nested dict's (position, keys); else None."""
+    if type(row) is not dict or not row:
+        return None
+    slots, nested = [], []
+    for position, (key, value) in enumerate(row.items()):
+        if type(key) is not str:
+            return None
+        if type(value) in _NUMBER_TYPES:
+            slots.append((key, "%r"))
+        elif type(value) is dict and value and all(
+            type(k) is str and type(v) in _NUMBER_TYPES for k, v in value.items()
+        ):
+            slots.append((key, _dict_template([(k, "%r") for k in value], indent + "  ")))
+            nested.append((position, tuple(value)))
+        else:
+            return None
+    return _dict_template(slots, indent), tuple(row), tuple(reversed(nested))
+
+
+def _row_values(row: Any, keys: tuple, nested: tuple) -> tuple | None:
+    """The numbers to fill the template with, or None: other keys or key
+    order, a value not exactly an int or a float (a bool), a NaN or ±inf."""
+    if type(row) is not dict or tuple(row) != keys:
+        return None
+    values = list(row.values())
+    for position, inner in nested:  # back to front, so positions stay valid
+        value = values[position]
+        if type(value) is not dict or tuple(value) != inner:
+            return None
+        values[position:position + 1] = value.values()
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return None
+    try:
+        total = sum(values)
+    except OverflowError:  # an int beyond the float range next to a float
+        return None
+    return tuple(values) if total - total == 0 else None
+
+
+def _encode(value: Any, out: list[str], indent: str) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives for ``value``,
+    which starts on a line indented by ``indent`` (a newline and spaces)."""
+    if not isinstance(value, (list, tuple, dict)):
+        out.append(_scalar(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if key is None or isinstance(key, (int, float)):
+                key = _scalar(key)
+            out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            separator = "," + inner
+            _encode(item, out, inner)
+        out.append(indent + "}")
+    else:
+        inner = indent + "  "
+        compiled = _row_template(value[0], inner)
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            row = compiled and _row_values(item, *compiled[1:])
+            if row:
+                out.append(compiled[0] % row)
+            else:
+                _encode(item, out, inner)
+        out.append(indent + "]")
+
+
+def to_json_bytes(report: Any) -> bytes:
+    """The bytes of ``json.dumps(report, indent=2) + "\\n"`` without its slow
+    pure-Python encoder: same-shaped numeric rows share one '%'-template."""
+    out: list[str] = []
+    _encode(report, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+_ESTIMATE_ROW = ",".join(["%r"] * (3 + len(ENERGY_SOURCES))) + "\n"
+_EMISSIONS_ROW = "%(start)r,%(duration_s)r,%(kwh)r,%(intensity_kg_per_kwh)r,%(kg_co2e)r\n"
+# "\0" marks the "section,,start,duration_s," prefix, formatted once per interval
+_REPORT_ENERGY_ROWS = "".join(f"\0kwh_{f},%r\n" for f in ("total", *ENERGY_SOURCES))
+_REPORT_OPERATIONAL_ROWS = "".join(f"\0{f},%r\n" for f in ("kwh", "intensity_kg_per_kwh", "kg_co2e"))
+
+
+def _kwh_values(entry: dict[str, Any]) -> tuple:
+    by_component = entry["kwh_by_component"]
+    return (entry["kwh_total"], *map(by_component.__getitem__, ENERGY_SOURCES))
+
+
+def _rows(template: str, section: str, row: dict[str, Any], values: tuple) -> str:
+    return template.replace("\0", f"{section},,{row['start']!r},{row['duration_s']!r},") % values
 
 
 def to_csv_bytes(report: dict[str, Any]) -> bytes:
-    """Chart-friendly CSV rendering, one row per interval where possible."""
+    """Chart-friendly CSV rendering, one row per interval where possible.
+    Numeric rows go through '%'-templates (``%r`` of a number is what
+    csv.writer writes); rows with ids use csv.writer for its quoting."""
     report_type = report["meta"]["report"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     if report_type == "estimate":
-        return _csv_bytes(
-            ["start", "duration_s", "kwh_total", "kwh_cpu", "kwh_mem", "kwh_io", "kwh_net", "kwh_idle"],
-            [
-                [
-                    entry["start"],
-                    entry["duration_s"],
-                    entry["kwh_total"],
-                    *[entry["kwh_by_component"][source] for source in ENERGY_SOURCES],
-                ]
-                for entry in report["energy"]["intervals"]
-            ],
+        writer.writerow(["start", "duration_s", "kwh_total", *(f"kwh_{s}" for s in ENERGY_SOURCES)])
+        buffer.writelines(
+            _ESTIMATE_ROW % (entry["start"], entry["duration_s"], *_kwh_values(entry))
+            for entry in report["energy"]["intervals"]
         )
-    if report_type == "emissions":
-        return _csv_bytes(
-            ["start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e"],
-            [
-                [
-                    segment["start"],
-                    segment["duration_s"],
-                    segment["kwh"],
-                    segment["intensity_kg_per_kwh"],
-                    segment["kg_co2e"],
-                ]
-                for segment in report["operational"]["segments"]
-            ],
-        )
-    if report_type == "embodied":
-        rows: list[list[Any]] = []
+    elif report_type == "emissions":
+        writer.writerow(["start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e"])
+        buffer.writelines(_EMISSIONS_ROW % segment for segment in report["operational"]["segments"])
+    elif report_type == "embodied":
         section = report["embodied"]
+        writer.writerow(["record_type", "consumer_id", "object_id", "kg_co2e"])
         for consumer in section["consumers"]:
             for item in consumer["objects"]:
-                rows.append(
+                writer.writerow(
                     ["attribution", consumer["consumer_id"], item["object_id"], item["kg_co2e"]]
                 )
         for obj in section["objects"]:
-            rows.append(["idle_residual", "", obj["object_id"], obj["idle_residual_kg_co2e"]])
-            rows.append(["lifecycle_total", "", obj["object_id"], obj["lifecycle_kg_co2e"]])
-        rows.append(
+            writer.writerow(["idle_residual", "", obj["object_id"], obj["idle_residual_kg_co2e"]])
+            writer.writerow(["lifecycle_total", "", obj["object_id"], obj["lifecycle_kg_co2e"]])
+        writer.writerow(
             ["conservation", "", "", section["conservation"]["attributed_plus_residual_kg_co2e"]]
         )
-        return _csv_bytes(["record_type", "consumer_id", "object_id", "kg_co2e"], rows)
-    if report_type == "report":
-        rows = []
-        for entry in report["energy"]["intervals"]:
-            rows.append(["energy", "", entry["start"], entry["duration_s"], "kwh_total", entry["kwh_total"]])
-            for source in ENERGY_SOURCES:
-                rows.append(
-                    ["energy", "", entry["start"], entry["duration_s"], f"kwh_{source}", entry["kwh_by_component"][source]]
-                )
-        for segment in report["operational"]["segments"]:
-            for metric in ("kwh", "intensity_kg_per_kwh", "kg_co2e"):
-                rows.append(
-                    ["operational", "", segment["start"], segment["duration_s"], metric, segment[metric]]
-                )
+    elif report_type == "report":
+        writer.writerow(["section", "id", "start", "duration_s", "metric", "value"])
+        buffer.writelines(
+            _rows(_REPORT_ENERGY_ROWS, "energy", entry, _kwh_values(entry))
+            for entry in report["energy"]["intervals"]
+        )
+        buffer.writelines(
+            _rows(_REPORT_OPERATIONAL_ROWS, "operational", segment,
+                  (segment["kwh"], segment["intensity_kg_per_kwh"], segment["kg_co2e"]))
+            for segment in report["operational"]["segments"]
+        )
         for consumer in report["embodied"]["consumers"]:
             for item in consumer["objects"]:
-                rows.append(
+                writer.writerow(
                     ["embodied", f"{consumer['consumer_id']}/{item['object_id']}", "", "", "kg_co2e", item["kg_co2e"]]
                 )
         for obj in report["embodied"]["objects"]:
-            rows.append(
+            writer.writerow(
                 ["embodied", obj["object_id"], "", "", "idle_residual_kg_co2e", obj["idle_residual_kg_co2e"]]
             )
         sci = report["sci"]
         for metric in ("operational_kg_co2e", "embodied_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit"):
-            rows.append(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
-        return _csv_bytes(["section", "id", "start", "duration_s", "metric", "value"], rows)
-    raise ValueError(f"unknown report type {report_type!r}")
+            writer.writerow(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
+    else:
+        raise ValueError(f"unknown report type {report_type!r}")
+    return buffer.getvalue().encode("utf-8")
 
 
 def render_report(report: dict[str, Any], output: str) -> bytes:

@@ -68,4 +68,5 @@ def feed_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)

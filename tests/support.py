@@ -4,9 +4,12 @@ malformed-fixture manifest."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from pathlib import Path
+from typing import Any
 
 from carbondef import (
     ConsumptionRecord,
@@ -39,6 +42,7 @@ from carbondef.errors import (
 )
 from carbondef.embodied import OVERSUBSCRIPTION_TOL
 from carbondef.grid import JOULES_PER_KWH
+from carbondef.power import ENERGY_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -221,6 +225,87 @@ def naive_check_oversubscription(object_id: str, records) -> None:
             raise OversubscriptionError(object_id, left, total)
 
 
+def _csv_bytes(header: list[str], rows: list[list[Any]]) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def naive_csv_bytes(report: dict[str, Any]) -> bytes:
+    """Reference CSV rendering: one list per row, all through csv.writer."""
+    report_type = report["meta"]["report"]
+    if report_type == "estimate":
+        return _csv_bytes(
+            ["start", "duration_s", "kwh_total", "kwh_cpu", "kwh_mem", "kwh_io", "kwh_net", "kwh_idle"],
+            [
+                [
+                    entry["start"],
+                    entry["duration_s"],
+                    entry["kwh_total"],
+                    *[entry["kwh_by_component"][source] for source in ENERGY_SOURCES],
+                ]
+                for entry in report["energy"]["intervals"]
+            ],
+        )
+    if report_type == "emissions":
+        return _csv_bytes(
+            ["start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e"],
+            [
+                [
+                    segment["start"],
+                    segment["duration_s"],
+                    segment["kwh"],
+                    segment["intensity_kg_per_kwh"],
+                    segment["kg_co2e"],
+                ]
+                for segment in report["operational"]["segments"]
+            ],
+        )
+    if report_type == "embodied":
+        rows: list[list[Any]] = []
+        section = report["embodied"]
+        for consumer in section["consumers"]:
+            for item in consumer["objects"]:
+                rows.append(
+                    ["attribution", consumer["consumer_id"], item["object_id"], item["kg_co2e"]]
+                )
+        for obj in section["objects"]:
+            rows.append(["idle_residual", "", obj["object_id"], obj["idle_residual_kg_co2e"]])
+            rows.append(["lifecycle_total", "", obj["object_id"], obj["lifecycle_kg_co2e"]])
+        rows.append(
+            ["conservation", "", "", section["conservation"]["attributed_plus_residual_kg_co2e"]]
+        )
+        return _csv_bytes(["record_type", "consumer_id", "object_id", "kg_co2e"], rows)
+    if report_type == "report":
+        rows = []
+        for entry in report["energy"]["intervals"]:
+            rows.append(["energy", "", entry["start"], entry["duration_s"], "kwh_total", entry["kwh_total"]])
+            for source in ENERGY_SOURCES:
+                rows.append(
+                    ["energy", "", entry["start"], entry["duration_s"], f"kwh_{source}", entry["kwh_by_component"][source]]
+                )
+        for segment in report["operational"]["segments"]:
+            for metric in ("kwh", "intensity_kg_per_kwh", "kg_co2e"):
+                rows.append(
+                    ["operational", "", segment["start"], segment["duration_s"], metric, segment[metric]]
+                )
+        for consumer in report["embodied"]["consumers"]:
+            for item in consumer["objects"]:
+                rows.append(
+                    ["embodied", f"{consumer['consumer_id']}/{item['object_id']}", "", "", "kg_co2e", item["kg_co2e"]]
+                )
+        for obj in report["embodied"]["objects"]:
+            rows.append(
+                ["embodied", obj["object_id"], "", "", "idle_residual_kg_co2e", obj["idle_residual_kg_co2e"]]
+            )
+        sci = report["sci"]
+        for metric in ("operational_kg_co2e", "embodied_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit"):
+            rows.append(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
+        return _csv_bytes(["section", "id", "start", "duration_s", "metric", "value"], rows)
+    raise ValueError(f"unknown report type {report_type!r}")
+
 # (fixture file, parser kind, expected error class, location marker in str(exc))
 MALFORMED = [
     ("trace_bad_header.csv", "trace_csv", SchemaError, "row 1"),
@@ -234,6 +319,7 @@ MALFORMED = [
     ("trace_negative_usage.csv", "trace_csv", ParseError, "row 2"),
     ("trace_unsorted.csv", "trace_csv", TraceOrderError, "row 3"),
     ("trace_overlap.csv", "trace_csv", TraceOrderError, "row 3"),
+    ("trace_nan_usage.csv", "trace_csv", ParseError, "row 2"),
     ("trace_unsorted.json", "trace_json", TraceOrderError, "sample 1"),
     ("trace_bad_syntax.json", "trace_json", ParseError, "byte"),
     ("trace_missing_samples.json", "trace_json", SchemaError, "$"),
@@ -247,11 +333,13 @@ MALFORMED = [
     ("intensity_end_before_start.json", "intensity", ParseError, "entries[0]"),
     ("intensity_negative.json", "intensity", NegativeIntensityError, "entries[0]"),
     ("intensity_overlap.json", "intensity", OverlapError, "entries[1]"),
+    ("intensity_infinity.json", "intensity", ParseError, "entries[0].intensity_kg_per_kwh"),
     ("ledger_bad_syntax.json", "ledger", ParseError, "byte"),
     ("ledger_missing_objects.json", "ledger", SchemaError, "$"),
     ("ledger_missing_records.json", "ledger", SchemaError, "$"),
     ("ledger_negative_lifecycle.json", "ledger", ParseError, "objects[0]"),
     ("ledger_zero_lifespan.json", "ledger", ParseError, "objects[0]"),
+    ("ledger_overflow_m_kg.json", "ledger", ParseError, "objects[0].m_kg"),
     ("ledger_dangling_ref.json", "ledger", LedgerReferenceError, "records[0]"),
     ("ledger_fraction_range.json", "ledger", FractionError, "records[0].profile[0]"),
     ("ledger_oversubscribed.json", "ledger", OversubscriptionError, "rack-1"),
@@ -263,6 +351,7 @@ MALFORMED = [
     ("config_endpoint_no_region.json", "config", SchemaError, "$.intensity"),
     ("config_bad_alpha.json", "config", AllocationError, "alpha"),
     ("config_bad_pue.json", "config", ParseError, "$.pue"),
+    ("config_nan_pue.json", "config", ParseError, "$.pue"),
     ("config_bad_policy.json", "config", ParseError, "$.coverage_policy"),
     ("config_zero_units.json", "config", ParseError, "$.functional_unit.count"),
     ("config_bad_tdp.json", "config", SpecError, "tdp_watts"),

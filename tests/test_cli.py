@@ -113,6 +113,22 @@ class TestEstimate:
         assert report["diagnostics"]["clamped_samples"] == [{"index": 0, "row": 2}]
         assert report["energy"]["kwh_total"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_json_trace_clamped_sample_has_no_row(self, runner, tmp_path):
+        # trace_over_max.csv as JSON: a JSON trace has sample indices, no input rows
+        sample = {
+            "start": 0, "duration_s": 3600.0, "u_cpu_cores": 6.0,
+            "u_mem_bytes": 64e9, "u_io_bytes": 1e12, "u_net_bytes": 1e12,
+        }
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"samples": [sample]}))
+        result = invoke(
+            runner,
+            ["estimate", "--config", str(CLI / "config.json"), "--trace", str(trace), "--clamp-usage"],
+        )
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["diagnostics"]["clamped_samples"] == [{"index": 0, "row": None}]
+
     def test_csv_output(self, runner):
         result = invoke(
             runner,

@@ -1,0 +1,182 @@
+"""The renderers against the standard library: JSON must equal
+``json.dumps(value, indent=2) + "\\n"`` byte for byte, CSV must equal the
+one-list-per-row csv.writer reference in ``support``."""
+
+import copy
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carbondef import IntensityEntry, IntensitySeries, PueFactor, UsageTrace
+from carbondef.ingest import FunctionalUnit, IntensitySource, RunConfig, serialize_intensity_feed
+from carbondef.report import (
+    build_embodied_report,
+    build_emissions_report,
+    build_estimate_report,
+    build_full_report,
+    to_csv_bytes,
+    to_json_bytes,
+)
+
+from support import gen_ledger, gen_spec, gen_usage, naive_csv_bytes
+
+
+def stdlib_json(value) -> bytes:
+    return (json.dumps(value, indent=2) + "\n").encode("utf-8")
+
+
+keys = st.text(max_size=4)
+finite = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# values that must send a row off the template path
+odd = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 1e308]),
+    st.just({}),
+    st.just([]),
+)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+json_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(st.lists(children), st.dictionaries(keys, children)),
+    max_leaves=25,
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Dict rows that mostly share the first row's shape (numbers, some
+    keys holding a dict of numbers), each later row possibly reordered,
+    holding an odd value, or nesting other inner keys."""
+    row_keys = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    nested = draw(st.sets(st.sampled_from(row_keys)))
+    inner_keys = draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {
+            key: {k: draw(finite) for k in inner_keys} if key in nested else draw(finite)
+            for key in row_keys
+        }
+        change = draw(st.sampled_from(["none", "none", "reorder", "odd", "inner_odd", "inner_keys", "drop"]))
+        if change == "reorder":
+            row = dict(draw(st.permutations(list(row.items()))))
+        elif change == "odd":
+            row[draw(st.sampled_from(row_keys))] = draw(odd)
+        elif change == "inner_odd" and nested:
+            row[draw(st.sampled_from(sorted(nested)))][draw(st.sampled_from(inner_keys))] = draw(odd)
+        elif change == "inner_keys" and nested:
+            other = draw(st.lists(keys, max_size=3, unique=True))
+            row[draw(st.sampled_from(sorted(nested)))] = {k: draw(finite) for k in other}
+        elif change == "drop":
+            del row[draw(st.sampled_from(row_keys))]
+        rows.append(row)
+    return rows
+
+
+class TestJson:
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_any_value_matches_stdlib(self, value):
+        assert to_json_bytes(value) == stdlib_json(value)
+
+    @settings(max_examples=300)
+    @given(row_lists(), st.integers(0, 2))
+    def test_row_lists_match_stdlib(self, rows, depth):
+        value = rows
+        for _ in range(depth):
+            value = {"rows": value, "n": len(rows)}
+        assert to_json_bytes(value) == stdlib_json(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            [{}],
+            [[]],
+            {"a": {}, "b": []},
+            "é✓\x00\"\\",
+            {"%r": 1, "%%": [1.5, {"%s": 2}]},
+            [{"%r": 1, "a%": {"%%": 2.5}}, {"%r": 3, "a%": {"%%": 4.5}}],
+            [{"t": 1, "v": 0.1}, {"t": 2, "v": -0.0}, {"t": 3, "v": math.nan}, {"t": True, "v": 1.0}],
+            [{"t": 1, "kwh": {"cpu": 1.0}}, {"t": 2, "kwh": {"mem": 1.0}}, {"t": 3, "kwh": {}}],
+            [{"a": 10**400, "b": 1.0}, {"a": 1, "b": 1e308}, {"a": 1e308, "b": 1e308}],
+            [{"ünï": 1}, {"ünï": 2}],
+            [{"a": {1: 2.0}}, {"a": {True: 2.0}}, {1.5: 1, None: 2, False: 3}],
+            math.inf,
+            None,
+        ],
+    )
+    def test_edge_cases_match_stdlib(self, value):
+        assert to_json_bytes(value) == stdlib_json(value)
+
+
+def gen_reports(seed: int, tmp_path) -> list[dict]:
+    """The four report types over a generated trace and an intensity feed
+    whose boundaries and gaps split intervals and leave spans uncovered."""
+    rng = random.Random(seed)
+    spec = gen_spec(rng, idle_max=50.0)
+    samples, t = [], rng.randrange(0, 1_000_000)
+    for _ in range(rng.randint(0, 25)):
+        sample = gen_usage(rng, spec, t)
+        samples.append(sample)
+        t = math.ceil(sample.end) + (rng.randrange(1, 900) if rng.random() < 0.2 else 0)
+    feed, cursor = [], (samples[0].start if samples else t) - rng.randrange(0, 600)
+    while cursor < t + 600:
+        cursor += rng.randrange(1, 300) if rng.random() < 0.2 else 0
+        width = rng.randrange(60, 1800)
+        feed.append(IntensityEntry(cursor, cursor + width, rng.uniform(0.0, 1.2)))
+        cursor += width
+    (tmp_path / "intensity.json").write_bytes(
+        serialize_intensity_feed(IntensitySeries(region="ZZ", entries=tuple(feed)))
+    )
+    config = RunConfig(
+        server=spec,
+        pue=PueFactor(rng.uniform(1.0, 2.0)),
+        intensity=IntensitySource(file="intensity.json"),
+        coverage_policy="skip_uncovered",
+        functional_unit=FunctionalUnit("call", float(rng.randint(1, 10**6))),
+        base_dir=tmp_path,
+    )
+    trace = UsageTrace(samples=tuple(samples))
+    ledger = gen_ledger(rng)
+    return [
+        build_estimate_report(config, trace, "t"),
+        build_emissions_report(config, trace, "t"),
+        build_embodied_report(ledger, "l"),
+        build_full_report(config, trace, "t", ledger, "l"),
+    ]
+
+
+def with_odd_numbers(report: dict, rng: random.Random) -> dict:
+    """A copy with float starts (half-second shifts) and NaN/±inf values
+    scattered over the interval and segment rows."""
+    report = copy.deepcopy(report)
+    rows = report.get("energy", {}).get("intervals", []) + report.get("operational", {}).get("segments", [])
+    for row in rows:
+        row["start"] += 0.5
+        key = rng.choice([k for k, v in row.items() if isinstance(v, float)])
+        row[key] = rng.choice([math.nan, math.inf, -math.inf, row[key]])
+    for row in report.get("energy", {}).get("intervals", []):
+        row["kwh_by_component"][rng.choice(list(row["kwh_by_component"]))] = math.nan
+    return report
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reports_match_references(seed, tmp_path):
+    reports = gen_reports(seed, tmp_path)
+    assert [r["meta"]["report"] for r in reports] == ["estimate", "emissions", "embodied", "report"]
+    rng = random.Random(seed)
+    for report in reports + [with_odd_numbers(r, rng) for r in reports]:
+        assert to_csv_bytes(report) == naive_csv_bytes(report)
+        assert to_json_bytes(report) == stdlib_json(report)
+
+
+def test_generated_reports_split_intervals_and_leave_gaps(tmp_path):
+    full = [gen_reports(seed, tmp_path)[3] for seed in range(12)]
+    assert any(len(r["operational"]["segments"]) > len(r["energy"]["intervals"]) for r in full)
+    assert any(r["operational"]["uncovered"] for r in full)
