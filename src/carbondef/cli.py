@@ -1,13 +1,14 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 validation errors, 3 IO or network errors.
-Reports are rendered fully before anything is written, so a failing run
-never leaves a partial output file.
+Reports are rendered fully, then ``--out`` is replaced by a rename, so a
+failing run never leaves a partial output file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import click
 
 from . import __version__
 from .errors import TransportError, ValidationError
-from .ingest import load_config, parse_ledger, parse_usage_trace
+from .ingest import load_config, parse_ledger, parse_usage_trace, write_atomic
 from .report import (
     build_embodied_report,
     build_emissions_report,
@@ -35,12 +36,18 @@ def _fail(message: str, code: int) -> None:
 
 
 def _run(action):
+    # the data holds no cycles: refcounting frees it, cyclic GC would only re-walk it
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         action()
     except ValidationError as exc:
         _fail(str(exc), EXIT_VALIDATION)
     except (TransportError, OSError) as exc:
         _fail(str(exc), EXIT_IO)
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 def _emit(data: bytes, out_path: str | None) -> None:
@@ -48,7 +55,7 @@ def _emit(data: bytes, out_path: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(out_path).write_bytes(data)
+        write_atomic(Path(out_path), data)
 
 
 def _trace_format(path: str) -> str:
@@ -56,6 +63,7 @@ def _trace_format(path: str) -> str:
 
 
 def _load_trace(path: str):
+    """(trace, digest); drop the trace once the report is built, before rendering (the RSS peak)."""
     data = Path(path).read_bytes()
     return parse_usage_trace(data, format=_trace_format(path)), sha256_hex(data)
 
@@ -90,8 +98,7 @@ def estimate(config_path, trace_path, fmt, out_path, clamp_usage):
 
     def action():
         config = _apply_overrides(load_config(config_path), clamp_usage)
-        trace, digest = _load_trace(trace_path)
-        report = build_estimate_report(config, trace, digest)
+        report = build_estimate_report(config, *_load_trace(trace_path))
         _emit(render_report(report, fmt or config.output), out_path)
 
     _run(action)
@@ -109,8 +116,7 @@ def emissions(config_path, trace_path, fmt, out_path, clamp_usage, strict_covera
 
     def action():
         config = _apply_overrides(load_config(config_path), clamp_usage, strict_coverage)
-        trace, digest = _load_trace(trace_path)
-        report = build_emissions_report(config, trace, digest)
+        report = build_emissions_report(config, *_load_trace(trace_path))
         _emit(render_report(report, fmt or config.output), out_path)
 
     _run(action)
@@ -161,6 +167,7 @@ def report(config_path, trace_path, ledger_path, consumer_id, fmt, out_path, cla
         full = build_full_report(
             config, trace, trace_digest, ledger, ledger_digest, consumer_id
         )
+        del trace, ledger  # rendering is the memory peak and needs only the report
         _emit(render_report(full, fmt or config.output), out_path)
 
     _run(action)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
+from math import inf
+from typing import NamedTuple
 
 from .errors import CoverageError
 from .power import EnergySeries
@@ -37,8 +38,8 @@ class IntensityEntry:
     def __post_init__(self):
         if self.end <= self.start:
             raise ValueError(f"intensity entry end {self.end} <= start {self.start}")
-        if self.intensity_kg_per_kwh < 0:
-            raise ValueError("intensity must be >= 0")
+        if not 0 <= self.intensity_kg_per_kwh < inf:
+            raise ValueError(f"intensity must be finite and >= 0, got {self.intensity_kg_per_kwh}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,9 @@ class IntensitySeries:
                 )
             previous_end = entry.end
 
-    @cached_property
-    def _starts(self) -> list[int]:
-        return [entry.start for entry in self.entries]
-
     def value_at(self, t: float) -> float | None:
         """Intensity at instant t, or None when t falls in a gap."""
-        index = bisect.bisect_right(self._starts, t) - 1
+        index = bisect.bisect_right(self.entries, t, key=lambda entry: entry.start) - 1
         if index < 0:
             return None
         entry = self.entries[index]
@@ -77,12 +74,11 @@ class PueFactor:
     value: float
 
     def __post_init__(self):
-        if self.value < 1.0:
-            raise ValueError(f"PUE must be >= 1, got {self.value}")
+        if not 1.0 <= self.value < inf:
+            raise ValueError(f"PUE must be finite and >= 1, got {self.value}")
 
 
-@dataclass(frozen=True)
-class UncoveredSpan:
+class UncoveredSpan(NamedTuple):
     """Slice of an energy interval with no intensity coverage."""
 
     start: float
@@ -90,8 +86,7 @@ class UncoveredSpan:
     joules_share: float
 
 
-@dataclass(frozen=True)
-class EmissionsSegment:
+class EmissionsSegment(NamedTuple):
     """Per-segment emissions row of a report."""
 
     start: float
@@ -135,40 +130,37 @@ def align_segments(
     duration, its kg CO2e those joules times intensity and PUE. Spans
     without intensity coverage come back separately, never silently
     dropped.
+
+    Both series are in time order, so ``first``, the first entry ending
+    after the current interval's start, only moves forward.
     """
     segments: list[EmissionsSegment] = []
     uncovered: list[UncoveredSpan] = []
     entries = intensity.entries
-    starts = [entry.start for entry in entries]
+    n_entries, first = len(entries), 0
 
-    for interval in energy.entries:
-        interval_end = interval.start + interval.duration_s
-        rate = interval.joules_total / interval.duration_s
-        cursor = interval.start
+    for start, duration, joules_total, _ in energy.entries:
+        interval_end = start + duration
+        rate = joules_total / duration
+        cursor = start
+        while first < n_entries and entries[first].end <= cursor:
+            first += 1
 
-        # first entry that could overlap: the one covering cursor, else the next
-        index = bisect.bisect_right(starts, cursor) - 1
-        if index < 0 or entries[index].end <= cursor:
-            index += 1
-
-        while index < len(entries) and entries[index].start < interval_end:
+        index = first
+        while index < n_entries and entries[index].start < interval_end:
             entry = entries[index]
-            overlap_start = max(cursor, entry.start)
+            # the conditionals pick what max() and min() would, ties included
+            overlap_start = entry.start if entry.start > cursor else cursor
             if overlap_start > cursor:
                 uncovered.append(
                     UncoveredSpan(cursor, overlap_start - cursor, rate * (overlap_start - cursor))
                 )
-            overlap_end = min(interval_end, entry.end)
-            joules = interval.joules_total * ((overlap_end - overlap_start) / interval.duration_s)
+            overlap_end = entry.end if entry.end < interval_end else interval_end
+            length = overlap_end - overlap_start
+            joules = joules_total * (length / duration)
+            kg_co2e = pue.value * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH)
             segments.append(
-                EmissionsSegment(
-                    start=overlap_start,
-                    duration_s=overlap_end - overlap_start,
-                    joules=joules,
-                    intensity_kg_per_kwh=entry.intensity_kg_per_kwh,
-                    kg_co2e=pue.value
-                    * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH),
-                )
+                EmissionsSegment(overlap_start, length, joules, entry.intensity_kg_per_kwh, kg_co2e)
             )
             cursor = overlap_end
             index += 1

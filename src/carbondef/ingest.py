@@ -25,8 +25,8 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -78,6 +78,11 @@ def _decode_json(data: bytes) -> Any:
         return json.loads(_decode_utf8(data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"byte {exc.pos}") from exc
+    except ValueError as exc:  # an integer literal past Python's int conversion limit
+        limit = sys.get_int_max_str_digits()
+        digits = re.search(rf"[0-9]{{{limit + 1},}}", data.decode("utf-8"))
+        location = f"byte {digits.start()}" if digits else "$"
+        raise ParseError(f"invalid JSON: integer literal over {limit} digits", location=location) from exc
 
 
 def _require(mapping: Any, key: str, location: str) -> Any:
@@ -157,8 +162,6 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
             values = [float(field) for field in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=location) from exc
-        if not all(map(math.isfinite, values)):
-            raise ParseError(f"non-finite number in {line!r}", location=location)
         try:
             samples.append(UsageSample(start, *values))
         except ValueError as exc:
@@ -582,13 +585,14 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
         return None
 
 
-def _write_cache(path: Path, entry: dict) -> None:
-    # write-temp-then-rename: readers never observe a partial entry
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` by a temporary file in its directory and a rename:
+    readers never see a partial file, a failure leaves no temporary file,
+    and the new file is readable by its owner only (mode 0600)."""
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(canonical_json(entry))
+            handle.write(data)
         os.replace(temp_name, path)
     except BaseException:
         os.unlink(temp_name)
@@ -645,15 +649,14 @@ def fetch_intensity(
 
     series = parse_intensity_feed(payload)
     canonical = serialize_intensity_feed(series)
-    _write_cache(
-        path,
-        {
-            "endpoint": endpoint,
-            "region": region,
-            "window": {"start": window[0], "end": window[1]},
-            "fetched_at": now,
-            "payload_sha256": hashlib.sha256(canonical).hexdigest(),
-            "payload": canonical.decode("utf-8"),
-        },
-    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    entry = {
+        "endpoint": endpoint,
+        "region": region,
+        "window": {"start": window[0], "end": window[1]},
+        "fetched_at": now,
+        "payload_sha256": hashlib.sha256(canonical).hexdigest(),
+        "payload": canonical.decode("utf-8"),
+    }
+    write_atomic(path, canonical_json(entry))
     return series

@@ -13,7 +13,8 @@ All power figures are watts; energy is joules over half-open intervals
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from math import inf
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
 
@@ -80,20 +81,20 @@ class UsageSample:
     u_net: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        for component in COMPONENTS:
-            if self.usage(component) < 0:
-                raise ValueError(f"u_{component} must be >= 0")
+        # one chained comparison per field: NaN and +-inf fail each of them
+        if not 0 < self.duration_s < inf:
+            bound = "> 0" if self.duration_s <= 0 else "finite"
+            raise ValueError(f"duration_s must be {bound}, got {self.duration_s}")
+        if not (0 <= self.u_cpu < inf and 0 <= self.u_mem < inf
+                and 0 <= self.u_io < inf and 0 <= self.u_net < inf):
+            for component in COMPONENTS:
+                usage = getattr(self, f"u_{component}")
+                if not 0 <= usage < inf:
+                    raise ValueError(f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}")
 
     @property
     def end(self) -> float:
         return self.start + self.duration_s
-
-    def usage(self, component: str) -> float:
-        if component not in COMPONENTS:
-            raise ValueError(f"unknown component {component!r}")
-        return getattr(self, f"u_{component}")
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,14 @@ class UsageTrace:
         return iter(self.samples)
 
 
-@dataclass(frozen=True)
-class EnergyEntry:
-    """Energy over one half-open interval, with per-source breakdown."""
+class EnergyEntry(NamedTuple):
+    """Energy over one half-open interval; ``joules_by_component`` holds
+    one value per ENERGY_SOURCES entry, in that order."""
 
     start: int
     duration_s: float
     joules_total: float
-    joules_by_component: dict[str, float]
+    joules_by_component: tuple[float, ...]
 
     @property
     def end(self) -> float:
@@ -148,9 +149,7 @@ class EnergySeries:
 
     def __post_init__(self):
         for entry in self.entries:
-            if entry.joules_total < 0 or any(
-                j < 0 for j in entry.joules_by_component.values()
-            ):
+            if entry.joules_total < 0 or any(j < 0 for j in entry.joules_by_component):
                 raise ValueError("energy values must be >= 0")
 
     def __len__(self) -> int:
@@ -201,16 +200,35 @@ def validate_spec(spec: ServerSpec) -> ServerSpec:
     return spec
 
 
-def _usage_ratio(spec: ServerSpec, sample: UsageSample, component: str, clamp: bool) -> float:
-    usage = sample.usage(component)
-    limit = spec.u_max.get(component)
-    if usage > limit:
-        if not clamp:
-            raise UsageOutOfRange(
-                f"u_{component}={usage} exceeds u_max.{component}={limit}"
-            )
-        usage = limit
-    return usage / limit
+def _energy_kernel(spec: ServerSpec, clamp: bool):
+    """``row(sample, duration)``: the EnergyEntry of ``sample`` held for
+    ``duration`` seconds, by the model's one formula with the spec's
+    constants taken once. A usage above its maximum raises UsageOutOfRange,
+    or with ``clamp`` counts as the maximum."""
+    anchor = spec.tdp_watts * spec.n_cpu
+    alpha, idle = spec.alpha, spec.idle_watts
+    limits = l_cpu, l_mem, l_io, l_net = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
+    s_mem, s_io, s_net = alpha.mem / alpha.cpu, alpha.io / alpha.cpu, alpha.net / alpha.cpu
+
+    def row(sample: UsageSample, duration: float) -> EnergyEntry:
+        u_cpu, u_mem, u_io, u_net = sample.u_cpu, sample.u_mem, sample.u_io, sample.u_net
+        if u_cpu > l_cpu or u_mem > l_mem or u_io > l_io or u_net > l_net:
+            usages = (u_cpu, u_mem, u_io, u_net)
+            for component, usage, limit in zip(COMPONENTS, usages, limits):
+                if usage > limit and not clamp:
+                    raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
+            u_cpu, u_mem, u_io, u_net = map(min, usages, limits)
+        joules = (
+            u_cpu / l_cpu * anchor * duration,
+            u_mem / l_mem * s_mem * anchor * duration,
+            u_io / l_io * s_io * anchor * duration,
+            u_net / l_net * s_net * anchor * duration,
+            idle * duration,
+        )
+        total = joules[0] + joules[1] + joules[2] + joules[3] + joules[4]
+        return EnergyEntry(sample.start, duration, total, joules)
+
+    return row
 
 
 def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> dict[str, float]:
@@ -224,12 +242,9 @@ def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) 
     Raises UsageOutOfRange when a usage exceeds its maximum and ``clamp``
     is False; with ``clamp`` the usage is cut to the maximum instead.
     """
-    anchor = spec.tdp_watts * spec.n_cpu
-    cpu_w = _usage_ratio(spec, sample, "cpu", clamp) * anchor
-    mem_w = _usage_ratio(spec, sample, "mem", clamp) * (spec.alpha.mem / spec.alpha.cpu) * anchor
-    io_w = _usage_ratio(spec, sample, "io", clamp) * (spec.alpha.io / spec.alpha.cpu) * anchor
-    net_w = _usage_ratio(spec, sample, "net", clamp) * (spec.alpha.net / spec.alpha.cpu) * anchor
-    return {"cpu": cpu_w, "mem": mem_w, "io": io_w, "net": net_w, "idle": spec.idle_watts}
+    # the energy of one second is the power: x * 1.0 == x for every float
+    watts = _energy_kernel(spec, clamp)(sample, 1.0).joules_by_component
+    return dict(zip(ENERGY_SOURCES, watts))
 
 
 def marginal_power(spec: ServerSpec, component: str) -> float:
@@ -240,26 +255,13 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
     allocation-scaled equivalent for the others.
     """
     anchor = spec.tdp_watts * spec.n_cpu
-    if component == "cpu":
-        return anchor / spec.u_max.cpu
-    if component in COMPONENTS:
-        return (spec.alpha.get(component) / spec.alpha.cpu) * anchor / spec.u_max.get(component)
-    raise ValueError(f"unknown component {component!r}")
+    # cpu needs no case of its own: alpha.cpu / alpha.cpu is exactly 1.0
+    return (spec.alpha.get(component) / spec.alpha.cpu) * anchor / spec.u_max.get(component)
 
 
 def energy_over_interval(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> EnergyEntry:
     """Energy for one sample, treating usage as constant over the interval."""
-    power = component_power(spec, sample, clamp=clamp)
-    joules = {source: watts * sample.duration_s for source, watts in power.items()}
-    total = (
-        joules["cpu"] + joules["mem"] + joules["io"] + joules["net"] + joules["idle"]
-    )
-    return EnergyEntry(
-        start=sample.start,
-        duration_s=sample.duration_s,
-        joules_total=total,
-        joules_by_component=joules,
-    )
+    return _energy_kernel(spec, clamp)(sample, sample.duration_s)
 
 
 def trace_to_energy_series(
@@ -276,20 +278,17 @@ def trace_to_energy_series(
     """
     if not isinstance(trace, UsageTrace):
         trace = UsageTrace(samples=tuple(trace))
-    entries = []
-    for index, sample in enumerate(trace.samples):
-        try:
-            entries.append(energy_over_interval(spec, sample, clamp=clamp))
-        except UsageOutOfRange as exc:
-            raise UsageOutOfRange(f"sample {index}: {exc}") from exc
+    row = _energy_kernel(spec, clamp)
+    entries: list[EnergyEntry] = []
+    try:
+        entries.extend(row(sample, sample.duration_s) for sample in trace.samples)
+    except UsageOutOfRange as exc:
+        raise UsageOutOfRange(f"sample {len(entries)}: {exc}") from exc
     return EnergySeries(entries=tuple(entries))
 
 
 def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace | Sequence[UsageSample]) -> list[int]:
     """Indices of samples with any usage above its maximum (diagnostics)."""
-    samples = trace.samples if isinstance(trace, UsageTrace) else tuple(trace)
-    return [
-        index
-        for index, sample in enumerate(samples)
-        if any(sample.usage(c) > spec.u_max.get(c) for c in COMPONENTS)
-    ]
+    l_cpu, l_mem, l_io, l_net = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
+    return [index for index, s in enumerate(trace)
+            if s.u_cpu > l_cpu or s.u_mem > l_mem or s.u_io > l_io or s.u_net > l_net]

@@ -44,10 +44,6 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _kwh(joules: float) -> float:
-    return joules / JOULES_PER_KWH
-
-
 def _meta(
     report_type: str,
     config: RunConfig | None = None,
@@ -67,24 +63,27 @@ def _meta(
 
 def _energy_section(series: EnergySeries) -> dict[str, Any]:
     by_component = {
-        source: _kwh(sum(e.joules_by_component[source] for e in series.entries))
-        for source in ENERGY_SOURCES
+        source: sum(entry.joules_by_component[position] for entry in series.entries) / JOULES_PER_KWH
+        for position, source in enumerate(ENERGY_SOURCES)
     }
     return {
         "interval_count": len(series),
-        "kwh_total": _kwh(series.total_joules()),
+        "kwh_total": series.total_joules() / JOULES_PER_KWH,
         "kwh_by_component": by_component,
         "intervals": [
             {
-                "start": entry.start,
-                "duration_s": entry.duration_s,
-                "kwh_total": _kwh(entry.joules_total),
+                "start": start,
+                "duration_s": duration_s,
+                "kwh_total": total / JOULES_PER_KWH,
                 "kwh_by_component": {
-                    source: _kwh(entry.joules_by_component[source])
-                    for source in ENERGY_SOURCES
+                    "cpu": cpu / JOULES_PER_KWH,
+                    "mem": mem / JOULES_PER_KWH,
+                    "io": io / JOULES_PER_KWH,
+                    "net": net / JOULES_PER_KWH,
+                    "idle": idle / JOULES_PER_KWH,
                 },
             }
-            for entry in series.entries
+            for start, duration_s, total, (cpu, mem, io, net, idle) in series.entries
         ],
     }
 
@@ -98,17 +97,17 @@ def _operational_section(
         "coverage_policy": emissions.coverage_policy,
         "region": region,
         "total_kg_co2e": emissions.total_kg_co2e,
-        "software_kwh": _kwh(software_j),
-        "overhead_kwh": _kwh(overhead_j),
+        "software_kwh": software_j / JOULES_PER_KWH,
+        "overhead_kwh": overhead_j / JOULES_PER_KWH,
         "segments": [
             {
-                "start": segment.start,
-                "duration_s": segment.duration_s,
-                "kwh": _kwh(segment.joules),
-                "intensity_kg_per_kwh": segment.intensity_kg_per_kwh,
-                "kg_co2e": segment.kg_co2e,
+                "start": start,
+                "duration_s": duration_s,
+                "kwh": joules / JOULES_PER_KWH,
+                "intensity_kg_per_kwh": intensity_kg_per_kwh,
+                "kg_co2e": kg_co2e,
             }
-            for segment in emissions.segments
+            for start, duration_s, joules, intensity_kg_per_kwh, kg_co2e in emissions.segments
         ],
         "uncovered": _uncovered_rows(emissions),
     }
@@ -116,8 +115,8 @@ def _operational_section(
 
 def _uncovered_rows(emissions: EmissionsReport) -> list[dict[str, Any]]:
     return [
-        {"start": span.start, "duration_s": span.duration_s, "kwh": _kwh(span.joules_share)}
-        for span in emissions.uncovered
+        {"start": start, "duration_s": duration_s, "kwh": joules / JOULES_PER_KWH}
+        for start, duration_s, joules in emissions.uncovered
     ]
 
 

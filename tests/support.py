@@ -4,6 +4,7 @@ malformed-fixture manifest."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -38,11 +39,12 @@ from carbondef.errors import (
     SchemaError,
     SpecError,
     TraceOrderError,
+    UsageOutOfRange,
     ValidationError,
 )
 from carbondef.embodied import OVERSUBSCRIPTION_TOL
-from carbondef.grid import JOULES_PER_KWH
-from carbondef.power import ENERGY_SOURCES
+from carbondef.grid import JOULES_PER_KWH, EmissionsSegment, UncoveredSpan
+from carbondef.power import COMPONENTS, ENERGY_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,7 +93,7 @@ def energy_entry(start: int, duration_s: float, joules: float) -> EnergyEntry:
         start=start,
         duration_s=duration_s,
         joules_total=joules,
-        joules_by_component={"cpu": joules, "mem": 0.0, "io": 0.0, "net": 0.0, "idle": 0.0},
+        joules_by_component=(joules, 0.0, 0.0, 0.0, 0.0),
     )
 
 
@@ -225,6 +227,100 @@ def naive_check_oversubscription(object_id: str, records) -> None:
             raise OversubscriptionError(object_id, left, total)
 
 
+def _naive_usage_ratio(spec: ServerSpec, sample: UsageSample, component: str, clamp: bool) -> float:
+    usage = getattr(sample, f"u_{component}")
+    limit = spec.u_max.get(component)
+    if usage > limit:
+        if not clamp:
+            raise UsageOutOfRange(
+                f"u_{component}={usage} exceeds u_max.{component}={limit}"
+            )
+        usage = limit
+    return usage / limit
+
+
+def naive_component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> dict[str, float]:
+    """Reference power model: one ratio per component, then its share of
+    the full-load anchor, in the order the model fixes."""
+    anchor = spec.tdp_watts * spec.n_cpu
+    cpu_w = _naive_usage_ratio(spec, sample, "cpu", clamp) * anchor
+    mem_w = _naive_usage_ratio(spec, sample, "mem", clamp) * (spec.alpha.mem / spec.alpha.cpu) * anchor
+    io_w = _naive_usage_ratio(spec, sample, "io", clamp) * (spec.alpha.io / spec.alpha.cpu) * anchor
+    net_w = _naive_usage_ratio(spec, sample, "net", clamp) * (spec.alpha.net / spec.alpha.cpu) * anchor
+    return {"cpu": cpu_w, "mem": mem_w, "io": io_w, "net": net_w, "idle": spec.idle_watts}
+
+
+def naive_energy_rows(spec: ServerSpec, samples, clamp: bool = False) -> list[tuple]:
+    """Reference energy series: power times duration per sample, as
+    (start, duration_s, joules_total, joules per ENERGY_SOURCES entry)."""
+    rows = []
+    for index, sample in enumerate(samples):
+        try:
+            power = naive_component_power(spec, sample, clamp=clamp)
+        except UsageOutOfRange as exc:
+            raise UsageOutOfRange(f"sample {index}: {exc}") from exc
+        joules = {source: watts * sample.duration_s for source, watts in power.items()}
+        total = joules["cpu"] + joules["mem"] + joules["io"] + joules["net"] + joules["idle"]
+        rows.append((sample.start, sample.duration_s, total, tuple(joules[s] for s in ENERGY_SOURCES)))
+    return rows
+
+
+def naive_clamped_indices(spec: ServerSpec, samples) -> list[int]:
+    return [
+        index
+        for index, sample in enumerate(samples)
+        if any(getattr(sample, f"u_{c}") > spec.u_max.get(c) for c in COMPONENTS)
+    ]
+
+
+def bisect_align_segments(
+    energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
+) -> tuple[tuple[EmissionsSegment, ...], tuple[UncoveredSpan, ...]]:
+    """Reference alignment: per energy interval, a bisect for the first
+    intensity entry that could overlap it."""
+    segments: list[EmissionsSegment] = []
+    uncovered: list[UncoveredSpan] = []
+    entries = intensity.entries
+    starts = [entry.start for entry in entries]
+
+    for interval in energy.entries:
+        interval_end = interval.start + interval.duration_s
+        rate = interval.joules_total / interval.duration_s
+        cursor = interval.start
+
+        # first entry that could overlap: the one covering cursor, else the next
+        index = bisect.bisect_right(starts, cursor) - 1
+        if index < 0 or entries[index].end <= cursor:
+            index += 1
+
+        while index < len(entries) and entries[index].start < interval_end:
+            entry = entries[index]
+            overlap_start = max(cursor, entry.start)
+            if overlap_start > cursor:
+                uncovered.append(
+                    UncoveredSpan(cursor, overlap_start - cursor, rate * (overlap_start - cursor))
+                )
+            overlap_end = min(interval_end, entry.end)
+            joules = interval.joules_total * ((overlap_end - overlap_start) / interval.duration_s)
+            segments.append(
+                EmissionsSegment(
+                    start=overlap_start,
+                    duration_s=overlap_end - overlap_start,
+                    joules=joules,
+                    intensity_kg_per_kwh=entry.intensity_kg_per_kwh,
+                    kg_co2e=pue.value
+                    * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH),
+                )
+            )
+            cursor = overlap_end
+            index += 1
+        if cursor < interval_end:
+            uncovered.append(
+                UncoveredSpan(cursor, interval_end - cursor, rate * (interval_end - cursor))
+            )
+    return tuple(segments), tuple(uncovered)
+
+
 def _csv_bytes(header: list[str], rows: list[list[Any]]) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -325,6 +421,7 @@ MALFORMED = [
     ("trace_missing_samples.json", "trace_json", SchemaError, "$"),
     ("trace_missing_field.json", "trace_json", SchemaError, "samples[0]"),
     ("trace_bad_type.json", "trace_json", ParseError, "samples[0].u_cpu_cores"),
+    ("trace_huge_int.json", "trace_json", ParseError, "byte 40"),
     ("intensity_bad_syntax.json", "intensity", ParseError, "byte"),
     ("intensity_missing_region.json", "intensity", SchemaError, "$"),
     ("intensity_missing_entries.json", "intensity", SchemaError, "$"),

@@ -1,15 +1,18 @@
 import csv
+import gc
 import importlib.metadata
 import importlib.resources
 import io
 import json
+import os
 import shutil
+import weakref
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from carbondef import __version__
+from carbondef import __version__, cli
 from carbondef.cli import main
 
 from support import FIXTURES
@@ -361,3 +364,100 @@ class TestFullReport:
         assert sections == {"energy", "operational", "embodied", "sci"}
         sci_rows = {r["metric"]: r["value"] for r in rows if r["section"] == "sci"}
         assert float(sci_rows["sci_kg_co2e_per_unit"]) == pytest.approx(0.10045, rel=1e-9)
+
+
+TRACE_COMMANDS = {
+    "estimate": ["estimate", "--config", str(CLI / "config.json")],
+    "emissions": ["emissions", "--config", str(CLI / "config.json")],
+    "report": ["report", "--config", str(CLI / "config.json"), "--ledger", str(CLI / "ledger.json")],
+}
+
+
+class TestCommandLifecycle:
+    @pytest.mark.parametrize("enabled_before", [True, False])
+    @pytest.mark.parametrize("trace, code", [("trace_full_load.csv", 0), ("trace_malformed.csv", 2)])
+    def test_cyclic_gc_off_during_command_and_restored(
+        self, runner, monkeypatch, enabled_before, trace, code
+    ):
+        during = []
+        real_parse = cli.parse_usage_trace
+
+        def parse(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_usage_trace", parse)
+        (gc.enable if enabled_before else gc.disable)()
+        try:
+            result = invoke(runner, TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / trace)])
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert result.exit_code == code
+        assert during == [False]
+        assert after is enabled_before
+
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_inputs_released_before_rendering(self, runner, monkeypatch, command):
+        parsed, alive_at_render = [], []
+        real_parse_trace, real_parse_ledger = cli.parse_usage_trace, cli.parse_ledger
+        real_render = cli.render_report
+
+        def parse_trace(*args, **kwargs):
+            trace = real_parse_trace(*args, **kwargs)
+            parsed.append(weakref.ref(trace))
+            return trace
+
+        def parse_ledger(*args, **kwargs):
+            ledger = real_parse_ledger(*args, **kwargs)
+            parsed.append(weakref.ref(ledger))
+            return ledger
+
+        def render(*args, **kwargs):
+            alive_at_render.extend(ref() is not None for ref in parsed)
+            return real_render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_usage_trace", parse_trace)
+        monkeypatch.setattr(cli, "parse_ledger", parse_ledger)
+        monkeypatch.setattr(cli, "render_report", render)
+        args = TRACE_COMMANDS[command] + ["--trace", str(CLI / "trace_full_load.csv")]
+        assert invoke(runner, args).exit_code == 0
+        assert alive_at_render == [False] * (2 if command == "report" else 1)
+
+    def test_out_file_is_owner_only(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"")
+        out.chmod(0o644)
+        args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
+        assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_failed_out_write_keeps_old_file(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"previous report\n")
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            """Writes half the bytes, then fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: HalfWrite(real_fdopen(*args, **kwargs)))
+        args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
+        result = invoke(runner, args + ["--out", str(out)])
+        assert result.exit_code == 3
+        assert "No space left on device" in result.stderr
+        assert out.read_bytes() == b"previous report\n"
+        assert not list(tmp_path.glob(".tmp-*"))

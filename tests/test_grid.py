@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from carbondef.grid import JOULES_PER_KWH
 
 from support import (
     OracleResolutionError,
+    bisect_align_segments,
     energy_entry,
     gen_series_pair,
     oracle_emissions,
@@ -40,6 +42,21 @@ split_intensity = IntensitySeries(
 series_pairs = st.integers(0, 10**9).map(lambda seed: gen_series_pair(random.Random(seed)))
 
 
+def tied_intensity(rng: random.Random, energy: EnergySeries) -> IntensitySeries:
+    """Intensity whose boundaries mostly fall on the energy intervals' own
+    (float) boundaries, as ints: the ties of the alignment."""
+    lo, hi = energy.window()
+    edges = {int(edge) for e in energy.entries for edge in (e.start, e.end) if rng.random() < 0.6}
+    edges |= {rng.randrange(int(lo) - 100, int(hi) + 100) for _ in range(rng.randint(0, 3))}
+    edges = sorted(edges)
+    entries = [
+        IntensityEntry(a, b, rng.uniform(0.0, 1.2))
+        for a, b in zip(edges, edges[1:])
+        if rng.random() < 0.8
+    ]
+    return IntensitySeries(region="ZZ", entries=tuple(entries))
+
+
 class TestApplyPue:
     def test_identity(self):
         assert apply_pue(1000.0, PueFactor(1.0)) == 1000.0
@@ -57,6 +74,11 @@ class TestApplyPue:
     def test_pue_below_one_rejected(self):
         with pytest.raises(ValueError):
             PueFactor(0.9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pue_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PueFactor(value)
 
 
 class TestAlignSegments:
@@ -104,6 +126,37 @@ class TestAlignSegments:
         segments, uncovered = align_segments(energy, constant_intensity(0.1, 0, 200), PueFactor(1.0))
         assert not uncovered
         assert [s.joules for s in segments] == [100.0, 200.0]
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.sampled_from([1.0, 1.1, 1.58]))
+    def test_two_pointer_equals_bisect_reference(self, seed, allow_gaps, tied, pue):
+        rng = random.Random(seed)
+        energy, intensity = gen_series_pair(rng, allow_gaps)
+        if tied:  # float starts too, as a hand-built series may have
+            energy = EnergySeries(tuple(e._replace(start=float(e.start)) for e in energy.entries))
+            intensity = tied_intensity(rng, energy)
+        expected = bisect_align_segments(energy, intensity, PueFactor(pue))
+        # repr tells an int boundary from an equal float one
+        assert repr(align_segments(energy, intensity, PueFactor(pue))) == repr(expected)
+
+    def test_generated_pairs_cover_every_alignment_shape(self):
+        # the reference test above is only as good as the shapes it sees
+        def overlaps(lo, hi, start, end):
+            return lo < end and start < hi
+
+        shapes = set()
+        for seed in range(200):
+            energy, intensity = gen_series_pair(random.Random(seed))
+            _, uncovered = bisect_align_segments(energy, intensity, PueFactor(1.0))
+            if uncovered:
+                shapes.add("gap")
+            for e in energy.entries:
+                if sum(overlaps(e.start, e.end, i.start, i.end) for i in intensity.entries) > 1:
+                    shapes.add("multi-entry interval")
+            for i in intensity.entries:
+                if sum(overlaps(e.start, e.end, i.start, i.end) for e in energy.entries) > 1:
+                    shapes.add("multi-interval entry")
+        assert shapes == {"gap", "multi-entry interval", "multi-interval entry"}
 
     @settings(max_examples=200)
     @given(series_pairs)
@@ -262,6 +315,11 @@ class TestIntensitySeries:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             IntensityEntry(100, 100, 0.4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intensity_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            IntensityEntry(0, 100, value)
 
     def test_half_open_lookup(self):
         series = constant_intensity(0.4, 0, 100)

@@ -1,7 +1,9 @@
+import dataclasses
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carbondef import (
     PerComponent,
@@ -14,9 +16,17 @@ from carbondef import (
     validate_spec,
 )
 from carbondef.errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
-from carbondef.power import COMPONENTS, UnitTags, clamped_sample_indices
+from carbondef.power import COMPONENTS, ENERGY_SOURCES, UnitTags, clamped_sample_indices
 
-from support import full_load_sample, gen_spec, gen_usage, rel_close
+from support import (
+    full_load_sample,
+    gen_spec,
+    gen_usage,
+    naive_clamped_indices,
+    naive_component_power,
+    naive_energy_rows,
+    rel_close,
+)
 
 
 def spec_with_alpha(cpu, mem, io, net):
@@ -197,7 +207,7 @@ class TestEnergy:
         spec = dataclasses.replace(example_spec, idle_watts=50.0)
         entry = energy_over_interval(spec, UsageSample(0, 60.0, 0, 0, 0, 0))
         assert entry.joules_total == 3000.0
-        assert entry.joules_by_component["idle"] == 3000.0
+        assert entry.joules_by_component[ENERGY_SOURCES.index("idle")] == 3000.0
 
     @given(random_specs, st.integers(0, 10**6))
     def test_consistent_with_power(self, spec, seed):
@@ -270,3 +280,62 @@ class TestUsageSample:
     def test_negative_usage_rejected(self):
         with pytest.raises(ValueError):
             UsageSample(0, 60.0, -1.0, 0, 0, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["duration_s", "u_cpu", "u_mem", "u_io", "u_net"])
+    def test_non_finite_rejected(self, field, value):
+        fields = {"start": 0, "duration_s": 60.0, "u_cpu": 1.0, "u_mem": 0.0, "u_io": 0.0, "u_net": 0.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            UsageSample(**fields)
+
+
+def gen_trace(rng: random.Random, spec: ServerSpec) -> list[UsageSample]:
+    """Ordered samples, some with gaps, about a third with usages at or
+    above u_max."""
+    samples, start = [], rng.randrange(0, 10**6)
+    for _ in range(rng.randint(0, 12)):
+        sample = gen_usage(rng, spec, start)
+        if rng.random() < 0.35:
+            over = {
+                f"u_{c}": spec.u_max.get(c) * rng.choice([1.0, rng.uniform(1.0000001, 3.0)])
+                for c in COMPONENTS
+                if rng.random() < 0.5
+            }
+            sample = dataclasses.replace(sample, **over)
+        samples.append(sample)
+        start = math.ceil(sample.end) + rng.choice([0, 0, rng.randrange(1, 600)])
+    return samples
+
+
+class TestKernelAgainstReference:
+    """The per-row kernel against the per-sample reference in support.py,
+    bit for bit (repr tells -0.0 from 0.0 and round-trips every float)."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_series_equals_reference(self, seed, clamp):
+        rng = random.Random(seed)
+        spec = gen_spec(rng, idle_max=rng.choice([0.0, 300.0]))
+        samples = gen_trace(rng, spec)
+        try:
+            expected = naive_energy_rows(spec, samples, clamp=clamp)
+        except UsageOutOfRange as exc:
+            with pytest.raises(UsageOutOfRange) as raised:
+                trace_to_energy_series(spec, samples, clamp=clamp)
+            assert str(raised.value) == str(exc)  # names the first offending sample
+        else:
+            series = trace_to_energy_series(spec, samples, clamp=clamp)
+            assert repr([tuple(entry) for entry in series.entries]) == repr(expected)
+        assert clamped_sample_indices(spec, samples) == naive_clamped_indices(spec, samples)
+
+    @given(st.integers(0, 10**9))
+    def test_power_and_single_interval_equal_reference(self, seed):
+        rng = random.Random(seed)
+        spec = gen_spec(rng, idle_max=300.0)
+        for sample in gen_trace(rng, spec):
+            assert repr(component_power(spec, sample, clamp=True)) == repr(
+                naive_component_power(spec, sample, clamp=True)
+            )
+            entry = energy_over_interval(spec, sample, clamp=True)
+            assert repr(tuple(entry)) == repr(naive_energy_rows(spec, [sample], clamp=True)[0])
