@@ -1,14 +1,16 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 validation errors, 3 IO or network errors.
-Reports are rendered fully, then ``--out`` is replaced by a rename, so a
-failing run never leaves a partial output file.
+Reports are rendered fully, then a regular ``--out`` file is replaced by a
+rename that keeps its mode, so a failing run never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -54,8 +56,17 @@ def _emit(data: bytes, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    else:
-        write_atomic(Path(out_path), data)
+        return
+    path = Path(out_path)
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:  # a new file: 0666 less the umask, as open() would make it
+        os.umask(umask := os.umask(0))  # reading the umask means setting it
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if stat.S_ISREG(mode):
+        write_atomic(path, data, stat.S_IMODE(mode))
+    else:  # a symlink, device or FIFO: the rename would replace it, not write to it
+        path.write_bytes(data)
 
 
 def _trace_format(path: str) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import NamedTuple
 
@@ -58,9 +59,13 @@ class IntensitySeries:
                 )
             previous_end = entry.end
 
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [entry.start for entry in self.entries]
+
     def value_at(self, t: float) -> float | None:
         """Intensity at instant t, or None when t falls in a gap."""
-        index = bisect.bisect_right(self.entries, t, key=lambda entry: entry.start) - 1
+        index = bisect.bisect_right(self._starts, t) - 1
         if index < 0:
             return None
         entry = self.entries[index]

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .embodied import ConsumptionRecord, EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, validate_spec
+from .power import COMPONENTS, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, validate_spec
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -73,6 +73,10 @@ def _decode_utf8(data: bytes) -> str:
         raise ParseError("invalid UTF-8", location=f"byte {exc.start}") from exc
 
 
+# whole JSON strings and numbers, so digits inside either never pass for an integer literal
+_JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
+
+
 def _decode_json(data: bytes) -> Any:
     try:
         return json.loads(_decode_utf8(data))
@@ -80,8 +84,8 @@ def _decode_json(data: bytes) -> Any:
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"byte {exc.pos}") from exc
     except ValueError as exc:  # an integer literal past Python's int conversion limit
         limit = sys.get_int_max_str_digits()
-        digits = re.search(rf"[0-9]{{{limit + 1},}}", data.decode("utf-8"))
-        location = f"byte {digits.start()}" if digits else "$"
+        location = next((f"byte {token.start()}" for token in _JSON_TOKEN.finditer(data)
+                         if len(token[1] or b"") > limit and token[2] is token[3] is None), "$")
         raise ParseError(f"invalid JSON: integer literal over {limit} digits", location=location) from exc
 
 
@@ -204,21 +208,8 @@ def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        return canonical_json(
-            {
-                "samples": [
-                    {
-                        "start": sample.start,
-                        "duration_s": sample.duration_s,
-                        "u_cpu_cores": sample.u_cpu,
-                        "u_mem_bytes": sample.u_mem,
-                        "u_io_bytes": sample.u_io,
-                        "u_net_bytes": sample.u_net,
-                    }
-                    for sample in trace.samples
-                ]
-            }
-        )
+        rows = [(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in trace.samples]
+        return canonical_json({"samples": [dict(zip(TRACE_FIELDS, row)) for row in rows]})
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
@@ -266,19 +257,11 @@ def parse_intensity_feed(data: bytes) -> IntensitySeries:
 
 
 def serialize_intensity_feed(series: IntensitySeries) -> bytes:
-    return canonical_json(
-        {
-            "region": series.region,
-            "entries": [
-                {
-                    "start": entry.start,
-                    "end": entry.end,
-                    "intensity_kg_per_kwh": entry.intensity_kg_per_kwh,
-                }
-                for entry in series.entries
-            ],
-        }
-    )
+    entries = [
+        {"start": entry.start, "end": entry.end, "intensity_kg_per_kwh": entry.intensity_kg_per_kwh}
+        for entry in series.entries
+    ]
+    return canonical_json({"region": series.region, "entries": entries})
 
 
 # --- embodied ledgers ---
@@ -424,6 +407,10 @@ class RunConfig:
         return self.base_dir / self.intensity.file
 
 
+def _per_component(raw: Any, location: str) -> PerComponent:
+    return PerComponent(*(_number(_require(raw, c, location), f"{location}.{c}") for c in COMPONENTS))
+
+
 def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
     doc = _decode_json(data)
 
@@ -442,18 +429,8 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
     spec = ServerSpec(
         tdp_watts=_number(_require(raw_server, "tdp_watts", "$.server"), "$.server.tdp_watts"),
         n_cpu=_epoch(_require(raw_server, "n_cpu", "$.server"), "$.server.n_cpu"),
-        alpha=PerComponent(
-            cpu=_number(_require(raw_alpha, "cpu", "$.server.alpha"), "$.server.alpha.cpu"),
-            mem=_number(_require(raw_alpha, "mem", "$.server.alpha"), "$.server.alpha.mem"),
-            io=_number(_require(raw_alpha, "io", "$.server.alpha"), "$.server.alpha.io"),
-            net=_number(_require(raw_alpha, "net", "$.server.alpha"), "$.server.alpha.net"),
-        ),
-        u_max=PerComponent(
-            cpu=_number(_require(raw_umax, "cpu", "$.server.u_max"), "$.server.u_max.cpu"),
-            mem=_number(_require(raw_umax, "mem", "$.server.u_max"), "$.server.u_max.mem"),
-            io=_number(_require(raw_umax, "io", "$.server.u_max"), "$.server.u_max.io"),
-            net=_number(_require(raw_umax, "net", "$.server.u_max"), "$.server.u_max.net"),
-        ),
+        alpha=_per_component(raw_alpha, "$.server.alpha"),
+        u_max=_per_component(raw_umax, "$.server.u_max"),
         idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server.idle_watts"),
         u_max_units=UnitTags(**unit_kwargs),
     )
@@ -585,14 +562,15 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
         return None
 
 
-def write_atomic(path: Path, data: bytes) -> None:
+def write_atomic(path: Path, data: bytes, mode: int = 0o600) -> None:
     """Replace ``path`` by a temporary file in its directory and a rename:
     readers never see a partial file, a failure leaves no temporary file,
-    and the new file is readable by its owner only (mode 0600)."""
+    and the new file has ``mode`` (by default its owner's only)."""
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
+        os.chmod(temp_name, mode)
         os.replace(temp_name, path)
     except BaseException:
         os.unlink(temp_name)

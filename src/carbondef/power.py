@@ -148,9 +148,13 @@ class EnergySeries:
     entries: tuple[EnergyEntry, ...]
 
     def __post_init__(self):
+        previous_start = -inf
         for entry in self.entries:
             if entry.joules_total < 0 or any(j < 0 for j in entry.joules_by_component):
                 raise ValueError("energy values must be >= 0")
+            if entry.start < previous_start:  # align_segments merges in start order
+                raise ValueError(f"energy entries out of start order at start={entry.start}")
+            previous_start = entry.start
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -279,12 +283,12 @@ def trace_to_energy_series(
     if not isinstance(trace, UsageTrace):
         trace = UsageTrace(samples=tuple(trace))
     row = _energy_kernel(spec, clamp)
-    entries: list[EnergyEntry] = []
     try:
-        entries.extend(row(sample, sample.duration_s) for sample in trace.samples)
+        entries = tuple([row(sample, sample.duration_s) for sample in trace.samples])
     except UsageOutOfRange as exc:
-        raise UsageOutOfRange(f"sample {len(entries)}: {exc}") from exc
-    return EnergySeries(entries=tuple(entries))
+        # the kernel raised for the first sample over a limit
+        raise UsageOutOfRange(f"sample {clamped_sample_indices(spec, trace)[0]}: {exc}") from exc
+    return EnergySeries(entries=entries)
 
 
 def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace | Sequence[UsageSample]) -> list[int]:

@@ -422,6 +422,7 @@ MALFORMED = [
     ("trace_missing_field.json", "trace_json", SchemaError, "samples[0]"),
     ("trace_bad_type.json", "trace_json", ParseError, "samples[0].u_cpu_cores"),
     ("trace_huge_int.json", "trace_json", ParseError, "byte 40"),
+    ("trace_huge_int_after_text.json", "trace_json", ParseError, "byte 8877)"),
     ("intensity_bad_syntax.json", "intensity", ParseError, "byte"),
     ("intensity_missing_region.json", "intensity", SchemaError, "$"),
     ("intensity_missing_entries.json", "intensity", SchemaError, "$"),

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import stat
+import threading
 import weakref
 
 import jsonschema
@@ -424,13 +426,56 @@ class TestCommandLifecycle:
         assert invoke(runner, args).exit_code == 0
         assert alive_at_render == [False] * (2 if command == "report" else 1)
 
-    def test_out_file_is_owner_only(self, runner, tmp_path):
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640])
+    def test_out_file_keeps_its_mode(self, runner, tmp_path, mode):
         out = tmp_path / "report.json"
         out.write_bytes(b"")
-        out.chmod(0o644)
+        out.chmod(mode)
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
         assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
-        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.stat().st_mode & 0o777 == mode
+        assert out.read_bytes() == invoke(runner, args).stdout_bytes
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o027])
+    def test_new_out_file_follows_umask(self, runner, tmp_path, umask):
+        out = tmp_path / "report.json"
+        args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
+        previous = os.umask(umask)
+        try:
+            assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+            assert os.umask(umask) == umask  # the run restored it
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_out_symlink_is_written_through(self, runner, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"previous report\n")
+        link.symlink_to(target)
+        args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
+        assert invoke(runner, args + ["--out", str(link)]).exit_code == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == invoke(runner, args).stdout_bytes
+
+    def test_out_fifo_is_written_through(self, runner, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
+        try:
+            result = invoke(runner, args + ["--out", str(fifo)])
+        finally:
+            try:  # a run that never opened the FIFO leaves the reader blocked: release it
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: the reader is gone already
+                pass
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert result.exit_code == 0
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert received == [invoke(runner, args).stdout_bytes]
 
     def test_failed_out_write_keeps_old_file(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "report.json"

@@ -127,6 +127,11 @@ class TestAlignSegments:
         assert not uncovered
         assert [s.joules for s in segments] == [100.0, 200.0]
 
+    def test_series_out_of_start_order_rejected(self):
+        # the merge only moves forward, so such a series must never reach it
+        with pytest.raises(ValueError, match="start order at start=0"):
+            EnergySeries(entries=(energy_entry(100, 100.0, 200.0), energy_entry(0, 100.0, 100.0)))
+
     @settings(max_examples=300)
     @given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.sampled_from([1.0, 1.1, 1.58]))
     def test_two_pointer_equals_bisect_reference(self, seed, allow_gaps, tied, pue):
