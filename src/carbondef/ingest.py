@@ -75,6 +75,10 @@ def _decode_utf8(data: bytes) -> str:
 
 # whole JSON strings and numbers, so digits inside either never pass for an integer literal
 _JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
+# whole JSON strings, so brackets inside one are not counted as nesting;
+# compiled on the error path only
+_JSON_NESTING = rb'"(?:[^"\\]|\\.)*"|[\[\]{}]'
+_NESTING_STEP = {b"[": 1, b"{": 1, b"]": -1, b"}": -1}
 
 
 def _decode_json(data: bytes) -> Any:
@@ -82,6 +86,13 @@ def _decode_json(data: bytes) -> Any:
         return json.loads(_decode_utf8(data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"byte {exc.pos}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder's stack allows
+        depth, deepest, where = 0, 0, 0
+        for token in re.finditer(_JSON_NESTING, data, re.S):
+            depth += _NESTING_STEP.get(token[0], 0)
+            if depth > deepest:
+                deepest, where = depth, token.start()
+        raise ParseError(f"invalid JSON: nested {deepest} levels deep", location=f"byte {where}") from exc
     except ValueError as exc:  # an integer literal past Python's int conversion limit
         limit = sys.get_int_max_str_digits()
         location = next((f"byte {token.start()}" for token in _JSON_TOKEN.finditer(data)
@@ -105,11 +116,17 @@ def _number(value: Any, location: str) -> float:
     return float(value)
 
 
+# an epoch within ±2**53 is exact as a float, and ``start + duration_s`` stays finite
+_EPOCH_LIMIT = 2**53
+
+
 def _epoch(value: Any, location: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(
             f"expected integer epoch seconds, got {value!r}", location=location
         )
+    if abs(value) > _EPOCH_LIMIT:
+        raise ParseError("integer beyond ±2**53", location=location)
     return value
 
 
@@ -162,6 +179,8 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
                 f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}",
                 location=location,
             ) from exc
+        if abs(start) > _EPOCH_LIMIT:
+            raise ParseError("timestamp_utc beyond ±2**53", location=location)
         try:
             values = [float(field) for field in fields[1:]]
         except ValueError as exc:

@@ -1,8 +1,11 @@
 """Report assembly and serialization for the CLI.
 
-Reports are plain dicts with a fixed section order, serialized once at
-the end of a run. Internals stay in joules; user-facing numbers are kWh
-and kg CO2e, converted here. Output is deterministic: floats use the
+Reports are dicts with a fixed section order, serialized once at the end
+of a run; their per-interval row lists are read-only ``Rows`` views over
+the pipeline's tuples, rendered without building a dict per row. Every
+report total is checked finite before any byte is written. Internals stay
+in joules; user-facing numbers are kWh and kg CO2e, converted here.
+Output is deterministic: floats use the
 shortest round-trip decimal form and metadata carries input digests and
 the data window rather than wall-clock time, so identical inputs produce
 byte-identical bytes.
@@ -15,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+from collections.abc import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -23,19 +27,22 @@ from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
 from .grid import (
     JOULES_PER_KWH,
     EmissionsReport,
+    EmissionsSegment,
     IntensitySeries,
+    UncoveredSpan,
     operational_emissions,
 )
 from .ingest import RunConfig, fetch_intensity, parse_intensity_feed
 from .power import (
     ENERGY_SOURCES,
+    EnergyEntry,
     EnergySeries,
     UsageTrace,
     clamped_sample_indices,
     trace_to_energy_series,
 )
 from .sci import compose_totals, overhead_split
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -61,30 +68,93 @@ def _meta(
     }
 
 
+class Rows:
+    """A read-only list of report rows, one per pipeline tuple in ``items``.
+
+    ``keys`` is a row's shape: a key, or a ``(key, inner keys)`` pair for a
+    nested dict; ``values(item)`` gives the row's numbers in that order,
+    flattened. Indexing and iteration build the row dicts on demand; the
+    renderers format ``values`` straight into text and never build one.
+    """
+
+    __slots__ = ("items", "keys", "values")
+
+    def __init__(self, items: Sequence, keys: tuple, values: Callable[[Any], tuple]):
+        self.items, self.keys, self.values = items, keys, values
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(item) for item in self.items[index]]
+        return self._row(self.items[index])
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return map(self._row, self.items)
+
+    def _row(self, item: Any) -> dict[str, Any]:
+        numbers = iter(self.values(item))
+        row: dict[str, Any] = {}
+        for key in self.keys:
+            if isinstance(key, str):
+                row[key] = next(numbers)
+            else:
+                row[key[0]] = {inner: next(numbers) for inner in key[1]}
+        return row
+
+
+def _require_finite(totals: dict[str, float], inputs: str) -> None:
+    """Every computed report number is >= 0 and summed into one of a few
+    totals, where nothing cancels: a finite total proves its rows finite, so
+    the row templates need no per-row check (starts and durations are inputs,
+    finite and within ±2**53 by parsing). A float overflow is an input error."""
+    for field, total in totals.items():
+        if total - total != 0:  # NaN or ±inf
+            raise ValidationError(
+                f"report field {field} is {total!r}: {inputs} overflow float arithmetic"
+            )
+
+
+def _interval_values(entry: EnergyEntry) -> tuple:
+    start, duration_s, total, (cpu, mem, io_, net, idle) = entry
+    return (
+        start, duration_s, total / JOULES_PER_KWH, cpu / JOULES_PER_KWH, mem / JOULES_PER_KWH,
+        io_ / JOULES_PER_KWH, net / JOULES_PER_KWH, idle / JOULES_PER_KWH,
+    )
+
+
+def _segment_values(segment: EmissionsSegment) -> tuple:
+    start, duration_s, joules, intensity_kg_per_kwh, kg_co2e = segment
+    return start, duration_s, joules / JOULES_PER_KWH, intensity_kg_per_kwh, kg_co2e
+
+
+def _uncovered_values(span: UncoveredSpan) -> tuple:
+    start, duration_s, joules = span
+    return start, duration_s, joules / JOULES_PER_KWH
+
+
+_INTERVAL_KEYS = ("start", "duration_s", "kwh_total", ("kwh_by_component", ENERGY_SOURCES))
+_SEGMENT_KEYS = ("start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e")
+_UNCOVERED_KEYS = ("start", "duration_s", "kwh")
+
+
 def _energy_section(series: EnergySeries) -> dict[str, Any]:
     by_component = {
         source: sum(entry.joules_by_component[position] for entry in series.entries) / JOULES_PER_KWH
         for position, source in enumerate(ENERGY_SOURCES)
     }
+    kwh_total = series.total_joules() / JOULES_PER_KWH
+    _require_finite(
+        {"energy.kwh_total": kwh_total,
+         **{f"energy.kwh_by_component.{s}": kwh for s, kwh in by_component.items()}},
+        "server.tdp_watts, n_cpu, idle_watts and the trace's duration_s",
+    )
     return {
         "interval_count": len(series),
-        "kwh_total": series.total_joules() / JOULES_PER_KWH,
+        "kwh_total": kwh_total,
         "kwh_by_component": by_component,
-        "intervals": [
-            {
-                "start": start,
-                "duration_s": duration_s,
-                "kwh_total": total / JOULES_PER_KWH,
-                "kwh_by_component": {
-                    "cpu": cpu / JOULES_PER_KWH,
-                    "mem": mem / JOULES_PER_KWH,
-                    "io": io / JOULES_PER_KWH,
-                    "net": net / JOULES_PER_KWH,
-                    "idle": idle / JOULES_PER_KWH,
-                },
-            }
-            for start, duration_s, total, (cpu, mem, io, net, idle) in series.entries
-        ],
+        "intervals": Rows(series.entries, _INTERVAL_KEYS, _interval_values),
     }
 
 
@@ -92,32 +162,28 @@ def _operational_section(
     emissions: EmissionsReport, series: EnergySeries, config: RunConfig, region: str
 ) -> dict[str, Any]:
     software_j, overhead_j = overhead_split(series.total_joules(), config.pue)
-    return {
+    section = {
         "pue": emissions.pue,
         "coverage_policy": emissions.coverage_policy,
         "region": region,
         "total_kg_co2e": emissions.total_kg_co2e,
         "software_kwh": software_j / JOULES_PER_KWH,
         "overhead_kwh": overhead_j / JOULES_PER_KWH,
-        "segments": [
-            {
-                "start": start,
-                "duration_s": duration_s,
-                "kwh": joules / JOULES_PER_KWH,
-                "intensity_kg_per_kwh": intensity_kg_per_kwh,
-                "kg_co2e": kg_co2e,
-            }
-            for start, duration_s, joules, intensity_kg_per_kwh, kg_co2e in emissions.segments
-        ],
+        "segments": Rows(emissions.segments, _SEGMENT_KEYS, _segment_values),
         "uncovered": _uncovered_rows(emissions),
     }
+    _require_finite(
+        {**{f"operational.{f}": section[f] for f in ("total_kg_co2e", "software_kwh", "overhead_kwh")},
+         # in no report total, so summed here
+         "operational.segments[*].kwh": emissions.covered_joules() / JOULES_PER_KWH,
+         "operational.uncovered[*].kwh": emissions.uncovered_joules() / JOULES_PER_KWH},
+        "the energy, pue and the intensity feed",
+    )
+    return section
 
 
-def _uncovered_rows(emissions: EmissionsReport) -> list[dict[str, Any]]:
-    return [
-        {"start": start, "duration_s": duration_s, "kwh": joules / JOULES_PER_KWH}
-        for start, duration_s, joules in emissions.uncovered
-    ]
+def _uncovered_rows(emissions: EmissionsReport) -> Rows:
+    return Rows(emissions.uncovered, _UNCOVERED_KEYS, _uncovered_values)
 
 
 def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[str, Any]:
@@ -159,6 +225,12 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
         lifecycle_sum += lifecycle
         conserved_sum += attributed + residual
 
+    _require_finite(
+        {"embodied.total_attributed_kg_co2e": total_attributed,
+         "embodied.conservation.lifecycle_total_kg_co2e": lifecycle_sum,
+         "embodied.conservation.attributed_plus_residual_kg_co2e": conserved_sum},
+        "the ledger's m_kg, r_kg and eol_kg",
+    )
     return {
         "consumers": consumers,
         "objects": objects,
@@ -221,6 +293,7 @@ def build_emissions_report(
     cache_dir: str | None = None,
 ) -> dict[str, Any]:
     series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
+    energy = _energy_section(series)
     intensity = resolve_intensity(config, series.window(), cache_dir)
     emissions = operational_emissions(
         series, intensity, config.pue, config.coverage_policy
@@ -228,7 +301,7 @@ def build_emissions_report(
     return {
         "schema_version": SCHEMA_VERSION,
         "meta": _meta("emissions", config, trace_digest, window=series.window()),
-        "energy": _energy_section(series),
+        "energy": energy,
         "operational": _operational_section(emissions, series, config, intensity.region),
         "diagnostics": _diagnostics(config, trace, emissions),
     }
@@ -259,10 +332,12 @@ def build_full_report(
             location="$.functional_unit",
         )
     series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
+    energy = _energy_section(series)
     intensity = resolve_intensity(config, series.window(), cache_dir)
     emissions = operational_emissions(
         series, intensity, config.pue, config.coverage_policy
     )
+    operational = _operational_section(emissions, series, config, intensity.region)
     embodied = _embodied_section(ledger, consumer_id)
     totals = compose_totals(
         operational_kg=emissions.total_kg_co2e,
@@ -270,29 +345,35 @@ def build_full_report(
         functional_unit_name=config.functional_unit.name,
         functional_unit_count=config.functional_unit.count,
     )
+    sci = {
+        "operational_kg_co2e": totals.operational_kg,
+        "embodied_kg_co2e": totals.embodied_kg,
+        "total_kg_co2e": totals.total_kg,
+        "functional_unit": {
+            "name": totals.functional_unit_name,
+            "count": totals.functional_unit_count,
+        },
+        "sci_kg_co2e_per_unit": totals.sci_kg_per_unit,
+    }
+    _require_finite(
+        {f"sci.{f}": sci[f] for f in ("total_kg_co2e", "sci_kg_co2e_per_unit")},
+        "the emissions totals and functional_unit.count",
+    )
     return {
         "schema_version": SCHEMA_VERSION,
         "meta": _meta("report", config, trace_digest, ledger_digest, series.window()),
-        "energy": _energy_section(series),
-        "operational": _operational_section(emissions, series, config, intensity.region),
+        "energy": energy,
+        "operational": operational,
         "embodied": embodied,
-        "sci": {
-            "operational_kg_co2e": totals.operational_kg,
-            "embodied_kg_co2e": totals.embodied_kg,
-            "total_kg_co2e": totals.total_kg,
-            "functional_unit": {
-                "name": totals.functional_unit_name,
-                "count": totals.functional_unit_count,
-            },
-            "sci_kg_co2e_per_unit": totals.sci_kg_per_unit,
-        },
+        "sci": sci,
         "diagnostics": _diagnostics(config, trace, emissions),
     }
 
 
-_NUMBER_TYPES = frozenset((int, float))
 # json's C encoder spells a str, None, a bool or a number as indent=2 does
 _scalar = json.JSONEncoder().encode
+# rows, or pending pieces of a plain list, encoded per write: no full-size str ever exists
+_BLOCK = 4096
 
 
 def _dict_template(slots: list[tuple[str, str]], indent: str) -> str:
@@ -301,120 +382,112 @@ def _dict_template(slots: list[tuple[str, str]], indent: str) -> str:
     return "{" + ",".join(lines) + indent + "}"
 
 
-def _row_template(row: Any, indent: str) -> tuple[str, tuple, tuple] | None:
-    """For a dict of numbers (and of dicts of numbers): a '%'-template, its
-    key order and each nested dict's (position, keys); else None."""
-    if type(row) is not dict or not row:
-        return None
-    slots, nested = [], []
-    for position, (key, value) in enumerate(row.items()):
-        if type(key) is not str:
-            return None
-        if type(value) in _NUMBER_TYPES:
+def _row_template(keys: tuple, indent: str) -> str:
+    """The '%'-template of a Rows row, on a line indented by ``indent``:
+    ``%r`` of a finite int or float is what json.dumps writes."""
+    slots = []
+    for key in keys:
+        if isinstance(key, str):
             slots.append((key, "%r"))
-        elif type(value) is dict and value and all(
-            type(k) is str and type(v) in _NUMBER_TYPES for k, v in value.items()
-        ):
-            slots.append((key, _dict_template([(k, "%r") for k in value], indent + "  ")))
-            nested.append((position, tuple(value)))
         else:
-            return None
-    return _dict_template(slots, indent), tuple(row), tuple(reversed(nested))
+            slots.append((key[0], _dict_template([(inner, "%r") for inner in key[1]], indent + "  ")))
+    return _dict_template(slots, indent)
 
 
-def _row_values(row: Any, keys: tuple, nested: tuple) -> tuple | None:
-    """The numbers to fill the template with, or None: other keys or key
-    order, a value not exactly an int or a float (a bool), a NaN or ±inf."""
-    if type(row) is not dict or tuple(row) != keys:
-        return None
-    values = list(row.values())
-    for position, inner in nested:  # back to front, so positions stay valid
-        value = values[position]
-        if type(value) is not dict or tuple(value) != inner:
-            return None
-        values[position:position + 1] = value.values()
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        return None
-    try:
-        total = sum(values)
-    except OverflowError:  # an int beyond the float range next to a float
-        return None
-    return tuple(values) if total - total == 0 else None
+class _Utf8Writer:
+    """Text gathered as UTF-8 into one growing buffer: small pieces wait in
+    a list, each block of rows is flushed on its own, so no full-size str
+    or piece list of a report ever exists."""
+
+    def __init__(self) -> None:
+        self.buffer, self.pending = io.BytesIO(), []
+        self.write = self.pending.append  # csv.writer writes here too
+
+    def flush(self) -> None:
+        self.buffer.write("".join(self.pending).encode("utf-8"))
+        self.pending.clear()
 
 
-def _encode(value: Any, out: list[str], indent: str) -> None:
-    """Append the text ``json.dumps(value, indent=2)`` gives for ``value``,
-    which starts on a line indented by ``indent`` (a newline and spaces)."""
-    if not isinstance(value, (list, tuple, dict)):
-        out.append(_scalar(value))
+def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
+    values, items = rows.values, rows.items
+    for begin in range(first, len(items), _BLOCK):
+        out.write("".join(map(format_row, map(values, items[begin:begin + _BLOCK]))))
+        out.flush()
+
+
+def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
+    """Write the text ``json.dumps(value, indent=2, default=list)`` gives for
+    ``value``, which starts on a line indented by ``indent`` (a newline and
+    spaces)."""
+    if not isinstance(value, (list, tuple, dict, Rows)):
+        out.write(_scalar(value))
     elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
+        out.write("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
         inner = indent + "  "
         separator = "{" + inner
         for key, item in value.items():
             if key is None or isinstance(key, (int, float)):
                 key = _scalar(key)
-            out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            out.write(f"{separator}{encode_basestring_ascii(key)}: ")
             separator = "," + inner
             _encode(item, out, inner)
-        out.append(indent + "}")
+        out.write(indent + "}")
+    elif isinstance(value, Rows):
+        inner = indent + "  "
+        template = _row_template(value.keys, inner)
+        out.write("[" + inner + template % value.values(value.items[0]))
+        _write_rows(out, value, ("," + inner + template).__mod__, first=1)
+        out.write(indent + "]")
     else:
         inner = indent + "  "
-        compiled = _row_template(value[0], inner)
         separator = "[" + inner
         for item in value:
-            out.append(separator)
+            out.write(separator)
             separator = "," + inner
-            row = compiled and _row_values(item, *compiled[1:])
-            if row:
-                out.append(compiled[0] % row)
-            else:
-                _encode(item, out, inner)
-        out.append(indent + "]")
+            _encode(item, out, inner)
+            if len(out.pending) > _BLOCK:
+                out.flush()
+        out.write(indent + "]")
 
 
 def to_json_bytes(report: Any) -> bytes:
-    """The bytes of ``json.dumps(report, indent=2) + "\\n"`` without its slow
-    pure-Python encoder: same-shaped numeric rows share one '%'-template."""
-    out: list[str] = []
+    """The bytes of ``json.dumps(report, indent=2, default=list) + "\\n"``
+    without its slow pure-Python encoder: a Rows renders through one
+    '%'-template per row, straight from its tuples."""
+    out = _Utf8Writer()
     _encode(report, out, "\n")
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    out.write("\n")
+    out.flush()
+    return out.buffer.getvalue()  # BytesIO hands its buffer over without a copy
+
+
+def _long_rows(section: str, metrics: tuple[str, ...]) -> Callable[[tuple], str]:
+    """Format Rows values ``(start, duration_s, *numbers)`` as one CSV line per metric."""
+    template = "".join(f"\0{metric},%r\n" for metric in metrics)
+    return lambda v: template.replace("\0", f"{section},,{v[0]!r},{v[1]!r},") % v[2:]
 
 
 _ESTIMATE_ROW = ",".join(["%r"] * (3 + len(ENERGY_SOURCES))) + "\n"
-_EMISSIONS_ROW = "%(start)r,%(duration_s)r,%(kwh)r,%(intensity_kg_per_kwh)r,%(kg_co2e)r\n"
-# "\0" marks the "section,,start,duration_s," prefix, formatted once per interval
-_REPORT_ENERGY_ROWS = "".join(f"\0kwh_{f},%r\n" for f in ("total", *ENERGY_SOURCES))
-_REPORT_OPERATIONAL_ROWS = "".join(f"\0{f},%r\n" for f in ("kwh", "intensity_kg_per_kwh", "kg_co2e"))
-
-
-def _kwh_values(entry: dict[str, Any]) -> tuple:
-    by_component = entry["kwh_by_component"]
-    return (entry["kwh_total"], *map(by_component.__getitem__, ENERGY_SOURCES))
-
-
-def _rows(template: str, section: str, row: dict[str, Any], values: tuple) -> str:
-    return template.replace("\0", f"{section},,{row['start']!r},{row['duration_s']!r},") % values
+_EMISSIONS_ROW = ",".join(["%r"] * len(_SEGMENT_KEYS)) + "\n"
+_REPORT_ENERGY_ROWS = _long_rows("energy", ("kwh_total", *(f"kwh_{s}" for s in ENERGY_SOURCES)))
+_REPORT_OPERATIONAL_ROWS = _long_rows("operational", _SEGMENT_KEYS[2:])
 
 
 def to_csv_bytes(report: dict[str, Any]) -> bytes:
-    """Chart-friendly CSV rendering, one row per interval where possible.
-    Numeric rows go through '%'-templates (``%r`` of a number is what
-    csv.writer writes); rows with ids use csv.writer for its quoting."""
+    """Chart-friendly CSV rendering of a ``build_*_report`` report, one row
+    per interval where possible. Rows go through '%'-templates (``%r`` of a
+    number is what csv.writer writes); rows with ids use csv.writer for its
+    quoting."""
     report_type = report["meta"]["report"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    out = _Utf8Writer()
+    writer = csv.writer(out, lineterminator="\n")
     if report_type == "estimate":
         writer.writerow(["start", "duration_s", "kwh_total", *(f"kwh_{s}" for s in ENERGY_SOURCES)])
-        buffer.writelines(
-            _ESTIMATE_ROW % (entry["start"], entry["duration_s"], *_kwh_values(entry))
-            for entry in report["energy"]["intervals"]
-        )
+        _write_rows(out, report["energy"]["intervals"], _ESTIMATE_ROW.__mod__)
     elif report_type == "emissions":
-        writer.writerow(["start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e"])
-        buffer.writelines(_EMISSIONS_ROW % segment for segment in report["operational"]["segments"])
+        writer.writerow(_SEGMENT_KEYS)
+        _write_rows(out, report["operational"]["segments"], _EMISSIONS_ROW.__mod__)
     elif report_type == "embodied":
         section = report["embodied"]
         writer.writerow(["record_type", "consumer_id", "object_id", "kg_co2e"])
@@ -431,15 +504,8 @@ def to_csv_bytes(report: dict[str, Any]) -> bytes:
         )
     elif report_type == "report":
         writer.writerow(["section", "id", "start", "duration_s", "metric", "value"])
-        buffer.writelines(
-            _rows(_REPORT_ENERGY_ROWS, "energy", entry, _kwh_values(entry))
-            for entry in report["energy"]["intervals"]
-        )
-        buffer.writelines(
-            _rows(_REPORT_OPERATIONAL_ROWS, "operational", segment,
-                  (segment["kwh"], segment["intensity_kg_per_kwh"], segment["kg_co2e"]))
-            for segment in report["operational"]["segments"]
-        )
+        _write_rows(out, report["energy"]["intervals"], _REPORT_ENERGY_ROWS)
+        _write_rows(out, report["operational"]["segments"], _REPORT_OPERATIONAL_ROWS)
         for consumer in report["embodied"]["consumers"]:
             for item in consumer["objects"]:
                 writer.writerow(
@@ -454,7 +520,8 @@ def to_csv_bytes(report: dict[str, Any]) -> bytes:
             writer.writerow(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
     else:
         raise ValueError(f"unknown report type {report_type!r}")
-    return buffer.getvalue().encode("utf-8")
+    out.flush()
+    return out.buffer.getvalue()
 
 
 def render_report(report: dict[str, Any], output: str) -> bytes:

@@ -423,6 +423,9 @@ MALFORMED = [
     ("trace_bad_type.json", "trace_json", ParseError, "samples[0].u_cpu_cores"),
     ("trace_huge_int.json", "trace_json", ParseError, "byte 40"),
     ("trace_huge_int_after_text.json", "trace_json", ParseError, "byte 8877)"),
+    ("trace_deep_nesting.json", "trace_json", ParseError, "byte 99999)"),
+    ("trace_huge_epoch.json", "trace_json", ParseError, "samples[0].start"),
+    ("trace_huge_epoch.csv", "trace_csv", ParseError, "row 3"),
     ("intensity_bad_syntax.json", "intensity", ParseError, "byte"),
     ("intensity_missing_region.json", "intensity", SchemaError, "$"),
     ("intensity_missing_entries.json", "intensity", SchemaError, "$"),
@@ -438,6 +441,7 @@ MALFORMED = [
     ("ledger_negative_lifecycle.json", "ledger", ParseError, "objects[0]"),
     ("ledger_zero_lifespan.json", "ledger", ParseError, "objects[0]"),
     ("ledger_overflow_m_kg.json", "ledger", ParseError, "objects[0].m_kg"),
+    ("ledger_huge_lifespan_start.json", "ledger", ParseError, "objects[0].lifespan_start"),
     ("ledger_dangling_ref.json", "ledger", LedgerReferenceError, "records[0]"),
     ("ledger_fraction_range.json", "ledger", FractionError, "records[0].profile[0]"),
     ("ledger_oversubscribed.json", "ledger", OversubscriptionError, "rack-1"),

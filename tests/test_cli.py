@@ -56,6 +56,61 @@ def test_version_from_source_checkout(runner, monkeypatch):
     assert result.output.rstrip().endswith(f"version {__version__}")
 
 
+class TestFiniteReports:
+    """Finite inputs whose arithmetic overflows: exit 2 naming the report
+    field, never a report holding NaN or Infinity."""
+
+    @staticmethod
+    def write_config(tmp_path, server=None, functional_unit_count=None):
+        config = json.loads((CLI / "config.json").read_text())
+        config["server"].update(server or {})
+        if functional_unit_count is not None:
+            config["functional_unit"]["count"] = functional_unit_count
+        shutil.copy(CLI / "intensity.json", tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @staticmethod
+    def write_trace(tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes\n{row}\n")
+        return str(path)
+
+    def assert_rejected(self, result, field):
+        assert result.exit_code == 2
+        assert f"report field {field} is " in result.stderr
+        assert result.stdout == ""
+
+    def test_anchor_overflow_times_zero_usage(self, runner, tmp_path):
+        config = self.write_config(tmp_path, {"tdp_watts": 1e308, "n_cpu": 4})
+        trace = self.write_trace(tmp_path, "0,3600,0,0,0,0")
+        result = invoke(runner, ["estimate", "--config", config, "--trace", trace])
+        self.assert_rejected(result, "energy.kwh_total")
+
+    def test_power_times_duration_overflow(self, runner, tmp_path):
+        config = self.write_config(tmp_path, {"tdp_watts": 1e300})
+        trace = self.write_trace(tmp_path, "0,1e300,4.0,0,0,0")
+        result = invoke(runner, ["estimate", "--config", config, "--trace", trace])
+        self.assert_rejected(result, "energy.kwh_total")
+
+    def test_ledger_lifecycle_overflow(self, runner, tmp_path):
+        ledger = json.loads((CLI / "ledger.json").read_text())
+        ledger["objects"][0].update(m_kg=1.7e308, r_kg=1.7e308)
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(ledger))
+        result = invoke(runner, ["embodied", "--ledger", str(path)])
+        self.assert_rejected(result, "embodied.total_attributed_kg_co2e")
+
+    def test_subnormal_functional_unit_count(self, runner, tmp_path):
+        config = self.write_config(tmp_path, functional_unit_count=1e-320)
+        result = invoke(runner, [
+            "report", "--config", config, "--trace", str(CLI / "trace_full_load.csv"),
+            "--ledger", str(CLI / "ledger.json"),
+        ])
+        self.assert_rejected(result, "sci.sci_kg_co2e_per_unit")
+
+
 class TestEstimate:
     def test_full_load_hour_is_one_kwh(self, runner, report_schema):
         result = invoke(

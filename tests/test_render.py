@@ -1,8 +1,7 @@
 """The renderers against the standard library: JSON must equal
-``json.dumps(value, indent=2) + "\\n"`` byte for byte, CSV must equal the
-one-list-per-row csv.writer reference in ``support``."""
+``json.dumps(value, indent=2, default=list) + "\\n"`` byte for byte, CSV
+must equal the one-list-per-row csv.writer reference in ``support``."""
 
-import copy
 import json
 import math
 import random
@@ -11,8 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbondef import IntensityEntry, IntensitySeries, PueFactor, UsageTrace
+from carbondef import report as report_module
+from carbondef.errors import ValidationError
+from carbondef.grid import EmissionsReport, UncoveredSpan
 from carbondef.ingest import FunctionalUnit, IntensitySource, RunConfig, serialize_intensity_feed
 from carbondef.report import (
+    Rows,
     build_embodied_report,
     build_emissions_report,
     build_estimate_report,
@@ -25,7 +28,12 @@ from support import gen_ledger, gen_spec, gen_usage, naive_csv_bytes
 
 
 def stdlib_json(value) -> bytes:
-    return (json.dumps(value, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(value, indent=2, default=list) + "\n").encode("utf-8")
+
+
+def plain(report: dict) -> dict:
+    """The report as plain JSON data: each Rows view becomes a list of dicts."""
+    return json.loads(json.dumps(report, default=list))
 
 
 keys = st.text(max_size=4)
@@ -153,9 +161,9 @@ def gen_reports(seed: int, tmp_path) -> list[dict]:
 
 
 def with_odd_numbers(report: dict, rng: random.Random) -> dict:
-    """A copy with float starts (half-second shifts) and NaN/±inf values
-    scattered over the interval and segment rows."""
-    report = copy.deepcopy(report)
+    """A plain-data copy with float starts (half-second shifts) and NaN/±inf
+    values scattered over the interval and segment rows."""
+    report = plain(report)
     rows = report.get("energy", {}).get("intervals", []) + report.get("operational", {}).get("segments", [])
     for row in rows:
         row["start"] += 0.5
@@ -167,16 +175,54 @@ def with_odd_numbers(report: dict, rng: random.Random) -> dict:
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_reports_match_references(seed, tmp_path):
+def test_reports_match_references(seed, tmp_path, monkeypatch):
     reports = gen_reports(seed, tmp_path)
     assert [r["meta"]["report"] for r in reports] == ["estimate", "emissions", "embodied", "report"]
     rng = random.Random(seed)
-    for report in reports + [with_odd_numbers(r, rng) for r in reports]:
-        assert to_csv_bytes(report) == naive_csv_bytes(report)
-        assert to_json_bytes(report) == stdlib_json(report)
+    for report in reports:
+        for block in (report_module._BLOCK, 2):  # 2: rows and long lists cross block boundaries
+            monkeypatch.setattr(report_module, "_BLOCK", block)
+            assert to_csv_bytes(report) == naive_csv_bytes(plain(report))
+            assert to_json_bytes(report) == stdlib_json(report)
+        odd = with_odd_numbers(report, rng)
+        if report.get("energy", {}).get("intervals"):  # the mutations land on real rows
+            assert plain(odd) != plain(report)
+        assert to_json_bytes(odd) == stdlib_json(odd)
 
 
 def test_generated_reports_split_intervals_and_leave_gaps(tmp_path):
     full = [gen_reports(seed, tmp_path)[3] for seed in range(12)]
     assert any(len(r["operational"]["segments"]) > len(r["energy"]["intervals"]) for r in full)
     assert any(r["operational"]["uncovered"] for r in full)
+
+
+def test_rows_are_read_only_views(tmp_path):
+    full = next(r for r in (gen_reports(seed, tmp_path)[3] for seed in range(12)) if len(r["energy"]["intervals"]) > 3)
+    rows = full["energy"]["intervals"]
+    assert type(rows) is Rows
+    listed = plain(full)["energy"]["intervals"]
+    assert list(rows) == listed and len(rows) == len(listed)
+    assert rows[-1] == listed[-1] and rows[1:3] == listed[1:3]
+    with pytest.raises(TypeError):
+        rows[0] = listed[0]
+    rendered = to_json_bytes(full)
+    rows[0]["start"] = -1  # lands on a dict built for this access only
+    assert to_json_bytes(full) == rendered
+
+
+def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
+    # uncovered kWh is in no report total, so the finiteness check sums it itself
+    def overflowing(energy, intensity, pue, policy):
+        return EmissionsReport(0.0, pue.value, policy, (), (UncoveredSpan(0, 1.0, math.inf),))
+
+    monkeypatch.setattr(report_module, "operational_emissions", overflowing)
+    (tmp_path / "intensity.json").write_bytes(serialize_intensity_feed(IntensitySeries("ZZ", ())))
+    config = RunConfig(
+        server=gen_spec(random.Random(0), idle_max=50.0),
+        pue=PueFactor(1.5),
+        intensity=IntensitySource(file="intensity.json"),
+        coverage_policy="skip_uncovered",
+        base_dir=tmp_path,
+    )
+    with pytest.raises(ValidationError, match=r"operational\.uncovered\[\*\]\.kwh is inf"):
+        build_emissions_report(config, UsageTrace(samples=()), "t")
