@@ -25,7 +25,6 @@ from carbondef import (
     consumer_embodied,
     idle_residual,
     operational_emissions,
-    compose_totals,
     trace_to_energy_series,
     validate_spec,
 )
@@ -126,9 +125,9 @@ def main():
         share = idle_residual(ledger, object_id)
         print(f"  idle residual    {object_id}: {share:.1f} kgCO2e over the remaining lifespan")
 
-    totals = compose_totals(emissions.total_kg_co2e, embodied_total, "request", 2_500_000)
-    print(f"\ntotal: {totals.total_kg * 1000:.2f} gCO2e for the day")
-    print(f"per {totals.functional_unit_name}: {totals.sci_kg_per_unit * 1e6:.4f} mgCO2e")
+    total_kg = emissions.total_kg_co2e + embodied_total
+    print(f"\ntotal: {total_kg * 1000:.2f} gCO2e for the day")
+    print(f"per request: {total_kg / 2_500_000 * 1e6:.4f} mgCO2e")
 
 
 if __name__ == "__main__":

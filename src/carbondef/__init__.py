@@ -44,4 +44,3 @@ from .power import (
     trace_to_energy_series,
     validate_spec,
 )
-from .sci import CarbonTotals, compose_totals, overhead_split, sci, total_carbon

@@ -73,16 +73,6 @@ class UnknownObject(ValidationError):
     """Object id not present in the ledger."""
 
 
-# --- sci composition ---
-
-class NegativeInput(ValidationError):
-    """Emissions totals must be non-negative."""
-
-
-class ZeroFunctionalUnits(ValidationError):
-    """The functional-unit count must be positive."""
-
-
 # --- ingestion ---
 
 class ParseError(ValidationError):
@@ -111,7 +101,3 @@ class LedgerReferenceError(ParseError):
 
 class NetworkError(TransportError):
     """Intensity fetch failed and no cache fallback was available."""
-
-
-class StaleCacheError(TransportError):
-    """Strict freshness: only a stale cache entry was available."""

@@ -13,9 +13,7 @@ energy, idle baseline included.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 from typing import NamedTuple
 
@@ -58,18 +56,6 @@ class IntensitySeries:
                     f"intensity entries unsorted or overlapping at start={entry.start}"
                 )
             previous_end = entry.end
-
-    @cached_property
-    def _starts(self) -> list[int]:
-        return [entry.start for entry in self.entries]
-
-    def value_at(self, t: float) -> float | None:
-        """Intensity at instant t, or None when t falls in a gap."""
-        index = bisect.bisect_right(self._starts, t) - 1
-        if index < 0:
-            return None
-        entry = self.entries[index]
-        return entry.intensity_kg_per_kwh if t < entry.end else None
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from .errors import (
     OverlapError,
     ParseError,
     SchemaError,
-    StaleCacheError,
 )
 from .embodied import ConsumptionRecord, EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
@@ -116,15 +115,13 @@ def _number(value: Any, location: str) -> float:
     return float(value)
 
 
-# an epoch within ±2**53 is exact as a float, and ``start + duration_s`` stays finite
+# an integer within ±2**53 is exact as a float, and an epoch's ``start + duration_s`` stays finite
 _EPOCH_LIMIT = 2**53
 
 
-def _epoch(value: Any, location: str) -> int:
+def _integer(value: Any, location: str, expected: str = "integer epoch seconds") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(
-            f"expected integer epoch seconds, got {value!r}", location=location
-        )
+        raise ParseError(f"expected {expected}, got {value!r}", location=location)
     if abs(value) > _EPOCH_LIMIT:
         raise ParseError("integer beyond ±2**53", location=location)
     return value
@@ -203,7 +200,7 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
     samples: list[UsageSample] = []
     for index, raw in enumerate(raw_samples):
         location = f"samples[{index}]"
-        start = _epoch(_require(raw, "start", location), f"{location}.start")
+        start = _integer(_require(raw, "start", location), f"{location}.start")
         values = [
             _number(_require(raw, key, location), f"{location}.{key}")
             for key in TRACE_FIELDS[1:]
@@ -249,8 +246,8 @@ def parse_intensity_feed(data: bytes) -> IntensitySeries:
     indexed: list[tuple[IntensityEntry, int]] = []
     for index, raw in enumerate(raw_entries):
         location = f"entries[{index}]"
-        start = _epoch(_require(raw, "start", location), f"{location}.start")
-        end = _epoch(_require(raw, "end", location), f"{location}.end")
+        start = _integer(_require(raw, "start", location), f"{location}.start")
+        end = _integer(_require(raw, "end", location), f"{location}.end")
         intensity = _number(
             _require(raw, "intensity_kg_per_kwh", location),
             f"{location}.intensity_kg_per_kwh",
@@ -310,7 +307,7 @@ def parse_ledger(data: bytes) -> Ledger:
                     m_kg=_number(_require(raw, "m_kg", location), f"{location}.m_kg"),
                     r_kg=_number(_require(raw, "r_kg", location), f"{location}.r_kg"),
                     eol_kg=_number(_require(raw, "eol_kg", location), f"{location}.eol_kg"),
-                    lifespan_start=_epoch(
+                    lifespan_start=_integer(
                         _require(raw, "lifespan_start", location),
                         f"{location}.lifespan_start",
                     ),
@@ -335,8 +332,8 @@ def parse_ledger(data: bytes) -> Ledger:
         steps: list[ProfileStep] = []
         for step_index, raw_step in enumerate(raw_profile):
             step_location = f"{location}.profile[{step_index}]"
-            start = _epoch(_require(raw_step, "start", step_location), f"{step_location}.start")
-            end = _epoch(_require(raw_step, "end", step_location), f"{step_location}.end")
+            start = _integer(_require(raw_step, "start", step_location), f"{step_location}.start")
+            end = _integer(_require(raw_step, "end", step_location), f"{step_location}.end")
             fraction = _number(
                 _require(raw_step, "fraction", step_location), f"{step_location}.fraction"
             )
@@ -398,6 +395,10 @@ class FunctionalUnit:
     name: str
     count: float
 
+    def __post_init__(self):
+        if not self.count > 0:
+            raise ValueError(f"functional unit count must be > 0, got {self.count}")
+
 
 @dataclass(frozen=True)
 class IntensitySource:
@@ -447,7 +448,7 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
             )
     spec = ServerSpec(
         tdp_watts=_number(_require(raw_server, "tdp_watts", "$.server"), "$.server.tdp_watts"),
-        n_cpu=_epoch(_require(raw_server, "n_cpu", "$.server"), "$.server.n_cpu"),
+        n_cpu=_integer(_require(raw_server, "n_cpu", "$.server"), "$.server.n_cpu", "an integer CPU count"),
         alpha=_per_component(raw_alpha, "$.server.alpha"),
         u_max=_per_component(raw_umax, "$.server.u_max"),
         idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server.idle_watts"),
@@ -493,17 +494,11 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
         count = _number(
             _require(raw_unit, "count", "$.functional_unit"), "$.functional_unit.count"
         )
-        if count <= 0:
-            raise ParseError(
-                f"functional unit count must be > 0, got {count}",
-                location="$.functional_unit.count",
-            )
-        functional_unit = FunctionalUnit(
-            name=_string(
-                _require(raw_unit, "name", "$.functional_unit"), "$.functional_unit.name"
-            ),
-            count=count,
-        )
+        name = _string(_require(raw_unit, "name", "$.functional_unit"), "$.functional_unit.name")
+        try:
+            functional_unit = FunctionalUnit(name, count)
+        except ValueError as exc:
+            raise ParseError(str(exc), location="$.functional_unit.count") from exc
 
     clamp_usage = doc.get("clamp_usage", False)
     if not isinstance(clamp_usage, bool):
@@ -603,7 +598,6 @@ def fetch_intensity(
     cache_dir: str | Path | None = None,
     *,
     freshness_s: float = DEFAULT_FRESHNESS_S,
-    strict_freshness: bool = False,
     token: str | None = None,
     timeout_s: float = 30.0,
 ) -> IntensitySeries:
@@ -612,9 +606,8 @@ def fetch_intensity(
     A cache entry is served without touching the network when it covers the
     window and is younger than ``freshness_s`` (default mirrors the common
     30-minute feed update cadence). On network failure a stale covering
-    entry is used as fallback, unless ``strict_freshness`` is set, which
-    raises StaleCacheError instead. With no usable cache the failure
-    surfaces as NetworkError.
+    entry is used as fallback, with one warning line on stderr. With no
+    usable cache the failure surfaces as NetworkError.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _cache_path(cache_dir, endpoint, region)
@@ -636,11 +629,11 @@ def fetch_intensity(
     # OSError covers URLError, HTTPError (non-2xx) and timeouts; ValueError an unusable URL
     except (OSError, http.client.HTTPException, ValueError) as exc:
         if cached is not None:
-            if strict_freshness:
-                raise StaleCacheError(
-                    f"cache for {region!r} is older than {freshness_s}s and "
-                    f"refresh failed: {exc}"
-                ) from exc
+            print(
+                f"warning: intensity refresh for {region!r} failed ({exc}); "
+                f"using the cache entry fetched {now - cached[0]:.0f} s ago",
+                file=sys.stderr,
+            )
             return cached[1]
         raise NetworkError(f"intensity fetch from {endpoint} failed: {exc}") from exc
 

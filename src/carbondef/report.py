@@ -30,6 +30,7 @@ from .grid import (
     EmissionsSegment,
     IntensitySeries,
     UncoveredSpan,
+    apply_pue,
     operational_emissions,
 )
 from .ingest import RunConfig, fetch_intensity, parse_intensity_feed
@@ -41,10 +42,9 @@ from .power import (
     clamped_sample_indices,
     trace_to_energy_series,
 )
-from .sci import compose_totals, overhead_split
 from .errors import SchemaError, ValidationError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def sha256_hex(data: bytes) -> str:
@@ -161,16 +161,17 @@ def _energy_section(series: EnergySeries) -> dict[str, Any]:
 def _operational_section(
     emissions: EmissionsReport, series: EnergySeries, config: RunConfig, region: str
 ) -> dict[str, Any]:
-    software_j, overhead_j = overhead_split(series.total_joules(), config.pue)
+    # software energy is the pre-PUE total, idle included; overhead is what PUE adds
+    joules = series.total_joules()
     section = {
         "pue": emissions.pue,
         "coverage_policy": emissions.coverage_policy,
         "region": region,
         "total_kg_co2e": emissions.total_kg_co2e,
-        "software_kwh": software_j / JOULES_PER_KWH,
-        "overhead_kwh": overhead_j / JOULES_PER_KWH,
+        "software_kwh": joules / JOULES_PER_KWH,
+        "overhead_kwh": (apply_pue(joules, config.pue) - joules) / JOULES_PER_KWH,
         "segments": Rows(emissions.segments, _SEGMENT_KEYS, _segment_values),
-        "uncovered": _uncovered_rows(emissions),
+        "uncovered": Rows(emissions.uncovered, _UNCOVERED_KEYS, _uncovered_values),
     }
     _require_finite(
         {**{f"operational.{f}": section[f] for f in ("total_kg_co2e", "software_kwh", "overhead_kwh")},
@@ -180,10 +181,6 @@ def _operational_section(
         "the energy, pue and the intensity feed",
     )
     return section
-
-
-def _uncovered_rows(emissions: EmissionsReport) -> Rows:
-    return Rows(emissions.uncovered, _UNCOVERED_KEYS, _uncovered_values)
 
 
 def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[str, Any]:
@@ -242,20 +239,15 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
     }
 
 
-def _diagnostics(
-    config: RunConfig | None,
-    trace: UsageTrace | None,
-    emissions: EmissionsReport | None,
-) -> dict[str, Any]:
+def _diagnostics(config: RunConfig, trace: UsageTrace) -> dict[str, Any]:
     clamped: list[dict[str, Any]] = []
-    if config is not None and trace is not None and config.clamp_usage:
+    if config.clamp_usage:
         rows = trace.source_rows
         clamped = [
             {"index": index, "row": rows[index] if rows is not None else None}
             for index in clamped_sample_indices(config.server, trace)
         ]
-    uncovered = _uncovered_rows(emissions) if emissions is not None else []
-    return {"clamped_samples": clamped, "uncovered_intervals": uncovered}
+    return {"clamped_samples": clamped}
 
 
 def resolve_intensity(
@@ -282,7 +274,7 @@ def build_estimate_report(
         "schema_version": SCHEMA_VERSION,
         "meta": _meta("estimate", config, trace_digest, window=series.window()),
         "energy": _energy_section(series),
-        "diagnostics": _diagnostics(config, trace, None),
+        "diagnostics": _diagnostics(config, trace),
     }
 
 
@@ -303,7 +295,7 @@ def build_emissions_report(
         "meta": _meta("emissions", config, trace_digest, window=series.window()),
         "energy": energy,
         "operational": _operational_section(emissions, series, config, intensity.region),
-        "diagnostics": _diagnostics(config, trace, emissions),
+        "diagnostics": _diagnostics(config, trace),
     }
 
 
@@ -339,21 +331,17 @@ def build_full_report(
     )
     operational = _operational_section(emissions, series, config, intensity.region)
     embodied = _embodied_section(ledger, consumer_id)
-    totals = compose_totals(
-        operational_kg=emissions.total_kg_co2e,
-        embodied_kg=embodied["total_attributed_kg_co2e"],
-        functional_unit_name=config.functional_unit.name,
-        functional_unit_count=config.functional_unit.count,
-    )
+    unit = config.functional_unit
+    total_kg = emissions.total_kg_co2e + embodied["total_attributed_kg_co2e"]
     sci = {
-        "operational_kg_co2e": totals.operational_kg,
-        "embodied_kg_co2e": totals.embodied_kg,
-        "total_kg_co2e": totals.total_kg,
+        "operational_kg_co2e": emissions.total_kg_co2e,
+        "embodied_kg_co2e": embodied["total_attributed_kg_co2e"],
+        "total_kg_co2e": total_kg,
         "functional_unit": {
-            "name": totals.functional_unit_name,
-            "count": totals.functional_unit_count,
+            "name": unit.name,
+            "count": unit.count,
         },
-        "sci_kg_co2e_per_unit": totals.sci_kg_per_unit,
+        "sci_kg_co2e_per_unit": total_kg / unit.count,
     }
     _require_finite(
         {f"sci.{f}": sci[f] for f in ("total_kg_co2e", "sci_kg_co2e_per_unit")},
@@ -366,7 +354,7 @@ def build_full_report(
         "operational": operational,
         "embodied": embodied,
         "sci": sci,
-        "diagnostics": _diagnostics(config, trace, emissions),
+        "diagnostics": _diagnostics(config, trace),
     }
 
 

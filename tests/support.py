@@ -177,6 +177,21 @@ class OracleResolutionError(ValidationError):
     """Reference-oracle input has a boundary off the whole-second grid."""
 
 
+def intensity_at(
+    intensity: IntensitySeries, t: float, starts: list[int] | None = None
+) -> float | None:
+    """Intensity at instant t, or None when t falls in a gap; a boundary
+    instant belongs to the later window. ``starts``, the entries' start
+    times, saves rebuilding that list for each lookup."""
+    if starts is None:
+        starts = [entry.start for entry in intensity.entries]
+    index = bisect.bisect_right(starts, t) - 1
+    if index < 0:
+        return None
+    entry = intensity.entries[index]
+    return entry.intensity_kg_per_kwh if t < entry.end else None
+
+
 def oracle_emissions(
     energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
 ) -> float:
@@ -198,11 +213,12 @@ def oracle_emissions(
                 f"intensity boundary off the whole-second grid at start={entry.start}"
             )
 
+    starts = [entry.start for entry in intensity.entries]
     total = 0.0
     for interval in energy.entries:
         joules_per_second = interval.joules_total / interval.duration_s
         for second in range(int(interval.start), int(interval.start + interval.duration_s)):
-            value = intensity.value_at(second)
+            value = intensity_at(intensity, second, starts)
             if value is None:
                 continue
             total += value * joules_per_second
@@ -456,6 +472,7 @@ MALFORMED = [
     ("config_nan_pue.json", "config", ParseError, "$.pue"),
     ("config_bad_policy.json", "config", ParseError, "$.coverage_policy"),
     ("config_zero_units.json", "config", ParseError, "$.functional_unit.count"),
+    ("config_fractional_n_cpu.json", "config", ParseError, "integer CPU count, got 2.5 (at $.server.n_cpu)"),
     ("config_bad_tdp.json", "config", SpecError, "tdp_watts"),
     ("config_bad_units_tag.json", "config", SpecError, "u_max_units"),
     ("config_units_not_object.json", "config", SchemaError, "$.server.u_max_units"),

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from carbondef import __version__, cli
+from carbondef import report as report_module
 from carbondef.cli import main
 
 from support import FIXTURES
@@ -39,6 +40,11 @@ def report_schema():
 
 def validate(report, schema):
     jsonschema.validate(report, schema)
+
+
+def test_schema_version_matches_the_reports(report_schema):
+    # a report shape change bumps both, or this fails
+    assert report_schema["properties"]["schema_version"] == {"const": report_module.SCHEMA_VERSION}
 
 
 def invoke(runner, args):
@@ -241,7 +247,7 @@ class TestEmissions:
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         validate(report, report_schema)
-        uncovered = report["diagnostics"]["uncovered_intervals"]
+        uncovered = report["operational"]["uncovered"]
         assert len(uncovered) == 1
         assert uncovered[0]["start"] == 1800
         assert uncovered[0]["kwh"] == pytest.approx(0.5, rel=1e-9)

@@ -21,6 +21,7 @@ from support import (
     bisect_align_segments,
     energy_entry,
     gen_series_pair,
+    intensity_at,
     oracle_emissions,
     rel_close,
 )
@@ -328,15 +329,15 @@ class TestIntensitySeries:
 
     def test_half_open_lookup(self):
         series = constant_intensity(0.4, 0, 100)
-        assert series.value_at(0) == 0.4
-        assert series.value_at(99.5) == 0.4
-        assert series.value_at(100) is None  # boundary belongs to the next window
-        assert series.value_at(-1) is None
+        assert intensity_at(series, 0) == 0.4
+        assert intensity_at(series, 99.5) == 0.4
+        assert intensity_at(series, 100) is None  # boundary belongs to the next window
+        assert intensity_at(series, -1) is None
 
     def test_gap_lookup(self):
         series = IntensitySeries(
             region="ZZ",
             entries=(IntensityEntry(0, 50, 0.4), IntensityEntry(100, 150, 0.2)),
         )
-        assert series.value_at(75) is None
-        assert series.value_at(100) == 0.2
+        assert intensity_at(series, 75) is None
+        assert intensity_at(series, 100) == 0.2

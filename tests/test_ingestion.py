@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from carbondef.errors import NetworkError, ParseError, StaleCacheError
+from carbondef.errors import NetworkError, ParseError
 from carbondef.ingest import (
     TRACE_CSV_HEADER,
     fetch_intensity,
@@ -221,7 +221,13 @@ class TestFetchIntensity:
         with pytest.raises(NetworkError):
             fetch_intensity("http://127.0.0.1:9/feed", "NL", (0, 3600), tmp_path, timeout_s=0.2)
 
-    def test_network_down_stale_fallback(self, feed_server, tmp_path):
+    @staticmethod
+    def assert_one_stale_warning(capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: intensity refresh for 'NL' failed")
+        assert lines[0].endswith(" s ago")
+
+    def test_network_down_stale_fallback(self, feed_server, tmp_path, capsys):
         endpoint = feed_server.endpoint
         fetch_intensity(endpoint, "NL", (0, 3600), tmp_path)
         feed_server.shutdown()
@@ -230,29 +236,27 @@ class TestFetchIntensity:
             endpoint, "NL", (0, 3600), tmp_path, freshness_s=0.0, timeout_s=0.2
         )
         assert len(series.entries) == 2
+        self.assert_one_stale_warning(capsys)
 
-    def test_network_down_strict_freshness(self, feed_server, tmp_path):
-        endpoint = feed_server.endpoint
-        fetch_intensity(endpoint, "NL", (0, 3600), tmp_path)
-        feed_server.shutdown()
-        feed_server.server_close()
-        with pytest.raises(StaleCacheError):
-            fetch_intensity(
-                endpoint, "NL", (0, 3600), tmp_path,
-                freshness_s=0.0, strict_freshness=True, timeout_s=0.2,
-            )
+    def test_fresh_cache_hit_is_silent(self, feed_server, tmp_path, capsys):
+        fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        feed_server.status = 500  # a refresh attempt would fail and warn
+        fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        assert feed_server.hits == 1
+        assert capsys.readouterr().err == ""
 
     def test_http_error_no_cache(self, feed_server, tmp_path):
         feed_server.status = 500
         with pytest.raises(NetworkError):
             fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
 
-    def test_http_error_stale_fallback(self, feed_server, tmp_path):
+    def test_http_error_stale_fallback(self, feed_server, tmp_path, capsys):
         first = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
         feed_server.status = 500
         series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, freshness_s=0.0)
         assert feed_server.hits == 2
         assert series == first
+        self.assert_one_stale_warning(capsys)
 
     # "data:" is a scheme urllib would serve without any network
     @pytest.mark.parametrize("endpoint", ["not a url", "data:,{}"])
