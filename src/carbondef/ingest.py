@@ -33,6 +33,8 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
+from itertools import repeat
+from math import inf
 from pathlib import Path
 from typing import Any
 
@@ -150,21 +152,33 @@ def parse_usage_trace(data: bytes, format: str = "csv") -> UsageTrace:
 
 
 def _parse_trace_csv(data: bytes) -> UsageTrace:
-    text = _decode_utf8(data)
-    lines = text.split("\n")
+    lines = _decode_utf8(data).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise SchemaError("missing header", location="row 1")
     if lines[0] != TRACE_CSV_HEADER:
-        raise SchemaError(
-            f"header must be {TRACE_CSV_HEADER!r}, got {lines[0]!r}", location="row 1"
-        )
+        raise SchemaError(f"header must be {TRACE_CSV_HEADER!r}, got {lines[0]!r}", location="row 1")
+    del lines[0]
 
-    samples: list[UsageSample] = []
-    rows: list[int] = []
-    for offset, line in enumerate(lines[1:]):
-        row = offset + 2
+    # the whole body column by column; any fault leaves its location to the row loop
+    try:
+        if set(map(str.count, lines, repeat(","))) - {5}:
+            raise ValueError("a row without 6 fields")
+        fields = ",".join(lines).split(",") if lines else []
+        start = list(map(int, fields[0::6]))
+        if start and not -_EPOCH_LIMIT <= min(start) <= max(start) <= _EPOCH_LIMIT:
+            raise ValueError("an epoch beyond ±2**53")
+        values = [list(map(float, fields[k::6])) for k in range(1, 6)]
+        return UsageTrace(columns=(start, *values), source_rows=range(2, len(lines) + 2))
+    except ValueError:
+        _locate_csv_fault(lines)
+        raise
+
+
+def _locate_csv_fault(lines: list[str]) -> None:
+    """Raise the ParseError of the first faulty body row, as a row-by-row parse would."""
+    for row, line in enumerate(lines, 2):
         location = f"row {row}"
         fields = line.split(",")
         if len(fields) != 6:
@@ -172,10 +186,8 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
         try:
             start = int(fields[0])
         except ValueError as exc:
-            raise ParseError(
-                f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}",
-                location=location,
-            ) from exc
+            message = f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}"
+            raise ParseError(message, location=location) from exc
         if abs(start) > _EPOCH_LIMIT:
             raise ParseError("timestamp_utc beyond ±2**53", location=location)
         try:
@@ -183,49 +195,49 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=location) from exc
         try:
-            samples.append(UsageSample(start, *values))
+            UsageSample(start, *values)
         except ValueError as exc:
             raise ParseError(str(exc), location=location) from exc
-        rows.append(row)
-
-    return UsageTrace(samples=tuple(samples), source_rows=tuple(rows))
 
 
 def _parse_trace_json(data: bytes) -> UsageTrace:
-    doc = _decode_json(data)
-    raw_samples = _require(doc, "samples", "$")
+    raw_samples = _require(_decode_json(data), "samples", "$")
     if not isinstance(raw_samples, list):
         raise SchemaError("'samples' must be an array", location="$.samples")
 
-    samples: list[UsageSample] = []
+    # the whole array key by key; any fault leaves its location to the sample loop
+    try:
+        start, *values = [[raw[key] for raw in raw_samples] for key in TRACE_FIELDS]
+        if set(map(type, start)) - {int} or start and not -_EPOCH_LIMIT <= min(start) <= max(start) <= _EPOCH_LIMIT:
+            raise ValueError("a start that is no epoch")
+        if any(set(map(type, column)) - {int, float} or not max(map(abs, column), default=0) <= sys.float_info.max
+               for column in values):  # _number's test: a bool is an int, an int may pass the float range
+            raise ValueError("a value that is no finite number")
+        return UsageTrace(columns=(start, *(list(map(float, column)) for column in values)))
+    except (KeyError, TypeError, ValueError):
+        _locate_json_fault(raw_samples)
+        raise
+
+
+def _locate_json_fault(raw_samples: list) -> None:
+    """Raise the error of the first faulty sample, as a sample-by-sample parse would."""
     for index, raw in enumerate(raw_samples):
         location = f"samples[{index}]"
         start = _integer(_require(raw, "start", location), f"{location}.start")
-        values = [
-            _number(_require(raw, key, location), f"{location}.{key}")
-            for key in TRACE_FIELDS[1:]
-        ]
+        values = [_number(_require(raw, key, location), f"{location}.{key}") for key in TRACE_FIELDS[1:]]
         try:
-            samples.append(UsageSample(start, *values))
+            UsageSample(start, *values)
         except ValueError as exc:
             raise ParseError(str(exc), location=location) from exc
-
-    return UsageTrace(samples=tuple(samples))
 
 
 def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
     """Canonical bytes for a trace; floats use shortest round-trip form."""
     if format == "csv":
-        lines = [TRACE_CSV_HEADER]
-        for sample in trace.samples:
-            lines.append(
-                f"{sample.start},{sample.duration_s!r},{sample.u_cpu!r},"
-                f"{sample.u_mem!r},{sample.u_io!r},{sample.u_net!r}"
-            )
+        lines = [TRACE_CSV_HEADER, *map("%r,%r,%r,%r,%r,%r".__mod__, zip(*trace.columns))]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        rows = [(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in trace.samples]
-        return canonical_json({"samples": [dict(zip(TRACE_FIELDS, row)) for row in rows]})
+        return canonical_json({"samples": [dict(zip(TRACE_FIELDS, row)) for row in zip(*trace.columns)]})
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
@@ -396,8 +408,9 @@ class FunctionalUnit:
     count: float
 
     def __post_init__(self):
-        if not self.count > 0:
-            raise ValueError(f"functional unit count must be > 0, got {self.count}")
+        if not 0 < self.count < inf:
+            bound = "finite" if self.count > 0 else "> 0"
+            raise ValueError(f"functional unit count must be {bound}, got {self.count}")
 
 
 @dataclass(frozen=True)

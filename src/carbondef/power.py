@@ -12,9 +12,11 @@ All power figures are watts; energy is joules over half-open intervals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from itertools import chain, compress, count, islice, repeat
 from math import inf
-from typing import Iterator, NamedTuple, Sequence
+from operator import add, gt, itemgetter, le, ne
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
 
@@ -69,6 +71,16 @@ class ServerSpec:
     u_max_units: UnitTags = field(default_factory=UnitTags)
 
 
+def _sample_fault(duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
+    """Why a sample breaks the field condition, duration in (0, inf) and usages in [0, inf), or None."""
+    if not 0 < duration_s < inf:
+        return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {duration_s}"
+    for component, usage in zip(COMPONENTS, (u_cpu, u_mem, u_io, u_net)):
+        if not 0 <= usage < inf:
+            return f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}"
+    return None
+
+
 @dataclass(frozen=True)
 class UsageSample:
     """Resource usage aggregated over one half-open interval."""
@@ -81,50 +93,61 @@ class UsageSample:
     u_net: float
 
     def __post_init__(self):
-        # one chained comparison per field: NaN and +-inf fail each of them
-        if not 0 < self.duration_s < inf:
-            bound = "> 0" if self.duration_s <= 0 else "finite"
-            raise ValueError(f"duration_s must be {bound}, got {self.duration_s}")
-        if not (0 <= self.u_cpu < inf and 0 <= self.u_mem < inf
-                and 0 <= self.u_io < inf and 0 <= self.u_net < inf):
-            for component in COMPONENTS:
-                usage = getattr(self, f"u_{component}")
-                if not 0 <= usage < inf:
-                    raise ValueError(f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}")
+        if (fault := _sample_fault(self.duration_s, self.u_cpu, self.u_mem, self.u_io, self.u_net)) is not None:
+            raise ValueError(fault)
 
     @property
     def end(self) -> float:
         return self.start + self.duration_s
 
 
-@dataclass(frozen=True)
-class UsageTrace:
-    """Sorted, non-overlapping usage samples; construction raises
-    TraceOrderError otherwise, the one place trace order is checked.
+def _columns(samples: Iterable[UsageSample]) -> tuple[list, ...]:
+    rows = [(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in samples]
+    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [], [], [])
 
-    ``source_rows`` keeps the originating input row per sample so later
-    diagnostics (clamping, range errors) can name the offending line.
+
+class UsageTrace:
+    """Sorted, non-overlapping usage samples as six read-only ``columns``, one
+    list per UsageSample field, built from samples or in bulk (``columns=``);
+    ``samples`` are built on demand. Construction checks each column once
+    against UsageSample's field condition (ValueError) and the order, the one
+    place it is checked (TraceOrderError), walking rows only to name a sample.
+    ``source_rows`` keeps each sample's input row for later diagnostics.
     """
 
-    samples: tuple[UsageSample, ...]
-    source_rows: tuple[int, ...] | None = None
+    __slots__ = ("columns", "source_rows", "__weakref__")
 
-    def __post_init__(self):
-        previous_end = None
-        for index, sample in enumerate(self.samples):
-            if previous_end is not None and sample.start < previous_end:
-                row = f" (row {self.source_rows[index]})" if self.source_rows is not None else ""
-                raise TraceOrderError(
-                    f"sample {index}{row} starts at {sample.start}, "
-                    f"before previous sample end {previous_end}"
-                )
-            previous_end = sample.end
+    def __init__(self, samples: Iterable[UsageSample] = (), source_rows: Sequence[int] | None = None,
+                 *, columns: tuple[list, ...] | None = None):
+        self.columns = start, duration_s, *usages = _columns(samples) if columns is None else tuple(columns)
+        self.source_rows = rows = None if source_rows is None else tuple(source_rows)
+        if len(self.columns) != 6 or len(set(map(len, self.columns))) > 1:
+            raise ValueError("a trace is six columns of one length")
+        at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
+        in_range = 0 < min(duration_s, default=1) and max(duration_s, default=0) < inf and all(
+            0 <= min(usage, default=0) and max(usage, default=0) < inf for usage in usages)
+        # NaN is the one value unequal to itself; without one, min and max bound a column
+        if not in_range or any(map(ne, chain(duration_s, *usages), chain(duration_s, *usages))):
+            for index, values in enumerate(zip(duration_s, *usages)):
+                if (fault := _sample_fault(*values)) is not None:
+                    raise ValueError(f"{at(index)}: {fault}")
+        if not all(map(le, map(add, start, duration_s), islice(start, 1, None))):
+            for index, (begin, previous_end) in enumerate(zip(start[1:], map(add, start, duration_s)), 1):
+                if begin < previous_end:
+                    raise TraceOrderError(f"{at(index)} starts at {begin}, before previous sample end {previous_end}")
+
+    @property
+    def samples(self) -> tuple[UsageSample, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.columns[0])
 
     def __iter__(self) -> Iterator[UsageSample]:
-        return iter(self.samples)
+        return map(UsageSample, *self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UsageTrace) and (self.columns, self.source_rows) == (other.columns, other.source_rows)
 
 
 class EnergyEntry(NamedTuple):
@@ -148,19 +171,20 @@ class EnergySeries:
     entries: tuple[EnergyEntry, ...]
 
     def __post_init__(self):
-        previous_start = -inf
-        for entry in self.entries:
-            if entry.joules_total < 0 or any(j < 0 for j in entry.joules_by_component):
-                raise ValueError("energy values must be >= 0")
-            if entry.start < previous_start:  # align_segments merges in start order
-                raise ValueError(f"energy entries out of start order at start={entry.start}")
-            previous_start = entry.start
+        entries = self.entries
+        # C-level passes; a NaN compares false, so it passes as in a walk over the entries
+        if any(map(gt, repeat(0), chain(map(itemgetter(2), entries), chain.from_iterable(map(itemgetter(3), entries))))):
+            raise ValueError("energy values must be >= 0")
+        later = map(itemgetter(0), islice(entries, 1, None))
+        unordered = compress(islice(entries, 1, None), map(gt, map(itemgetter(0), entries), later))
+        if (entry := next(unordered, None)) is not None:  # align_segments merges in start order
+            raise ValueError(f"energy entries out of start order at start={entry.start}")
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def total_joules(self) -> float:
-        return sum(entry.joules_total for entry in self.entries)
+        return sum(map(itemgetter(2), self.entries))
 
     def window(self) -> tuple[float, float] | None:
         """(start of first entry, end of last entry), or None when empty."""
@@ -205,8 +229,8 @@ def validate_spec(spec: ServerSpec) -> ServerSpec:
 
 
 def _energy_kernel(spec: ServerSpec, clamp: bool):
-    """``row(sample, duration)``: the EnergyEntry of ``sample`` held for
-    ``duration`` seconds, by the model's one formula with the spec's
+    """``row(start, duration, u_cpu, u_mem, u_io, u_net)``: the EnergyEntry
+    of one sample's fields, by the model's one formula with the spec's
     constants taken once. A usage above its maximum raises UsageOutOfRange,
     or with ``clamp`` counts as the maximum."""
     anchor = spec.tdp_watts * spec.n_cpu
@@ -214,8 +238,7 @@ def _energy_kernel(spec: ServerSpec, clamp: bool):
     limits = l_cpu, l_mem, l_io, l_net = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
     s_mem, s_io, s_net = alpha.mem / alpha.cpu, alpha.io / alpha.cpu, alpha.net / alpha.cpu
 
-    def row(sample: UsageSample, duration: float) -> EnergyEntry:
-        u_cpu, u_mem, u_io, u_net = sample.u_cpu, sample.u_mem, sample.u_io, sample.u_net
+    def row(start: int, duration: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> EnergyEntry:
         if u_cpu > l_cpu or u_mem > l_mem or u_io > l_io or u_net > l_net:
             usages = (u_cpu, u_mem, u_io, u_net)
             for component, usage, limit in zip(COMPONENTS, usages, limits):
@@ -230,7 +253,7 @@ def _energy_kernel(spec: ServerSpec, clamp: bool):
             idle * duration,
         )
         total = joules[0] + joules[1] + joules[2] + joules[3] + joules[4]
-        return EnergyEntry(sample.start, duration, total, joules)
+        return EnergyEntry(start, duration, total, joules)
 
     return row
 
@@ -247,7 +270,7 @@ def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) 
     is False; with ``clamp`` the usage is cut to the maximum instead.
     """
     # the energy of one second is the power: x * 1.0 == x for every float
-    watts = _energy_kernel(spec, clamp)(sample, 1.0).joules_by_component
+    watts = _energy_kernel(spec, clamp)(sample.start, 1.0, *astuple(sample)[2:]).joules_by_component
     return dict(zip(ENERGY_SOURCES, watts))
 
 
@@ -265,7 +288,7 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
 
 def energy_over_interval(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> EnergyEntry:
     """Energy for one sample, treating usage as constant over the interval."""
-    return _energy_kernel(spec, clamp)(sample, sample.duration_s)
+    return _energy_kernel(spec, clamp)(*astuple(sample))
 
 
 def trace_to_energy_series(
@@ -284,7 +307,7 @@ def trace_to_energy_series(
         trace = UsageTrace(samples=tuple(trace))
     row = _energy_kernel(spec, clamp)
     try:
-        entries = tuple([row(sample, sample.duration_s) for sample in trace.samples])
+        entries = tuple(map(row, *trace.columns))
     except UsageOutOfRange as exc:
         # the kernel raised for the first sample over a limit
         raise UsageOutOfRange(f"sample {clamped_sample_indices(spec, trace)[0]}: {exc}") from exc
@@ -293,6 +316,7 @@ def trace_to_energy_series(
 
 def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace | Sequence[UsageSample]) -> list[int]:
     """Indices of samples with any usage above its maximum (diagnostics)."""
-    l_cpu, l_mem, l_io, l_net = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
-    return [index for index, s in enumerate(trace)
-            if s.u_cpu > l_cpu or s.u_mem > l_mem or s.u_io > l_io or s.u_net > l_net]
+    columns = trace.columns if isinstance(trace, UsageTrace) else _columns(trace)
+    limits = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
+    over = (compress(count(), map(gt, usage, repeat(limit))) for usage, limit in zip(columns[2:], limits))
+    return sorted(set().union(*over))

@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from . import __version__
@@ -141,7 +142,7 @@ _UNCOVERED_KEYS = ("start", "duration_s", "kwh")
 
 def _energy_section(series: EnergySeries) -> dict[str, Any]:
     by_component = {
-        source: sum(entry.joules_by_component[position] for entry in series.entries) / JOULES_PER_KWH
+        source: sum(map(itemgetter(position), map(itemgetter(3), series.entries))) / JOULES_PER_KWH
         for position, source in enumerate(ENERGY_SOURCES)
     }
     kwh_total = series.total_joules() / JOULES_PER_KWH

@@ -26,6 +26,7 @@ from carbondef import (
     ServerSpec,
     SharingProfile,
     UsageSample,
+    UsageTrace,
 )
 from carbondef.errors import (
     AllocationError,
@@ -417,6 +418,72 @@ def naive_csv_bytes(report: dict[str, Any]) -> bytes:
             rows.append(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
         return _csv_bytes(["section", "id", "start", "duration_s", "metric", "value"], rows)
     raise ValueError(f"unknown report type {report_type!r}")
+
+def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
+    """Reference for ``parse_usage_trace``: one UsageSample per row or
+    sample, each checked as it is read, then one walk over the samples for
+    the order, naming the first sample that starts before its predecessor ends."""
+    from carbondef.ingest import (
+        _EPOCH_LIMIT, TRACE_CSV_HEADER, TRACE_FIELDS, _decode_json, _decode_utf8, _integer, _number, _require,
+    )
+
+    samples: list[UsageSample] = []
+    rows: list[int] | None = None
+    if format == "csv":
+        lines = _decode_utf8(data).split("\n")
+        if lines and lines[-1] == "":
+            lines.pop()
+        if not lines:
+            raise SchemaError("missing header", location="row 1")
+        if lines[0] != TRACE_CSV_HEADER:
+            raise SchemaError(f"header must be {TRACE_CSV_HEADER!r}, got {lines[0]!r}", location="row 1")
+        rows = []
+        for row, line in enumerate(lines[1:], 2):
+            location = f"row {row}"
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise ParseError(f"expected 6 fields, got {len(fields)}", location=location)
+            try:
+                start = int(fields[0])
+            except ValueError:
+                raise ParseError(
+                    f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}", location=location
+                ) from None
+            if abs(start) > _EPOCH_LIMIT:
+                raise ParseError("timestamp_utc beyond ±2**53", location=location)
+            try:
+                values = [float(field) for field in fields[1:]]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", location=location) from None
+            try:
+                samples.append(UsageSample(start, *values))
+            except ValueError as exc:
+                raise ParseError(str(exc), location=location) from None
+            rows.append(row)
+    elif format == "json":
+        raw_samples = _require(_decode_json(data), "samples", "$")
+        if not isinstance(raw_samples, list):
+            raise SchemaError("'samples' must be an array", location="$.samples")
+        for index, raw in enumerate(raw_samples):
+            location = f"samples[{index}]"
+            start = _integer(_require(raw, "start", location), f"{location}.start")
+            values = [_number(_require(raw, key, location), f"{location}.{key}") for key in TRACE_FIELDS[1:]]
+            try:
+                samples.append(UsageSample(start, *values))
+            except ValueError as exc:
+                raise ParseError(str(exc), location=location) from None
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+    for index in range(1, len(samples)):
+        previous_end = samples[index - 1].end
+        if samples[index].start < previous_end:
+            row = f" (row {rows[index]})" if rows is not None else ""
+            raise TraceOrderError(
+                f"sample {index}{row} starts at {samples[index].start}, before previous sample end {previous_end}"
+            )
+    return UsageTrace(samples=tuple(samples), source_rows=None if rows is None else tuple(rows))
+
 
 # (fixture file, parser kind, expected error class, location marker in str(exc))
 MALFORMED = [

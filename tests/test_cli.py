@@ -14,9 +14,10 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from carbondef import __version__, cli
+from carbondef import UsageSample, __version__, cli
 from carbondef import report as report_module
 from carbondef.cli import main
+from carbondef.ingest import parse_usage_trace, serialize_usage_trace
 
 from support import FIXTURES
 
@@ -459,6 +460,28 @@ class TestCommandLifecycle:
         assert result.exit_code == code
         assert during == [False]
         assert after is enabled_before
+
+    @pytest.mark.parametrize("trace", ["trace_full_load.csv", "trace_over_max.csv", "trace_over_max.json"])
+    def test_report_path_builds_no_usage_sample(self, runner, monkeypatch, tmp_path, trace):
+        # the trace stays six columns from parse to report: no per-sample object
+        if trace.endswith(".json"):
+            (tmp_path / trace).write_bytes(
+                serialize_usage_trace(parse_usage_trace((CLI / "trace_over_max.csv").read_bytes()), "json")
+            )
+        calls = []
+        real_post_init = UsageSample.__post_init__
+
+        def post_init(self):
+            calls.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(UsageSample, "__post_init__", post_init)
+        path = tmp_path / trace if trace.endswith(".json") else CLI / trace
+        result = invoke(runner, TRACE_COMMANDS["report"] + ["--trace", str(path), "--clamp-usage"])
+        assert result.exit_code == 0
+        assert calls == []
+        UsageSample(0, 1.0, 0, 0, 0, 0)  # and the counter does see a sample built
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
     def test_inputs_released_before_rendering(self, runner, monkeypatch, command):

@@ -1,12 +1,16 @@
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carbondef.errors import NetworkError, ParseError
+from carbondef.errors import NetworkError, ParseError, ValidationError
 from carbondef.ingest import (
     TRACE_CSV_HEADER,
+    TRACE_FIELDS,
     fetch_intensity,
     load_config,
     parse_config,
@@ -18,7 +22,7 @@ from carbondef.ingest import (
     serialize_usage_trace,
 )
 
-from support import FIXTURES, MALFORMED, parse_malformed
+from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed
 
 CANONICAL = FIXTURES / "canonical"
 CLI = FIXTURES / "cli"
@@ -61,6 +65,68 @@ class TestTraceParsing:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_usage_trace(b"", "yaml")
+
+
+# one field of one sample replaced, as (CSV cell, JSON value); None drops the field
+TRACE_MUTATIONS = {
+    "nan": ("nan", math.nan), "inf": ("inf", math.inf), "negative": ("-1", -1), "zero": ("0", 0),
+    "bool": ("True", True), "huge": ("1" + "0" * 400, 10**400), "text": ("x", "x"), "missing": (None, None),
+    # an integer past the largest float that float() still rounds down to it
+    "past float max": (str(int(sys.float_info.max) + 1), int(sys.float_info.max) + 1),
+}
+
+
+@st.composite
+def mutated_traces(draw):
+    """(bytes, format) of a valid trace, or of one with a single fault: a
+    mutated field, a field too many or an overlapping start."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    rows, start = [], draw(st.integers(-(10**6), 2 * 10**9))
+    for _ in range(draw(st.integers(0, 6))):
+        duration = draw(st.sampled_from([1, 15, 300.0, 0.5, 3600.25]))
+        usages = draw(st.lists(st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e12)), min_size=4, max_size=4))
+        rows.append([start, duration, *usages])
+        start += math.ceil(duration) + draw(st.sampled_from([0, 0, 7]))
+    fault = draw(st.sampled_from([None, "extra field", "overlap", *TRACE_MUTATIONS]))
+    index = draw(st.integers(0, max(len(rows) - 1, 0)))
+    field = draw(st.integers(0, 5))
+    if rows and fault == "overlap" and index > 0:
+        rows[index][0] = rows[index - 1][0] + 1
+    elif rows and fault in TRACE_MUTATIONS:
+        rows[index][field] = TRACE_MUTATIONS[fault][fmt == "json"]
+    if fmt == "json":
+        samples = [{key: value for key, value in zip(TRACE_FIELDS, row) if value is not None} for row in rows]
+        if rows and fault == "extra field":
+            samples[index]["extra"] = 1
+        return json.dumps({"samples": samples}).encode(), fmt
+    lines = [",".join(str(value) for value in row if value is not None) for row in rows]
+    if rows and fault == "extra field":
+        lines[index] += ",1"
+    return "\n".join([TRACE_CSV_HEADER, *lines, ""]).encode(), fmt
+
+
+def parse_outcome(parse, data, fmt):
+    try:
+        trace = parse(data, fmt)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "location", None)
+    return trace, repr(trace.columns)
+
+
+class TestBulkParseAgainstReference:
+    """The column-wise parsers against the row-by-row reference in support.py:
+    the same trace, bit for bit, or the same error class, message and location."""
+
+    @settings(max_examples=300)
+    @given(mutated_traces())
+    def test_same_trace_or_same_error(self, trace_input):
+        data, fmt = trace_input
+        assert parse_outcome(parse_usage_trace, data, fmt) == parse_outcome(naive_parse_trace, data, fmt)
+
+    @pytest.mark.parametrize("filename,kind", [row[:2] for row in MALFORMED if row[1].startswith("trace_")])
+    def test_malformed_traces_match_reference(self, filename, kind):
+        data, fmt = (FIXTURES / "malformed" / filename).read_bytes(), kind.removeprefix("trace_")
+        assert parse_outcome(parse_usage_trace, data, fmt) == parse_outcome(naive_parse_trace, data, fmt)
 
 
 class TestIntensityParsing:

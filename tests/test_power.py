@@ -9,6 +9,7 @@ from carbondef import (
     PerComponent,
     ServerSpec,
     UsageSample,
+    UsageTrace,
     component_power,
     energy_over_interval,
     marginal_power,
@@ -288,6 +289,36 @@ class TestUsageSample:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             UsageSample(**fields)
+
+
+class TestUsageTraceColumns:
+    SAMPLES = (UsageSample(0, 60.0, 1.0, 0, 0, 0), UsageSample(60, 30.0, 2.0, 5.0, 0, 0), UsageSample(95, 5.0, 0, 0, 0, 1.0))
+
+    def test_columns_and_samples_on_demand(self):
+        trace = UsageTrace(samples=self.SAMPLES, source_rows=(2, 3, 4))
+        assert trace.columns == ([0, 60, 95], [60.0, 30.0, 5.0], [1.0, 2.0, 0], [0, 5.0, 0], [0, 0, 0], [0, 0, 1.0])
+        assert trace == UsageTrace(columns=trace.columns, source_rows=[2, 3, 4])
+        assert trace.samples == self.SAMPLES and tuple(trace) == self.SAMPLES and len(trace) == 3
+        assert trace.source_rows == (2, 3, 4) and trace != UsageTrace(samples=self.SAMPLES)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("field", range(1, 6))
+    def test_field_fault_names_the_sample(self, field, value):
+        # a NaN past a column's first value hides from min and max
+        columns = UsageTrace(samples=self.SAMPLES).columns
+        columns[field][2] = value
+        with pytest.raises(ValueError, match=rf"^sample 2 \(row 4\): {'duration_s' if field == 1 else 'u_'}"):
+            UsageTrace(columns=columns, source_rows=(2, 3, 4))
+
+    def test_order_fault_names_the_sample(self):
+        columns = UsageTrace(samples=self.SAMPLES).columns
+        columns[0][2] = 89
+        with pytest.raises(TraceOrderError, match=r"^sample 2 \(row 4\) starts at 89, before previous sample end 90.0$"):
+            UsageTrace(columns=columns, source_rows=(2, 3, 4))
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="six columns of one length"):
+            UsageTrace(columns=([0], [1.0], [0], [0], [0], []))
 
 
 def gen_trace(rng: random.Random, spec: ServerSpec) -> list[UsageSample]:

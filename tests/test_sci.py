@@ -108,6 +108,11 @@ class TestSci:
             with pytest.raises(ValueError, match="functional unit count must be > 0"):
                 FunctionalUnit("api_call", count)
 
+    def test_infinite_units_rejected(self):
+        # a library caller's inf would render as "count": Infinity
+        with pytest.raises(ValueError, match="functional unit count must be finite, got inf"):
+            FunctionalUnit("api_call", math.inf)
+
     @settings(max_examples=30)
     @given(st.floats(1e-6, 1e9), pues)
     def test_round_trip(self, count, pue):
