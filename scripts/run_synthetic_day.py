@@ -26,7 +26,6 @@ from carbondef import (
     idle_residual,
     operational_emissions,
     trace_to_energy_series,
-    validate_spec,
 )
 from carbondef.grid import JOULES_PER_KWH
 
@@ -34,14 +33,12 @@ DAY = 86400
 T0 = 1700000000  # midnight UTC
 
 # illustrative parameters, not vendor data
-SPEC = validate_spec(
-    ServerSpec(
-        tdp_watts=120.0,
-        n_cpu=2,
-        alpha=PerComponent(cpu=0.55, mem=0.25, io=0.12, net=0.08),
-        u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
-        idle_watts=35.0,
-    )
+SPEC = ServerSpec(
+    tdp_watts=120.0,
+    n_cpu=2,
+    alpha=PerComponent(cpu=0.55, mem=0.25, io=0.12, net=0.08),
+    u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
+    idle_watts=35.0,
 )
 
 

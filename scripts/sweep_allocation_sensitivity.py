@@ -16,7 +16,6 @@ from carbondef import (
     ServerSpec,
     UsageSample,
     component_power,
-    validate_spec,
 )
 
 BASE_REST = (0.25, 0.15, 0.10)  # mem : io : net proportions of the non-cpu share
@@ -25,18 +24,16 @@ BASE_REST = (0.25, 0.15, 0.10)  # mem : io : net proportions of the non-cpu shar
 def spec_for(cpu_share: float) -> ServerSpec:
     rest = 1.0 - cpu_share
     weight = sum(BASE_REST)
-    return validate_spec(
-        ServerSpec(
-            tdp_watts=120.0,
-            n_cpu=2,
-            alpha=PerComponent(
-                cpu=cpu_share,
-                mem=rest * BASE_REST[0] / weight,
-                io=rest * BASE_REST[1] / weight,
-                net=rest * BASE_REST[2] / weight,
-            ),
-            u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
-        )
+    return ServerSpec(
+        tdp_watts=120.0,
+        n_cpu=2,
+        alpha=PerComponent(
+            cpu=cpu_share,
+            mem=rest * BASE_REST[0] / weight,
+            io=rest * BASE_REST[1] / weight,
+            net=rest * BASE_REST[2] / weight,
+        ),
+        u_max=PerComponent(cpu=16.0, mem=128e9, io=2e12, net=1e12),
     )
 
 

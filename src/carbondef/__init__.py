@@ -42,5 +42,4 @@ from .power import (
     energy_over_interval,
     marginal_power,
     trace_to_energy_series,
-    validate_spec,
 )

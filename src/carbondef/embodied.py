@@ -110,7 +110,10 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Objects plus consumption records; build with :meth:`build`.
+    """Objects plus consumption records, checked at construction: a record
+    naming an unknown object raises LedgerReferenceError, a profile outside
+    its object's lifespan ProfileOutOfLifespan, and fractions on one object
+    summing past 1 (within 1e-9) at any instant OversubscriptionError.
 
     Built single-writer and then treated as immutable; queries are pure.
     Construction indexes the records by object and by consumer, in ledger order.
@@ -124,9 +127,18 @@ class Ledger:
     def __post_init__(self):
         by_object: dict[str, list[ConsumptionRecord]] = {}
         by_consumer: dict[str, list[ConsumptionRecord]] = {}
-        for record in self.records:
+        for index, record in enumerate(self.records):
+            obj = self.objects.get(record.object_id)
+            if obj is None:
+                raise LedgerReferenceError(
+                    f"record references unknown object {record.object_id!r}",
+                    location=f"records[{index}]",
+                )
+            _check_within_lifespan(obj, record, f"records[{index}]: ")
             by_object.setdefault(record.object_id, []).append(record)
             by_consumer.setdefault(record.consumer_id, []).append(record)
+        for object_id in self.objects:
+            _check_oversubscription(object_id, [s for r in by_object.get(object_id, ()) for s in r.profile.steps])
         object.__setattr__(self, "_by_object", by_object)
         object.__setattr__(self, "_by_consumer", by_consumer)
 
@@ -136,36 +148,13 @@ class Ledger:
         objects: Iterable[EmbodiedObject],
         records: Iterable[ConsumptionRecord],
     ) -> Ledger:
-        """Validate cross-references, lifespan containment, and sharing caps.
-
-        Raises:
-            ValueError: duplicate object id.
-            LedgerReferenceError: record referencing an unknown object.
-            ProfileOutOfLifespan: profile outside the object's lifespan.
-            OversubscriptionError: instantaneous fractions on one object
-                summing past 1 (within 1e-9).
-        """
+        """Index ``objects`` by id (ValueError on a duplicate) and construct the ledger."""
         by_id: dict[str, EmbodiedObject] = {}
         for obj in objects:
             if obj.id in by_id:
                 raise ValueError(f"duplicate object id {obj.id!r}")
             by_id[obj.id] = obj
-
-        record_tuple = tuple(records)
-        for index, record in enumerate(record_tuple):
-            obj = by_id.get(record.object_id)
-            if obj is None:
-                raise LedgerReferenceError(
-                    f"record references unknown object {record.object_id!r}",
-                    location=f"records[{index}]",
-                )
-            _check_within_lifespan(obj, record, f"records[{index}]: ")
-
-        ledger = cls(objects=by_id, records=record_tuple)
-        for object_id in by_id:
-            steps = [s for r in ledger.records_for_object(object_id) for s in r.profile.steps]
-            _check_oversubscription(object_id, steps)
-        return ledger
+        return cls(objects=by_id, records=tuple(records))
 
     def records_for_object(self, object_id: str) -> tuple[ConsumptionRecord, ...]:
         return tuple(self._by_object.get(object_id, ()))
@@ -228,6 +217,10 @@ def attribute_shared(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
     A constant fraction-1 profile reproduces attribute_simple exactly.
     """
     _check_within_lifespan(obj, record)
+    return _attributed(obj, record)
+
+
+def _attributed(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
     return lifecycle_total(obj) * record.profile.weighted_seconds() / obj.lifespan_s
 
 
@@ -248,7 +241,7 @@ def consumer_embodied(ledger: Ledger, consumer_id: str) -> ConsumerAttribution:
     by_object: dict[str, float] = {}
     total = 0.0
     for record in ledger.records_for_consumer(consumer_id):
-        kg = attribute_shared(ledger.objects[record.object_id], record)
+        kg = _attributed(ledger.objects[record.object_id], record)
         by_object[record.object_id] = by_object.get(record.object_id, 0.0) + kg
         total += kg
     return ConsumerAttribution(consumer_id=consumer_id, total_kg=total, by_object=by_object)
@@ -259,7 +252,5 @@ def idle_residual(ledger: Ledger, object_id: str) -> float:
     obj = ledger.objects.get(object_id)
     if obj is None:
         raise UnknownObject(f"unknown object {object_id!r}")
-    attributed = sum(
-        attribute_shared(obj, record) for record in ledger.records_for_object(object_id)
-    )
+    attributed = sum(_attributed(obj, record) for record in ledger.records_for_object(object_id))
     return lifecycle_total(obj) - attributed

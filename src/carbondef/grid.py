@@ -35,15 +35,17 @@ class IntensityEntry:
     intensity_kg_per_kwh: float
 
     def __post_init__(self):
+        intensity = self.intensity_kg_per_kwh
+        if not 0 <= intensity < inf:
+            raise ValueError(f"intensity_kg_per_kwh must be {'>= 0' if -inf < intensity < 0 else 'finite'}, got {intensity}")
         if self.end <= self.start:
-            raise ValueError(f"intensity entry end {self.end} <= start {self.start}")
-        if not 0 <= self.intensity_kg_per_kwh < inf:
-            raise ValueError(f"intensity must be finite and >= 0, got {self.intensity_kg_per_kwh}")
+            raise ValueError(f"end {self.end} must be > start {self.start}")
 
 
 @dataclass(frozen=True)
 class IntensitySeries:
-    """Piecewise-constant intensity for one region; gaps are allowed."""
+    """Piecewise-constant intensity for one region: entries sorted by start,
+    none overlapping the previous one; gaps are allowed."""
 
     region: str
     entries: tuple[IntensityEntry, ...]
@@ -52,9 +54,7 @@ class IntensitySeries:
         previous_end = None
         for entry in self.entries:
             if previous_end is not None and entry.start < previous_end:
-                raise ValueError(
-                    f"intensity entries unsorted or overlapping at start={entry.start}"
-                )
+                raise ValueError(f"entry [{entry.start}, {entry.end}) overlaps the previous one")
             previous_end = entry.end
 
 

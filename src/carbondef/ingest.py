@@ -35,6 +35,7 @@ import urllib.request
 from dataclasses import dataclass
 from itertools import repeat
 from math import inf
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .embodied import ConsumptionRecord, EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import COMPONENTS, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, validate_spec
+from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -117,14 +118,10 @@ def _number(value: Any, location: str) -> float:
     return float(value)
 
 
-# an integer within ±2**53 is exact as a float, and an epoch's ``start + duration_s`` stays finite
-_EPOCH_LIMIT = 2**53
-
-
 def _integer(value: Any, location: str, expected: str = "integer epoch seconds") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"expected {expected}, got {value!r}", location=location)
-    if abs(value) > _EPOCH_LIMIT:
+    if abs(value) > EPOCH_LIMIT:
         raise ParseError("integer beyond ±2**53", location=location)
     return value
 
@@ -167,8 +164,6 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
             raise ValueError("a row without 6 fields")
         fields = ",".join(lines).split(",") if lines else []
         start = list(map(int, fields[0::6]))
-        if start and not -_EPOCH_LIMIT <= min(start) <= max(start) <= _EPOCH_LIMIT:
-            raise ValueError("an epoch beyond ±2**53")
         values = [list(map(float, fields[k::6])) for k in range(1, 6)]
         return UsageTrace(columns=(start, *values), source_rows=range(2, len(lines) + 2))
     except ValueError:
@@ -188,7 +183,7 @@ def _locate_csv_fault(lines: list[str]) -> None:
         except ValueError as exc:
             message = f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}"
             raise ParseError(message, location=location) from exc
-        if abs(start) > _EPOCH_LIMIT:
+        if abs(start) > EPOCH_LIMIT:
             raise ParseError("timestamp_utc beyond ±2**53", location=location)
         try:
             values = [float(field) for field in fields[1:]]
@@ -208,8 +203,8 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
     # the whole array key by key; any fault leaves its location to the sample loop
     try:
         start, *values = [[raw[key] for raw in raw_samples] for key in TRACE_FIELDS]
-        if set(map(type, start)) - {int} or start and not -_EPOCH_LIMIT <= min(start) <= max(start) <= _EPOCH_LIMIT:
-            raise ValueError("a start that is no epoch")
+        if set(map(type, start)) - {int}:
+            raise ValueError("a start that is no integer")
         if any(set(map(type, column)) - {int, float} or not max(map(abs, column), default=0) <= sys.float_info.max
                for column in values):  # _number's test: a bool is an int, an int may pass the float range
             raise ValueError("a value that is no finite number")
@@ -255,7 +250,7 @@ def parse_intensity_feed(data: bytes) -> IntensitySeries:
     if not isinstance(raw_entries, list):
         raise SchemaError("'entries' must be an array", location="$.entries")
 
-    indexed: list[tuple[IntensityEntry, int]] = []
+    entries: list[IntensityEntry] = []
     for index, raw in enumerate(raw_entries):
         location = f"entries[{index}]"
         start = _integer(_require(raw, "start", location), f"{location}.start")
@@ -264,24 +259,19 @@ def parse_intensity_feed(data: bytes) -> IntensitySeries:
             _require(raw, "intensity_kg_per_kwh", location),
             f"{location}.intensity_kg_per_kwh",
         )
-        if intensity < 0:
-            raise NegativeIntensityError(
-                f"intensity_kg_per_kwh must be >= 0, got {intensity}", location=location
-            )
-        if end <= start:
-            raise ParseError(f"end {end} must be > start {start}", location=location)
-        indexed.append((IntensityEntry(start, end, intensity), index))
+        try:
+            entries.append(IntensityEntry(start, end, intensity))
+        except ValueError as exc:
+            error = NegativeIntensityError if intensity < 0 else ParseError
+            raise error(str(exc), location=location) from exc
 
-    indexed.sort(key=lambda pair: pair[0].start)
-    previous_end = None
-    for entry, index in indexed:
-        if previous_end is not None and entry.start < previous_end:
-            raise OverlapError(
-                f"entry [{entry.start}, {entry.end}) overlaps the previous one",
-                location=f"entries[{index}]",
-            )
-        previous_end = entry.end
-    return IntensitySeries(region=region, entries=tuple(entry for entry, _ in indexed))
+    ordered = sorted(entries, key=attrgetter("start"))
+    try:
+        return IntensitySeries(region=region, entries=tuple(ordered))
+    except ValueError as exc:  # locate the first entry starting before its predecessor's end
+        later = next(entry for entry, previous in zip(ordered[1:], ordered) if entry.start < previous.end)
+        index = next(index for index, entry in enumerate(entries) if entry is later)
+        raise OverlapError(str(exc), location=f"entries[{index}]") from exc
 
 
 def serialize_intensity_feed(series: IntensitySeries) -> bytes:
@@ -467,7 +457,6 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
         idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server.idle_watts"),
         u_max_units=UnitTags(**unit_kwargs),
     )
-    validate_spec(spec)
 
     try:
         pue = PueFactor(_number(_require(doc, "pue", "$"), "$.pue"))
@@ -561,10 +550,11 @@ def _cache_path(cache_dir: Path, endpoint: str, region: str) -> Path:
 
 
 def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySeries] | None:
-    """(fetched_at, series) of a well-formed entry covering ``window``.
+    """(fetched_at, series) of a well-formed entry covering ``window``
+    whose payload matches its ``payload_sha256``.
 
-    Anything else is a miss, never an input error: a corrupt, foreign or
-    unparsable entry is refetched and overwritten.
+    Anything else is a miss, never an input error: a corrupt, edited,
+    foreign or unparsable entry is refetched and overwritten.
     """
     try:
         entry = json.loads(path.read_text("utf-8"))
@@ -584,7 +574,10 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
     if cached["start"] > window[0] or cached["end"] < window[1]:
         return None
     try:
-        return fetched_at, parse_intensity_feed(payload.encode("utf-8"))
+        data = payload.encode("utf-8")
+        if hashlib.sha256(data).hexdigest() != entry.get("payload_sha256"):
+            return None
+        return fetched_at, parse_intensity_feed(data)
     except (ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
         return None
 
@@ -611,7 +604,6 @@ def fetch_intensity(
     cache_dir: str | Path | None = None,
     *,
     freshness_s: float = DEFAULT_FRESHNESS_S,
-    token: str | None = None,
     timeout_s: float = 30.0,
 ) -> IntensitySeries:
     """Fetch an intensity series for ``window``, serving from cache when fresh.
@@ -630,14 +622,12 @@ def fetch_intensity(
     if cached is not None and now - cached[0] <= freshness_s:
         return cached[1]
 
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
     query = urllib.parse.urlencode({"region": region, "start": window[0], "end": window[1]})
     url = f"{endpoint}{'&' if '?' in endpoint else '?'}{query}"
     try:
         if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
             raise ValueError(f"not an http(s) URL: {endpoint!r}")
-        request = urllib.request.Request(url, headers=headers)
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+        with urllib.request.urlopen(url, timeout=timeout_s) as response:
             payload = response.read()
     # OSError covers URLError, HTTPError (non-2xx) and timeouts; ValueError an unusable URL
     except (OSError, http.client.HTTPException, ValueError) as exc:

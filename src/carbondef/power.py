@@ -61,7 +61,10 @@ class UnitTags:
 
 @dataclass(frozen=True)
 class ServerSpec:
-    """Hardware parameters of the modeled server."""
+    """Hardware parameters of the modeled server. Construction raises
+    SpecError for a non-positive tdp/n_cpu/u_max, negative idle power or an
+    unknown usage-unit tag, and AllocationError for a negative allocation
+    entry, a zero cpu share or entries not summing to 1 within 1e-9."""
 
     tdp_watts: float
     n_cpu: int
@@ -70,9 +73,41 @@ class ServerSpec:
     idle_watts: float = 0.0
     u_max_units: UnitTags = field(default_factory=UnitTags)
 
+    def __post_init__(self):
+        if self.tdp_watts <= 0:
+            raise SpecError(f"tdp_watts must be > 0, got {self.tdp_watts}")
+        if int(self.n_cpu) != self.n_cpu or self.n_cpu < 1:
+            raise SpecError(f"n_cpu must be an integer >= 1, got {self.n_cpu}")
+        for component in COMPONENTS:
+            if self.u_max.get(component) <= 0:
+                raise SpecError(f"u_max.{component} must be > 0")
+        if self.idle_watts < 0:
+            raise SpecError(f"idle_watts must be >= 0, got {self.idle_watts}")
 
-def _sample_fault(duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
-    """Why a sample breaks the field condition, duration in (0, inf) and usages in [0, inf), or None."""
+        alpha = self.alpha
+        for component in COMPONENTS:
+            if alpha.get(component) < 0:
+                raise AllocationError(f"alpha.{component} must be >= 0")
+        if alpha.cpu <= 0:
+            raise AllocationError("alpha.cpu must be > 0")
+        total = alpha.cpu + alpha.mem + alpha.io + alpha.net
+        if abs(total - 1.0) > ALPHA_SUM_TOL:
+            raise AllocationError(f"alpha entries sum to {total!r}, expected 1")
+
+        for component in ("mem", "io", "net"):
+            if getattr(self.u_max_units, component) not in USAGE_UNITS:
+                raise SpecError(f"u_max_units.{component} must be one of {USAGE_UNITS}")
+
+
+# an integer within ±2**53 is exact as a float, and an epoch's ``start + duration_s`` stays finite
+EPOCH_LIMIT = 2**53
+
+
+def _sample_fault(start: int, duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
+    """Why a sample breaks the field condition, start within ±2**53, duration
+    in (0, inf) and usages in [0, inf), or None."""
+    if not -EPOCH_LIMIT <= start <= EPOCH_LIMIT:  # NaN fails this too
+        return f"start must be within ±2**53, got {start}"
     if not 0 < duration_s < inf:
         return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {duration_s}"
     for component, usage in zip(COMPONENTS, (u_cpu, u_mem, u_io, u_net)):
@@ -93,7 +128,7 @@ class UsageSample:
     u_net: float
 
     def __post_init__(self):
-        if (fault := _sample_fault(self.duration_s, self.u_cpu, self.u_mem, self.u_io, self.u_net)) is not None:
+        if (fault := _sample_fault(self.start, self.duration_s, self.u_cpu, self.u_mem, self.u_io, self.u_net)) is not None:
             raise ValueError(fault)
 
     @property
@@ -124,11 +159,12 @@ class UsageTrace:
         if len(self.columns) != 6 or len(set(map(len, self.columns))) > 1:
             raise ValueError("a trace is six columns of one length")
         at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
-        in_range = 0 < min(duration_s, default=1) and max(duration_s, default=0) < inf and all(
-            0 <= min(usage, default=0) and max(usage, default=0) < inf for usage in usages)
+        in_range = (-EPOCH_LIMIT <= min(start, default=0) and max(start, default=0) <= EPOCH_LIMIT
+                    and 0 < min(duration_s, default=1) and max(duration_s, default=0) < inf and all(
+                        0 <= min(usage, default=0) and max(usage, default=0) < inf for usage in usages))
         # NaN is the one value unequal to itself; without one, min and max bound a column
-        if not in_range or any(map(ne, chain(duration_s, *usages), chain(duration_s, *usages))):
-            for index, values in enumerate(zip(duration_s, *usages)):
+        if not in_range or any(map(ne, chain(*self.columns), chain(*self.columns))):
+            for index, values in enumerate(zip(*self.columns)):
                 if (fault := _sample_fault(*values)) is not None:
                     raise ValueError(f"{at(index)}: {fault}")
         if not all(map(le, map(add, start, duration_s), islice(start, 1, None))):
@@ -191,41 +227,6 @@ class EnergySeries:
         if not self.entries:
             return None
         return self.entries[0].start, self.entries[-1].end
-
-
-def validate_spec(spec: ServerSpec) -> ServerSpec:
-    """Check every ServerSpec invariant; return the spec unchanged.
-
-    Raises:
-        SpecError: non-positive tdp/n_cpu/u_max, negative idle power,
-            or an unknown usage-unit tag.
-        AllocationError: allocation entry negative, cpu share zero, or
-            the entries do not sum to 1 within 1e-9.
-    """
-    if spec.tdp_watts <= 0:
-        raise SpecError(f"tdp_watts must be > 0, got {spec.tdp_watts}")
-    if int(spec.n_cpu) != spec.n_cpu or spec.n_cpu < 1:
-        raise SpecError(f"n_cpu must be an integer >= 1, got {spec.n_cpu}")
-    for component in COMPONENTS:
-        if spec.u_max.get(component) <= 0:
-            raise SpecError(f"u_max.{component} must be > 0")
-    if spec.idle_watts < 0:
-        raise SpecError(f"idle_watts must be >= 0, got {spec.idle_watts}")
-
-    for component in COMPONENTS:
-        if spec.alpha.get(component) < 0:
-            raise AllocationError(f"alpha.{component} must be >= 0")
-    if spec.alpha.cpu <= 0:
-        raise AllocationError("alpha.cpu must be > 0")
-    total = spec.alpha.cpu + spec.alpha.mem + spec.alpha.io + spec.alpha.net
-    if abs(total - 1.0) > ALPHA_SUM_TOL:
-        raise AllocationError(f"alpha entries sum to {total!r}, expected 1")
-
-    for component in ("mem", "io", "net"):
-        tag = getattr(spec.u_max_units, component)
-        if tag not in USAGE_UNITS:
-            raise SpecError(f"u_max_units.{component} must be one of {USAGE_UNITS}")
-    return spec
 
 
 def _energy_kernel(spec: ServerSpec, clamp: bool):

@@ -109,7 +109,7 @@ def _require_finite(totals: dict[str, float], inputs: str) -> None:
     """Every computed report number is >= 0 and summed into one of a few
     totals, where nothing cancels: a finite total proves its rows finite, so
     the row templates need no per-row check (starts and durations are inputs,
-    finite and within ±2**53 by parsing). A float overflow is an input error."""
+    finite and within ±2**53 by UsageTrace's check). A float overflow is an input error."""
     for field, total in totals.items():
         if total - total != 0:  # NaN or ±inf
             raise ValidationError(

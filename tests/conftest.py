@@ -6,19 +6,17 @@ import threading
 
 import pytest
 
-from carbondef import PerComponent, ServerSpec, validate_spec
+from carbondef import PerComponent, ServerSpec
 
 
 @pytest.fixture
 def example_spec() -> ServerSpec:
     """The worked example used throughout: 4x100 W CPUs, 1 kW at full load."""
-    return validate_spec(
-        ServerSpec(
-            tdp_watts=100.0,
-            n_cpu=4,
-            alpha=PerComponent(cpu=0.4, mem=0.3, io=0.2, net=0.1),
-            u_max=PerComponent(cpu=4.0, mem=64e9, io=1e12, net=1e12),
-        )
+    return ServerSpec(
+        tdp_watts=100.0,
+        n_cpu=4,
+        alpha=PerComponent(cpu=0.4, mem=0.3, io=0.2, net=0.1),
+        u_max=PerComponent(cpu=4.0, mem=64e9, io=1e12, net=1e12),
     )
 
 
@@ -26,7 +24,6 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     def do_GET(self):
         self.server.hits += 1
         self.server.last_path = self.path
-        self.server.last_headers = dict(self.headers)
         body = json.dumps(self.server.payload).encode("utf-8")
         self.send_response(self.server.status)
         self.send_header("Content-Type", "application/json")
@@ -54,7 +51,6 @@ class StubFeedServer(http.server.ThreadingHTTPServer):
         self.status = 200
         self.hits = 0
         self.last_path = None
-        self.last_headers = None
 
     @property
     def endpoint(self) -> str:

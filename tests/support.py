@@ -424,8 +424,9 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
     sample, each checked as it is read, then one walk over the samples for
     the order, naming the first sample that starts before its predecessor ends."""
     from carbondef.ingest import (
-        _EPOCH_LIMIT, TRACE_CSV_HEADER, TRACE_FIELDS, _decode_json, _decode_utf8, _integer, _number, _require,
+        TRACE_CSV_HEADER, TRACE_FIELDS, _decode_json, _decode_utf8, _integer, _number, _require,
     )
+    from carbondef.power import EPOCH_LIMIT
 
     samples: list[UsageSample] = []
     rows: list[int] | None = None
@@ -449,7 +450,7 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
                 raise ParseError(
                     f"timestamp_utc must be integer epoch seconds, got {fields[0]!r}", location=location
                 ) from None
-            if abs(start) > _EPOCH_LIMIT:
+            if abs(start) > EPOCH_LIMIT:
                 raise ParseError("timestamp_utc beyond ±2**53", location=location)
             try:
                 values = [float(field) for field in fields[1:]]

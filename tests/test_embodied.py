@@ -17,6 +17,7 @@ from carbondef import (
     idle_residual,
     lifecycle_total,
 )
+from carbondef import embodied
 from carbondef.embodied import _check_oversubscription
 from carbondef.errors import (
     DurationError,
@@ -283,11 +284,39 @@ class TestLedger:
         assert ledger.consumer_ids() == ("a", "b")
 
     def test_report_on_direct_ledger_still_checks_lifespan(self):
-        # a hand-built Ledger skips build's checks; the report must not skip them too
+        # a hand-built Ledger is checked by its own construction, before any report
         late = record([ProfileStep(T0 + 10 * YEAR - 5, T0 + 10 * YEAR + 5, 0.5)])
-        ledger = Ledger(objects={"rack-1": rack()}, records=(late,))
         with pytest.raises(ProfileOutOfLifespan):
+            ledger = Ledger(objects={"rack-1": rack()}, records=(late,))
             build_embodied_report(ledger, "sha")
+
+    def test_direct_construction_rejects_dangling_reference(self):
+        with pytest.raises(LedgerReferenceError, match=r"unknown object 'x' \(at records\[1\]\)"):
+            Ledger(objects={"rack-1": rack()}, records=(
+                record([ProfileStep(T0, T0 + YEAR, 0.5)]),
+                record([ProfileStep(T0, T0 + YEAR, 0.5)], object_id="x"),
+            ))
+
+    def test_direct_construction_rejects_profile_outside_lifespan(self):
+        with pytest.raises(ProfileOutOfLifespan, match=r"^records\[0\]: profile "):
+            Ledger(objects={"rack-1": rack()}, records=(record([ProfileStep(T0 - 1, T0 + YEAR, 0.5)]),))
+
+    def test_direct_construction_rejects_oversubscription(self):
+        with pytest.raises(OversubscriptionError) as exc_info:
+            Ledger(objects={"rack-1": rack()}, records=(
+                record([ProfileStep(T0, T0 + YEAR, 0.9)], consumer="a"),
+                record([ProfileStep(T0 + 100, T0 + 200, 0.2)], consumer="b"),
+            ))
+        assert (exc_info.value.object_id, exc_info.value.instant) == ("rack-1", T0 + 100)
+
+    @pytest.mark.parametrize("consumer_id", [None, "svc-a"])
+    def test_report_rechecks_no_lifespan(self, monkeypatch, consumer_id):
+        ledger = gen_ledger(random.Random(3))
+        calls = []
+        real_check = embodied._check_within_lifespan
+        monkeypatch.setattr(embodied, "_check_within_lifespan", lambda *args: calls.append(args) or real_check(*args))
+        build_embodied_report(ledger, "sha", consumer_id)
+        assert ledger.records and calls == []
 
     def test_exactly_full_subscription_allowed(self):
         Ledger.build(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbondef.errors import NetworkError, ParseError, ValidationError
+from carbondef.errors import NegativeIntensityError, NetworkError, OverlapError, ParseError, ValidationError
 from carbondef.ingest import (
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
@@ -113,6 +113,18 @@ def parse_outcome(parse, data, fmt):
     return trace, repr(trace.columns)
 
 
+@pytest.mark.parametrize("filename, message", [
+    ("trace_huge_epoch.csv", "timestamp_utc beyond ±2**53 (at row 3)"),
+    ("trace_huge_epoch.json", "integer beyond ±2**53 (at samples[0].start)"),
+])
+def test_huge_epoch_message(filename, message):
+    # UsageTrace holds the bound; the parsers' fallbacks keep locating it
+    data = (FIXTURES / "malformed" / filename).read_bytes()
+    with pytest.raises(ParseError) as exc_info:
+        parse_usage_trace(data, filename.rpartition(".")[2])
+    assert str(exc_info.value) == message
+
+
 class TestBulkParseAgainstReference:
     """The column-wise parsers against the row-by-row reference in support.py:
     the same trace, bit for bit, or the same error class, message and location."""
@@ -149,6 +161,22 @@ class TestIntensityParsing:
         }
         series = parse_intensity_feed(json.dumps(doc).encode())
         assert [e.start for e in series.entries] == [0, 1800]
+
+    @pytest.mark.parametrize("entries, error, message", [
+        ([(0, 1800, -0.5)], NegativeIntensityError, "intensity_kg_per_kwh must be >= 0, got -0.5 (at entries[0])"),
+        ([(0, 1800, 0.4), (900, 900, -0.5)], NegativeIntensityError,
+         "intensity_kg_per_kwh must be >= 0, got -0.5 (at entries[1])"),
+        ([(1800, 1800, 0.4)], ParseError, "end 1800 must be > start 1800 (at entries[0])"),
+        # sorted by start, the later of an overlapping pair is located by its input index
+        ([(1800, 3600, 0.2), (0, 2000, 0.4)], OverlapError, "entry [1800, 3600) overlaps the previous one (at entries[0])"),
+        ([(0, 1800, 0.4), (0, 1800, 0.4)], OverlapError, "entry [0, 1800) overlaps the previous one (at entries[1])"),
+    ])
+    def test_entry_faults_located_by_input_index(self, entries, error, message):
+        doc = {"region": "NL", "entries": [
+            {"start": start, "end": end, "intensity_kg_per_kwh": value} for start, end, value in entries]}
+        with pytest.raises(error) as exc_info:
+            parse_intensity_feed(json.dumps(doc).encode())
+        assert type(exc_info.value) is error and str(exc_info.value) == message
 
 
 class TestLedgerParsing:
@@ -359,9 +387,32 @@ class TestFetchIntensity:
         assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
         assert feed_server.hits == 1
 
-    def test_bearer_token_passthrough(self, feed_server, tmp_path):
-        fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, token="sesame")
-        assert feed_server.last_headers.get("Authorization") == "Bearer sesame"
+    @staticmethod
+    def edit_cached_payload(directory):
+        """Change the cached intensity 0.4 to 9.9, keeping the entry's checksum."""
+        (path,) = directory.iterdir()
+        entry = json.loads(path.read_text())
+        assert '"intensity_kg_per_kwh": 0.4' in entry["payload"]
+        entry["payload"] = entry["payload"].replace('"intensity_kg_per_kwh": 0.4', '"intensity_kg_per_kwh": 9.9')
+        path.write_text(json.dumps(entry))
+
+    def test_edited_payload_is_a_miss(self, feed_server, tmp_path):
+        series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        self.edit_cached_payload(tmp_path)
+        # fresh and covering: only the checksum keeps it from being served
+        assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
+        assert feed_server.hits == 2
+        # overwritten with a matching checksum: the next call is a cache hit
+        assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
+        assert feed_server.hits == 2
+
+    def test_edited_payload_is_no_stale_fallback(self, feed_server, tmp_path, capsys):
+        fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        self.edit_cached_payload(tmp_path)
+        feed_server.status = 500
+        with pytest.raises(NetworkError):
+            fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, freshness_s=0.0)
+        assert capsys.readouterr().err == ""
 
     def test_env_var_cache_dir(self, feed_server, tmp_path, monkeypatch):
         monkeypatch.setenv("CARBONDEF_CACHE_DIR", str(tmp_path / "cachehome"))

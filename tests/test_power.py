@@ -14,7 +14,6 @@ from carbondef import (
     energy_over_interval,
     marginal_power,
     trace_to_energy_series,
-    validate_spec,
 )
 from carbondef.errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
 from carbondef.power import COMPONENTS, ENERGY_SOURCES, UnitTags, clamped_sample_indices
@@ -45,55 +44,48 @@ random_specs = st.integers(0, 10**9).map(lambda seed: gen_spec(random.Random(see
 class TestValidateSpec:
     def test_example_accepted(self):
         spec = spec_with_alpha(0.4, 0.3, 0.2, 0.1)
-        assert validate_spec(spec) is spec
+        assert spec.alpha == PerComponent(0.4, 0.3, 0.2, 0.1)
 
     def test_alpha_sum_two_rejected(self):
         with pytest.raises(AllocationError):
-            validate_spec(spec_with_alpha(0.5, 0.5, 0.5, 0.5))
+            spec_with_alpha(0.5, 0.5, 0.5, 0.5)
 
     def test_all_cpu_boundary_accepted(self):
-        validate_spec(spec_with_alpha(1.0, 0.0, 0.0, 0.0))
+        spec_with_alpha(1.0, 0.0, 0.0, 0.0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(AllocationError):
-            validate_spec(spec_with_alpha(1.2, -0.1, 0.0, -0.1))
+            spec_with_alpha(1.2, -0.1, 0.0, -0.1)
 
     def test_zero_cpu_share_rejected(self):
         with pytest.raises(AllocationError):
-            validate_spec(spec_with_alpha(0.0, 0.5, 0.3, 0.2))
+            spec_with_alpha(0.0, 0.5, 0.3, 0.2)
 
     @pytest.mark.parametrize(
         "field,value",
         [("tdp_watts", 0.0), ("tdp_watts", -10.0), ("n_cpu", 0), ("idle_watts", -1.0)],
     )
     def test_bad_scalars_rejected(self, field, value):
-        import dataclasses
-
-        spec = dataclasses.replace(spec_with_alpha(0.4, 0.3, 0.2, 0.1), **{field: value})
+        spec = spec_with_alpha(0.4, 0.3, 0.2, 0.1)
         with pytest.raises(SpecError):
-            validate_spec(spec)
+            dataclasses.replace(spec, **{field: value})
 
     def test_zero_u_max_rejected(self):
-        spec = ServerSpec(
-            tdp_watts=100.0,
-            n_cpu=4,
-            alpha=PerComponent(0.4, 0.3, 0.2, 0.1),
-            u_max=PerComponent(cpu=4.0, mem=0.0, io=1e12, net=1e12),
-        )
         with pytest.raises(SpecError):
-            validate_spec(spec)
+            ServerSpec(
+                tdp_watts=100.0,
+                n_cpu=4,
+                alpha=PerComponent(0.4, 0.3, 0.2, 0.1),
+                u_max=PerComponent(cpu=4.0, mem=0.0, io=1e12, net=1e12),
+            )
 
     def test_unknown_unit_tag_rejected(self):
-        import dataclasses
-
-        spec = dataclasses.replace(
-            spec_with_alpha(0.4, 0.3, 0.2, 0.1), u_max_units=UnitTags(mem="bits")
-        )
+        spec = spec_with_alpha(0.4, 0.3, 0.2, 0.1)
         with pytest.raises(SpecError):
-            validate_spec(spec)
+            dataclasses.replace(spec, u_max_units=UnitTags(mem="bits"))
 
     def test_alpha_sum_within_tolerance_accepted(self):
-        validate_spec(spec_with_alpha(0.4, 0.3, 0.2, 0.1 + 5e-10))
+        spec_with_alpha(0.4, 0.3, 0.2, 0.1 + 5e-10)
 
 
 class TestComponentPower:
@@ -290,6 +282,11 @@ class TestUsageSample:
         with pytest.raises(ValueError, match=field):
             UsageSample(**fields)
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, 2**60, -(2**53) - 1])
+    def test_start_beyond_epoch_range_rejected(self, start):
+        with pytest.raises(ValueError, match=r"^start must be within ±2\*\*53"):
+            UsageSample(start, 60.0, 1.0, 0, 0, 0)
+
 
 class TestUsageTraceColumns:
     SAMPLES = (UsageSample(0, 60.0, 1.0, 0, 0, 0), UsageSample(60, 30.0, 2.0, 5.0, 0, 0), UsageSample(95, 5.0, 0, 0, 0, 1.0))
@@ -308,6 +305,13 @@ class TestUsageTraceColumns:
         columns = UsageTrace(samples=self.SAMPLES).columns
         columns[field][2] = value
         with pytest.raises(ValueError, match=rf"^sample 2 \(row 4\): {'duration_s' if field == 1 else 'u_'}"):
+            UsageTrace(columns=columns, source_rows=(2, 3, 4))
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, 2**60])
+    def test_start_fault_names_the_sample(self, start):
+        columns = UsageTrace(samples=self.SAMPLES).columns
+        columns[0][1] = start
+        with pytest.raises(ValueError, match=r"^sample 1 \(row 3\): start must be within ±2\*\*53"):
             UsageTrace(columns=columns, source_rows=(2, 3, 4))
 
     def test_order_fault_names_the_sample(self):
