@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable
 
 from .errors import (
@@ -22,13 +23,14 @@ from .errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
+from .power import EPOCH_LIMIT
 
 OVERSUBSCRIPTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EmbodiedObject:
-    """A physical object with lifecycle emissions and a usable lifespan."""
+    """A physical object with finite lifecycle emissions and a usable lifespan."""
 
     id: str
     m_kg: float
@@ -38,10 +40,14 @@ class EmbodiedObject:
     lifespan_s: float
 
     def __post_init__(self):
-        if self.m_kg < 0 or self.r_kg < 0 or self.eol_kg < 0:
-            raise ValueError("lifecycle emissions must be >= 0")
-        if self.lifespan_s <= 0:
-            raise ValueError(f"lifespan_s must be > 0, got {self.lifespan_s}")
+        emissions = (self.m_kg, self.r_kg, self.eol_kg)
+        if not all(0 <= kg < inf for kg in emissions):  # NaN fails this too
+            negative = any(kg < 0 for kg in emissions)
+            raise ValueError(f"lifecycle emissions must be {'>= 0' if negative else 'finite'}")
+        if not 0 < self.lifespan_s < inf:
+            raise ValueError(f"lifespan_s must be {'> 0' if self.lifespan_s <= 0 else 'finite'}, got {self.lifespan_s}")
+        if not -EPOCH_LIMIT <= self.lifespan_start <= EPOCH_LIMIT:  # NaN fails this too
+            raise ValueError(f"lifespan_start must be within ±2**53, got {self.lifespan_start}")
 
     @property
     def lifespan_end(self) -> float:

@@ -11,9 +11,11 @@ Formats (all timestamps are integer UTC epoch seconds):
 * ledger JSON: ``{"objects": [...], "records": [...]}``;
 * run config JSON, see :class:`RunConfig`.
 
-Every parse error names its location (row number, byte offset, or field
-path). Serializers emit a canonical form that round-trips byte-identically
-through the matching parser.
+Every parse error names its location: ``row N`` (a CSV line), ``byte N``
+(bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
+``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
+fault in its check order. Serializers emit a canonical form that
+round-trips byte-identically through the matching parser.
 
 The intensity fetcher keeps a content-addressed file cache (one entry per
 endpoint+region) with atomic writes; ``CARBONDEF_CACHE_DIR`` overrides the
@@ -37,7 +39,7 @@ from itertools import repeat
 from math import inf
 from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     FractionError,
@@ -102,34 +104,71 @@ def _decode_json(data: bytes) -> Any:
         raise ParseError(f"invalid JSON: integer literal over {limit} digits", location=location) from exc
 
 
-def _require(mapping: Any, key: str, location: str) -> Any:
-    if not isinstance(mapping, dict):
+def _fields(raw: Any, location: str, *fields: tuple[str, Callable[[Any, str, str], Any]]) -> list:
+    """The value of each ``(key, kind)`` field of the object ``raw``, read in
+    order: a missing key is a SchemaError at ``location``, and
+    ``kind(value, location, key)`` checks and converts the value, raising at
+    ``location.key``."""
+    if not isinstance(raw, dict):
         raise SchemaError("expected an object", location=location)
-    if key not in mapping:
-        raise SchemaError(f"missing key {key!r}", location=location)
-    return mapping[key]
+    values = []
+    for key, kind in fields:
+        if key not in raw:
+            raise SchemaError(f"missing key {key!r}", location=location)
+        values.append(kind(raw[key], location, key))
+    return values
 
 
-def _number(value: Any, location: str) -> float:
+# --- field kinds: each formats ``location.key`` only when it raises ---
+
+def _present(value: Any, location: str, key: str) -> Any:
+    return value
+
+
+def _number(value: Any, location: str, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}", location=location)
+        raise ParseError(f"expected a number, got {value!r}", location=f"{location}.{key}")
     if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int beyond the float range
-        raise ParseError(f"expected a finite number, got {value!r}", location=location)
+        raise ParseError(f"expected a finite number, got {value!r}", location=f"{location}.{key}")
     return float(value)
 
 
-def _integer(value: Any, location: str, expected: str = "integer epoch seconds") -> int:
+def _integer(value: Any, location: str, key: str, expected: str = "integer epoch seconds") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"expected {expected}, got {value!r}", location=location)
+        raise ParseError(f"expected {expected}, got {value!r}", location=f"{location}.{key}")
     if abs(value) > EPOCH_LIMIT:
-        raise ParseError("integer beyond ±2**53", location=location)
+        raise ParseError("integer beyond ±2**53", location=f"{location}.{key}")
     return value
 
 
-def _string(value: Any, location: str) -> str:
+def _cpu_count(value: Any, location: str, key: str) -> int:
+    return _integer(value, location, key, "an integer CPU count")
+
+
+def _string(value: Any, location: str, key: str) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"expected a string, got {value!r}", location=location)
+        raise ParseError(f"expected a string, got {value!r}", location=f"{location}.{key}")
     return value
+
+
+def _array(value: Any, location: str, key: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} must be an array", location=f"{location}.{key}")
+    return value
+
+
+def _object(value: Any, location: str, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key!r} must be an object", location=f"{location}.{key}")
+    return value
+
+
+def _located(build: Callable[..., Any], location: str, *args: Any) -> Any:
+    """``build(*args)``, its ValueError raised as a ParseError at ``location``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), location=location) from exc
 
 
 # --- usage traces ---
@@ -189,16 +228,11 @@ def _locate_csv_fault(lines: list[str]) -> None:
             values = [float(field) for field in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=location) from exc
-        try:
-            UsageSample(start, *values)
-        except ValueError as exc:
-            raise ParseError(str(exc), location=location) from exc
+        _located(UsageSample, location, start, *values)
 
 
 def _parse_trace_json(data: bytes) -> UsageTrace:
-    raw_samples = _require(_decode_json(data), "samples", "$")
-    if not isinstance(raw_samples, list):
-        raise SchemaError("'samples' must be an array", location="$.samples")
+    (raw_samples,) = _fields(_decode_json(data), "$", ("samples", _array))
 
     # the whole array key by key; any fault leaves its location to the sample loop
     try:
@@ -216,14 +250,10 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
 
 def _locate_json_fault(raw_samples: list) -> None:
     """Raise the error of the first faulty sample, as a sample-by-sample parse would."""
+    sample_fields = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[1:]))
     for index, raw in enumerate(raw_samples):
         location = f"samples[{index}]"
-        start = _integer(_require(raw, "start", location), f"{location}.start")
-        values = [_number(_require(raw, key, location), f"{location}.{key}") for key in TRACE_FIELDS[1:]]
-        try:
-            UsageSample(start, *values)
-        except ValueError as exc:
-            raise ParseError(str(exc), location=location) from exc
+        _located(UsageSample, location, *_fields(raw, location, *sample_fields))
 
 
 def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
@@ -244,20 +274,13 @@ def parse_intensity_feed(data: bytes) -> IntensitySeries:
     Raises NegativeIntensityError / OverlapError / ParseError, each with
     the offending entry's position in the input.
     """
-    doc = _decode_json(data)
-    region = _string(_require(doc, "region", "$"), "$.region")
-    raw_entries = _require(doc, "entries", "$")
-    if not isinstance(raw_entries, list):
-        raise SchemaError("'entries' must be an array", location="$.entries")
+    region, raw_entries = _fields(_decode_json(data), "$", ("region", _string), ("entries", _array))
 
     entries: list[IntensityEntry] = []
     for index, raw in enumerate(raw_entries):
         location = f"entries[{index}]"
-        start = _integer(_require(raw, "start", location), f"{location}.start")
-        end = _integer(_require(raw, "end", location), f"{location}.end")
-        intensity = _number(
-            _require(raw, "intensity_kg_per_kwh", location),
-            f"{location}.intensity_kg_per_kwh",
+        start, end, intensity = _fields(
+            raw, location, ("start", _integer), ("end", _integer), ("intensity_kg_per_kwh", _number)
         )
         try:
             entries.append(IntensityEntry(start, end, intensity))
@@ -292,72 +315,38 @@ def parse_ledger(data: bytes) -> Ledger:
     OversubscriptionError when instantaneous shares exceed capacity.
     """
     doc = _decode_json(data)
-    raw_objects = _require(doc, "objects", "$")
-    raw_records = _require(doc, "records", "$")
-    if not isinstance(raw_objects, list):
-        raise SchemaError("'objects' must be an array", location="$.objects")
-    if not isinstance(raw_records, list):
-        raise SchemaError("'records' must be an array", location="$.records")
+    # both keys present before either's type is checked
+    raw_objects, raw_records = _fields(doc, "$", ("objects", _present), ("records", _present))
+    raw_objects, raw_records = _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
 
+    object_fields = (("id", _string), ("m_kg", _number), ("r_kg", _number), ("eol_kg", _number),
+                     ("lifespan_start", _integer), ("lifespan_s", _number))
     objects: list[EmbodiedObject] = []
     for index, raw in enumerate(raw_objects):
         location = f"objects[{index}]"
-        try:
-            objects.append(
-                EmbodiedObject(
-                    id=_string(_require(raw, "id", location), f"{location}.id"),
-                    m_kg=_number(_require(raw, "m_kg", location), f"{location}.m_kg"),
-                    r_kg=_number(_require(raw, "r_kg", location), f"{location}.r_kg"),
-                    eol_kg=_number(_require(raw, "eol_kg", location), f"{location}.eol_kg"),
-                    lifespan_start=_integer(
-                        _require(raw, "lifespan_start", location),
-                        f"{location}.lifespan_start",
-                    ),
-                    lifespan_s=_number(
-                        _require(raw, "lifespan_s", location), f"{location}.lifespan_s"
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), location=location) from exc
+        objects.append(_located(EmbodiedObject, location, *_fields(raw, location, *object_fields)))
 
+    record_fields = (("consumer_id", _string), ("object_id", _string), ("profile", _array))
+    step_fields = (("start", _integer), ("end", _integer), ("fraction", _number))
     records: list[ConsumptionRecord] = []
     for index, raw in enumerate(raw_records):
         location = f"records[{index}]"
-        consumer_id = _string(
-            _require(raw, "consumer_id", location), f"{location}.consumer_id"
-        )
-        object_id = _string(_require(raw, "object_id", location), f"{location}.object_id")
-        raw_profile = _require(raw, "profile", location)
-        if not isinstance(raw_profile, list):
-            raise SchemaError("'profile' must be an array", location=f"{location}.profile")
+        consumer_id, object_id, raw_profile = _fields(raw, location, *record_fields)
         steps: list[ProfileStep] = []
         for step_index, raw_step in enumerate(raw_profile):
             step_location = f"{location}.profile[{step_index}]"
-            start = _integer(_require(raw_step, "start", step_location), f"{step_location}.start")
-            end = _integer(_require(raw_step, "end", step_location), f"{step_location}.end")
-            fraction = _number(
-                _require(raw_step, "fraction", step_location), f"{step_location}.fraction"
-            )
+            start, end, fraction = _fields(raw_step, step_location, *step_fields)
             try:
                 steps.append(ProfileStep(start, end, fraction))
             except FractionError as exc:
                 raise FractionError(f"{step_location}: {exc}") from exc
             except ValueError as exc:
                 raise ParseError(str(exc), location=step_location) from exc
-        try:
-            profile = SharingProfile(steps=tuple(steps))
-        except ValueError as exc:
-            raise ParseError(str(exc), location=f"{location}.profile") from exc
-        records.append(
-            ConsumptionRecord(consumer_id=consumer_id, object_id=object_id, profile=profile)
-        )
+        profile = _located(SharingProfile, f"{location}.profile", tuple(steps))
+        records.append(ConsumptionRecord(consumer_id, object_id, profile))
 
     del doc, raw_objects, raw_records  # free the parsed JSON before Ledger.build indexes
-    try:
-        return Ledger.build(objects, records)
-    except ValueError as exc:  # duplicate object ids
-        raise ParseError(str(exc), location="$.objects") from exc
+    return _located(Ledger.build, "$.objects", objects, records)  # a ValueError: duplicate object ids
 
 
 def serialize_ledger(ledger: Ledger) -> bytes:
@@ -431,57 +420,43 @@ class RunConfig:
 
 
 def _per_component(raw: Any, location: str) -> PerComponent:
-    return PerComponent(*(_number(_require(raw, c, location), f"{location}.{c}") for c in COMPONENTS))
+    return PerComponent(*_fields(raw, location, *((component, _number) for component in COMPONENTS)))
 
 
 def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
     doc = _decode_json(data)
 
-    raw_server = _require(doc, "server", "$")
-    raw_alpha = _require(raw_server, "alpha", "$.server")
-    raw_umax = _require(raw_server, "u_max", "$.server")
-    raw_units = raw_server.get("u_max_units", {})
-    if not isinstance(raw_units, dict):
-        raise SchemaError("'u_max_units' must be an object", location="$.server.u_max_units")
-    unit_kwargs = {}
-    for component in ("mem", "io", "net"):
-        if component in raw_units:
-            unit_kwargs[component] = _string(
-                raw_units[component], f"$.server.u_max_units.{component}"
-            )
+    (raw_server,) = _fields(doc, "$", ("server", _present))
+    raw_alpha, raw_umax = _fields(raw_server, "$.server", ("alpha", _present), ("u_max", _present))
+    raw_units = _object(raw_server.get("u_max_units", {}), "$.server", "u_max_units")
+    units = UnitTags(**{
+        component: _string(raw_units[component], "$.server.u_max_units", component)
+        for component in ("mem", "io", "net") if component in raw_units
+    })
+    tdp_watts, n_cpu = _fields(raw_server, "$.server", ("tdp_watts", _number), ("n_cpu", _cpu_count))
     spec = ServerSpec(
-        tdp_watts=_number(_require(raw_server, "tdp_watts", "$.server"), "$.server.tdp_watts"),
-        n_cpu=_integer(_require(raw_server, "n_cpu", "$.server"), "$.server.n_cpu", "an integer CPU count"),
+        tdp_watts=tdp_watts,
+        n_cpu=n_cpu,
         alpha=_per_component(raw_alpha, "$.server.alpha"),
         u_max=_per_component(raw_umax, "$.server.u_max"),
-        idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server.idle_watts"),
-        u_max_units=UnitTags(**unit_kwargs),
+        idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server", "idle_watts"),
+        u_max_units=units,
     )
 
-    try:
-        pue = PueFactor(_number(_require(doc, "pue", "$"), "$.pue"))
-    except ValueError as exc:
-        raise ParseError(str(exc), location="$.pue") from exc
+    pue = _located(PueFactor, "$.pue", *_fields(doc, "$", ("pue", _number)))
 
-    raw_intensity = _require(doc, "intensity", "$")
-    if not isinstance(raw_intensity, dict):
-        raise SchemaError("'intensity' must be an object", location="$.intensity")
+    (raw_intensity,) = _fields(doc, "$", ("intensity", _object))
     has_file = "file" in raw_intensity
-    has_endpoint = "endpoint" in raw_intensity
-    if has_file == has_endpoint:
+    if has_file == ("endpoint" in raw_intensity):
         raise SchemaError(
             "exactly one intensity source: either 'file' or 'endpoint'+'region'",
             location="$.intensity",
         )
     if has_file:
-        source = IntensitySource(file=_string(raw_intensity["file"], "$.intensity.file"))
+        source = IntensitySource(*_fields(raw_intensity, "$.intensity", ("file", _string)))
     else:
-        source = IntensitySource(
-            endpoint=_string(raw_intensity["endpoint"], "$.intensity.endpoint"),
-            region=_string(
-                _require(raw_intensity, "region", "$.intensity"), "$.intensity.region"
-            ),
-        )
+        endpoint, region = _fields(raw_intensity, "$.intensity", ("endpoint", _string), ("region", _string))
+        source = IntensitySource(endpoint=endpoint, region=region)
 
     coverage_policy = doc.get("coverage_policy", "strict")
     if coverage_policy not in COVERAGE_POLICIES:
@@ -492,15 +467,8 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
 
     functional_unit = None
     if "functional_unit" in doc:
-        raw_unit = doc["functional_unit"]
-        count = _number(
-            _require(raw_unit, "count", "$.functional_unit"), "$.functional_unit.count"
-        )
-        name = _string(_require(raw_unit, "name", "$.functional_unit"), "$.functional_unit.name")
-        try:
-            functional_unit = FunctionalUnit(name, count)
-        except ValueError as exc:
-            raise ParseError(str(exc), location="$.functional_unit.count") from exc
+        count, name = _fields(doc["functional_unit"], "$.functional_unit", ("count", _number), ("name", _string))
+        functional_unit = _located(FunctionalUnit, "$.functional_unit.count", name, count)
 
     clamp_usage = doc.get("clamp_usage", False)
     if not isinstance(clamp_usage, bool):

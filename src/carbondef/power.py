@@ -62,9 +62,9 @@ class UnitTags:
 @dataclass(frozen=True)
 class ServerSpec:
     """Hardware parameters of the modeled server. Construction raises
-    SpecError for a non-positive tdp/n_cpu/u_max, negative idle power or an
-    unknown usage-unit tag, and AllocationError for a negative allocation
-    entry, a zero cpu share or entries not summing to 1 within 1e-9."""
+    SpecError for a tdp/n_cpu/u_max not in (0, inf), idle power not in
+    [0, inf) or an unknown usage-unit tag, and AllocationError for a negative
+    allocation entry, a zero cpu share or entries not summing to 1 within 1e-9."""
 
     tdp_watts: float
     n_cpu: int
@@ -74,15 +74,16 @@ class ServerSpec:
     u_max_units: UnitTags = field(default_factory=UnitTags)
 
     def __post_init__(self):
-        if self.tdp_watts <= 0:
-            raise SpecError(f"tdp_watts must be > 0, got {self.tdp_watts}")
-        if int(self.n_cpu) != self.n_cpu or self.n_cpu < 1:
+        # NaN fails every bound below
+        if not 0 < self.tdp_watts < inf:
+            raise SpecError(f"tdp_watts must be {'> 0' if self.tdp_watts <= 0 else 'finite'}, got {self.tdp_watts}")
+        if not (1 <= self.n_cpu < inf and int(self.n_cpu) == self.n_cpu):
             raise SpecError(f"n_cpu must be an integer >= 1, got {self.n_cpu}")
         for component in COMPONENTS:
-            if self.u_max.get(component) <= 0:
-                raise SpecError(f"u_max.{component} must be > 0")
-        if self.idle_watts < 0:
-            raise SpecError(f"idle_watts must be >= 0, got {self.idle_watts}")
+            if not 0 < (u_max := self.u_max.get(component)) < inf:
+                raise SpecError(f"u_max.{component} must be {'> 0' if u_max <= 0 else 'finite'}")
+        if not 0 <= self.idle_watts < inf:
+            raise SpecError(f"idle_watts must be {'>= 0' if self.idle_watts < 0 else 'finite'}, got {self.idle_watts}")
 
         alpha = self.alpha
         for component in COMPONENTS:
@@ -91,7 +92,7 @@ class ServerSpec:
         if alpha.cpu <= 0:
             raise AllocationError("alpha.cpu must be > 0")
         total = alpha.cpu + alpha.mem + alpha.io + alpha.net
-        if abs(total - 1.0) > ALPHA_SUM_TOL:
+        if not abs(total - 1.0) <= ALPHA_SUM_TOL:  # a NaN entry fails here
             raise AllocationError(f"alpha entries sum to {total!r}, expected 1")
 
         for component in ("mem", "io", "net"):

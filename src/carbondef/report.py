@@ -251,11 +251,7 @@ def _diagnostics(config: RunConfig, trace: UsageTrace) -> dict[str, Any]:
     return {"clamped_samples": clamped}
 
 
-def resolve_intensity(
-    config: RunConfig,
-    window: tuple[float, float] | None,
-    cache_dir: str | None = None,
-) -> IntensitySeries:
+def resolve_intensity(config: RunConfig, window: tuple[float, float] | None) -> IntensitySeries:
     """Load the intensity series named by the config, file or endpoint."""
     source = config.intensity
     if source.file is not None:
@@ -264,7 +260,7 @@ def resolve_intensity(
         # nothing to fetch for; strict coverage of zero energy is vacuous
         return IntensitySeries(region=source.region, entries=())
     fetch_window = (int(math.floor(window[0])), int(math.ceil(window[1])))
-    return fetch_intensity(source.endpoint, source.region, fetch_window, cache_dir)
+    return fetch_intensity(source.endpoint, source.region, fetch_window)
 
 
 def build_estimate_report(
@@ -279,15 +275,10 @@ def build_estimate_report(
     }
 
 
-def build_emissions_report(
-    config: RunConfig,
-    trace: UsageTrace,
-    trace_digest: str,
-    cache_dir: str | None = None,
-) -> dict[str, Any]:
+def build_emissions_report(config: RunConfig, trace: UsageTrace, trace_digest: str) -> dict[str, Any]:
     series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
     energy = _energy_section(series)
-    intensity = resolve_intensity(config, series.window(), cache_dir)
+    intensity = resolve_intensity(config, series.window())
     emissions = operational_emissions(
         series, intensity, config.pue, config.coverage_policy
     )
@@ -317,7 +308,6 @@ def build_full_report(
     ledger: Ledger,
     ledger_digest: str,
     consumer_id: str | None = None,
-    cache_dir: str | None = None,
 ) -> dict[str, Any]:
     if config.functional_unit is None:
         raise SchemaError(
@@ -326,7 +316,7 @@ def build_full_report(
         )
     series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
     energy = _energy_section(series)
-    intensity = resolve_intensity(config, series.window(), cache_dir)
+    intensity = resolve_intensity(config, series.window())
     emissions = operational_emissions(
         series, intensity, config.pue, config.coverage_policy
     )

@@ -9,6 +9,7 @@ import csv
 import io
 import math
 import random
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -423,9 +424,7 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
     """Reference for ``parse_usage_trace``: one UsageSample per row or
     sample, each checked as it is read, then one walk over the samples for
     the order, naming the first sample that starts before its predecessor ends."""
-    from carbondef.ingest import (
-        TRACE_CSV_HEADER, TRACE_FIELDS, _decode_json, _decode_utf8, _integer, _number, _require,
-    )
+    from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, _decode_json, _decode_utf8
     from carbondef.power import EPOCH_LIMIT
 
     samples: list[UsageSample] = []
@@ -462,13 +461,34 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
                 raise ParseError(str(exc), location=location) from None
             rows.append(row)
     elif format == "json":
-        raw_samples = _require(_decode_json(data), "samples", "$")
+        doc = _decode_json(data)
+        if not isinstance(doc, dict):
+            raise SchemaError("expected an object", location="$")
+        if "samples" not in doc:
+            raise SchemaError("missing key 'samples'", location="$")
+        raw_samples = doc["samples"]
         if not isinstance(raw_samples, list):
             raise SchemaError("'samples' must be an array", location="$.samples")
         for index, raw in enumerate(raw_samples):
             location = f"samples[{index}]"
-            start = _integer(_require(raw, "start", location), f"{location}.start")
-            values = [_number(_require(raw, key, location), f"{location}.{key}") for key in TRACE_FIELDS[1:]]
+            if not isinstance(raw, dict):
+                raise SchemaError("expected an object", location=location)
+            values = []
+            for key in TRACE_FIELDS:
+                if key not in raw:
+                    raise SchemaError(f"missing key {key!r}", location=location)
+                value = raw[key]
+                if key == "start":
+                    if type(value) is not int:
+                        raise ParseError(f"expected integer epoch seconds, got {value!r}", location=f"{location}.start")
+                    if abs(value) > EPOCH_LIMIT:
+                        raise ParseError("integer beyond ±2**53", location=f"{location}.start")
+                elif type(value) not in (int, float):
+                    raise ParseError(f"expected a number, got {value!r}", location=f"{location}.{key}")
+                elif not abs(value) <= sys.float_info.max:
+                    raise ParseError(f"expected a finite number, got {value!r}", location=f"{location}.{key}")
+                values.append(value if key == "start" else float(value))
+            start, *values = values
             try:
                 samples.append(UsageSample(start, *values))
             except ValueError as exc:

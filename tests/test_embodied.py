@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -75,6 +76,29 @@ def oversubscription_outcome(check):
     except OversubscriptionError as exc:
         return exc.object_id, exc.instant, exc.total
     return None
+
+
+class TestEmbodiedObjectBounds:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["m", "r", "eol", "lifespan_s"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            rack(**{field: value})
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, 2**60], ids=["nan", "inf", "-inf", "2**60"])
+    def test_lifespan_start_beyond_epoch_bound_rejected(self, start):
+        # a NaN start would let any profile pass the lifespan containment check
+        with pytest.raises(ValueError, match="lifespan_start must be within"):
+            EmbodiedObject("rack-1", 600.0, 300.0, 100.0, start, YEAR)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("r", math.inf, "lifecycle emissions must be finite"),
+        ("lifespan_s", math.nan, "lifespan_s must be finite, got nan"),
+    ])
+    def test_non_finite_messages(self, field, value, message):
+        with pytest.raises(ValueError) as exc_info:
+            rack(**{field: value})
+        assert str(exc_info.value) == message
 
 
 class TestLifecycleTotal:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbondef.errors import NegativeIntensityError, NetworkError, OverlapError, ParseError, ValidationError
+from carbondef.errors import (
+    NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
+)
 from carbondef.ingest import (
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
@@ -218,6 +220,26 @@ def test_malformed_corpus(filename, kind, error_class, marker):
         parse_malformed(kind, data)
     assert type(exc_info.value) is error_class
     assert marker in str(exc_info.value)
+
+
+def _config_without_alpha_and_bad_tdp() -> bytes:
+    doc = json.loads((CLI / "config.json").read_text())
+    del doc["server"]["alpha"]
+    doc["server"]["tdp_watts"] = "x"
+    return json.dumps(doc).encode()
+
+
+# each parser reports the first fault in its check order: presence before type where the
+# order says so, and one field's fault before the next field's
+@pytest.mark.parametrize("parse, data, error, message", [
+    (parse_ledger, b'{"objects": 5}', SchemaError, "missing key 'records' (at $)"),
+    (parse_config, _config_without_alpha_and_bad_tdp(), SchemaError, "missing key 'alpha' (at $.server)"),
+    (parse_intensity_feed, b'{"region": 5}', ParseError, "expected a string, got 5 (at $.region)"),
+], ids=["ledger-presence-first", "config-alpha-before-tdp", "feed-region-before-entries"])
+def test_first_fault_in_check_order(parse, data, error, message):
+    with pytest.raises(error) as exc_info:
+        parse(data)
+    assert type(exc_info.value) is error and str(exc_info.value) == message
 
 
 class TestRoundTrips:

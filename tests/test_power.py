@@ -87,6 +87,32 @@ class TestValidateSpec:
     def test_alpha_sum_within_tolerance_accepted(self):
         spec_with_alpha(0.4, 0.3, 0.2, 0.1 + 5e-10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, error", [
+        ("tdp_watts", SpecError), ("n_cpu", SpecError), ("idle_watts", SpecError),
+        *((f"u_max.{component}", SpecError) for component in COMPONENTS),
+        *((f"alpha.{component}", AllocationError) for component in COMPONENTS),
+    ])
+    def test_non_finite_rejected(self, field, error, value):
+        # NaN fails every bound; an infinite u_max would zero its component's energy
+        spec = spec_with_alpha(0.4, 0.3, 0.2, 0.1)
+        name, _, component = field.partition(".")
+        if component:
+            value = dataclasses.replace(getattr(spec, name), **{component: value})
+        with pytest.raises(error):
+            dataclasses.replace(spec, **{name: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tdp_watts", math.inf, "tdp_watts must be finite, got inf"),
+        ("idle_watts", math.nan, "idle_watts must be finite, got nan"),
+        ("u_max", PerComponent(4.0, math.inf, 1e12, 1e12), "u_max.mem must be finite"),
+        ("alpha", PerComponent(math.nan, 0.3, 0.2, 0.1), "alpha entries sum to nan, expected 1"),
+    ])
+    def test_non_finite_messages(self, field, value, message):
+        with pytest.raises((SpecError, AllocationError)) as exc_info:
+            dataclasses.replace(spec_with_alpha(0.4, 0.3, 0.2, 0.1), **{field: value})
+        assert str(exc_info.value) == message
+
 
 class TestComponentPower:
     def test_full_load_breakdown(self, example_spec):
