@@ -163,6 +163,15 @@ def _object(value: Any, location: str, key: str) -> dict:
     return value
 
 
+def _setting(doc: dict, key: str, choices: tuple, expected: str | None = None) -> Any:
+    """The optional top-level key ``key``: one of ``choices`` and of their
+    type (so 1 is no True), ``choices[0]`` when absent."""
+    value = doc.get(key, choices[0])
+    if type(value) is not type(choices[0]) or value not in choices:
+        raise ParseError(f"{key} must be {expected or f'one of {choices}, got {value!r}'}", location=f"$.{key}")
+    return value
+
+
 def _located(build: Callable[..., Any], location: str, *args: Any) -> Any:
     """``build(*args)``, its ValueError raised as a ParseError at ``location``."""
     try:
@@ -458,27 +467,15 @@ def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
         endpoint, region = _fields(raw_intensity, "$.intensity", ("endpoint", _string), ("region", _string))
         source = IntensitySource(endpoint=endpoint, region=region)
 
-    coverage_policy = doc.get("coverage_policy", "strict")
-    if coverage_policy not in COVERAGE_POLICIES:
-        raise ParseError(
-            f"coverage_policy must be one of {COVERAGE_POLICIES}, got {coverage_policy!r}",
-            location="$.coverage_policy",
-        )
+    coverage_policy = _setting(doc, "coverage_policy", COVERAGE_POLICIES)
 
     functional_unit = None
     if "functional_unit" in doc:
         count, name = _fields(doc["functional_unit"], "$.functional_unit", ("count", _number), ("name", _string))
         functional_unit = _located(FunctionalUnit, "$.functional_unit.count", name, count)
 
-    clamp_usage = doc.get("clamp_usage", False)
-    if not isinstance(clamp_usage, bool):
-        raise ParseError("clamp_usage must be a boolean", location="$.clamp_usage")
-
-    output = doc.get("output", "json")
-    if output not in OUTPUT_FORMATS:
-        raise ParseError(
-            f"output must be one of {OUTPUT_FORMATS}, got {output!r}", location="$.output"
-        )
+    clamp_usage = _setting(doc, "clamp_usage", (False, True), "a boolean")
+    output = _setting(doc, "output", OUTPUT_FORMATS)
 
     return RunConfig(
         server=spec,

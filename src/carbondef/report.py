@@ -34,7 +34,7 @@ from .grid import (
     apply_pue,
     operational_emissions,
 )
-from .ingest import RunConfig, fetch_intensity, parse_intensity_feed
+from .ingest import FunctionalUnit, RunConfig, fetch_intensity, parse_intensity_feed
 from .power import (
     ENERGY_SOURCES,
     EnergyEntry,
@@ -50,23 +50,6 @@ SCHEMA_VERSION = "2"
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _meta(
-    report_type: str,
-    config: RunConfig | None = None,
-    trace_digest: str | None = None,
-    ledger_digest: str | None = None,
-    window: tuple[float, float] | None = None,
-) -> dict[str, Any]:
-    return {
-        "tool": "carbondef",
-        "version": __version__,
-        "report": report_type,
-        "config_sha256": config.digest if config is not None else None,
-        "inputs": {"trace_sha256": trace_digest, "ledger_sha256": ledger_digest},
-        "window": None if window is None else {"start": window[0], "end": window[1]},
-    }
 
 
 class Rows:
@@ -263,89 +246,72 @@ def resolve_intensity(config: RunConfig, window: tuple[float, float] | None) -> 
     return fetch_intensity(source.endpoint, source.region, fetch_window)
 
 
-def build_estimate_report(
-    config: RunConfig, trace: UsageTrace, trace_digest: str
-) -> dict[str, Any]:
-    series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "meta": _meta("estimate", config, trace_digest, window=series.window()),
-        "energy": _energy_section(series),
-        "diagnostics": _diagnostics(config, trace),
-    }
-
-
-def build_emissions_report(config: RunConfig, trace: UsageTrace, trace_digest: str) -> dict[str, Any]:
-    series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
-    energy = _energy_section(series)
-    intensity = resolve_intensity(config, series.window())
-    emissions = operational_emissions(
-        series, intensity, config.pue, config.coverage_policy
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "meta": _meta("emissions", config, trace_digest, window=series.window()),
-        "energy": energy,
-        "operational": _operational_section(emissions, series, config, intensity.region),
-        "diagnostics": _diagnostics(config, trace),
-    }
-
-
-def build_embodied_report(
-    ledger: Ledger, ledger_digest: str, consumer_id: str | None = None
-) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "meta": _meta("embodied", ledger_digest=ledger_digest),
-        "embodied": _embodied_section(ledger, consumer_id),
-    }
-
-
-def build_full_report(
-    config: RunConfig,
-    trace: UsageTrace,
-    trace_digest: str,
-    ledger: Ledger,
-    ledger_digest: str,
-    consumer_id: str | None = None,
-) -> dict[str, Any]:
-    if config.functional_unit is None:
-        raise SchemaError(
-            "a functional_unit is required for the full report",
-            location="$.functional_unit",
-        )
-    series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
-    energy = _energy_section(series)
-    intensity = resolve_intensity(config, series.window())
-    emissions = operational_emissions(
-        series, intensity, config.pue, config.coverage_policy
-    )
-    operational = _operational_section(emissions, series, config, intensity.region)
-    embodied = _embodied_section(ledger, consumer_id)
-    unit = config.functional_unit
-    total_kg = emissions.total_kg_co2e + embodied["total_attributed_kg_co2e"]
+def _sci_section(unit: FunctionalUnit, operational_kg: float, embodied_kg: float) -> dict[str, Any]:
+    total_kg = operational_kg + embodied_kg
     sci = {
-        "operational_kg_co2e": emissions.total_kg_co2e,
-        "embodied_kg_co2e": embodied["total_attributed_kg_co2e"],
+        "operational_kg_co2e": operational_kg,
+        "embodied_kg_co2e": embodied_kg,
         "total_kg_co2e": total_kg,
-        "functional_unit": {
-            "name": unit.name,
-            "count": unit.count,
-        },
+        "functional_unit": {"name": unit.name, "count": unit.count},
         "sci_kg_co2e_per_unit": total_kg / unit.count,
     }
     _require_finite(
         {f"sci.{f}": sci[f] for f in ("total_kg_co2e", "sci_kg_co2e_per_unit")},
         "the emissions totals and functional_unit.count",
     )
+    return sci
+
+
+def build_report(
+    report_type: str,
+    config: RunConfig | None = None,
+    trace: UsageTrace | None = None,
+    trace_digest: str | None = None,
+    ledger: Ledger | None = None,
+    ledger_digest: str | None = None,
+    consumer_id: str | None = None,
+) -> dict[str, Any]:
+    """The ``report_type`` report: ``estimate`` (energy), ``emissions`` (and
+    operational), ``embodied`` (the ledger alone) or ``report`` (all of them
+    and ``sci``). Each stage of the chain runs once, when its input is given:
+    energy from the trace, then PUE and the energy mix unless estimating,
+    embodied from the ledger, and the total last."""
+    if report_type == "report" and config.functional_unit is None:
+        raise SchemaError(
+            "a functional_unit is required for the full report",
+            location="$.functional_unit",
+        )
+    sections: dict[str, Any] = {}
+    window = None
+    if trace is not None:
+        series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
+        window = series.window()
+        sections["energy"] = _energy_section(series)
+        if report_type != "estimate":
+            intensity = resolve_intensity(config, window)
+            emissions = operational_emissions(series, intensity, config.pue, config.coverage_policy)
+            sections["operational"] = _operational_section(emissions, series, config, intensity.region)
+    if ledger is not None:
+        sections["embodied"] = _embodied_section(ledger, consumer_id)
+    if report_type == "report":
+        sections["sci"] = _sci_section(
+            config.functional_unit,
+            sections["operational"]["total_kg_co2e"],
+            sections["embodied"]["total_attributed_kg_co2e"],
+        )
+    if trace is not None:
+        sections["diagnostics"] = _diagnostics(config, trace)
     return {
         "schema_version": SCHEMA_VERSION,
-        "meta": _meta("report", config, trace_digest, ledger_digest, series.window()),
-        "energy": energy,
-        "operational": operational,
-        "embodied": embodied,
-        "sci": sci,
-        "diagnostics": _diagnostics(config, trace),
+        "meta": {
+            "tool": "carbondef",
+            "version": __version__,
+            "report": report_type,
+            "config_sha256": config.digest if config is not None else None,
+            "inputs": {"trace_sha256": trace_digest, "ledger_sha256": ledger_digest},
+            "window": None if window is None else {"start": window[0], "end": window[1]},
+        },
+        **sections,
     }
 
 
@@ -454,7 +420,7 @@ _REPORT_OPERATIONAL_ROWS = _long_rows("operational", _SEGMENT_KEYS[2:])
 
 
 def to_csv_bytes(report: dict[str, Any]) -> bytes:
-    """Chart-friendly CSV rendering of a ``build_*_report`` report, one row
+    """Chart-friendly CSV rendering of a ``build_report`` report, one row
     per interval where possible. Rows go through '%'-templates (``%r`` of a
     number is what csv.writer writes); rows with ids use csv.writer for its
     quoting."""

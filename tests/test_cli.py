@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from carbondef import UsageSample, __version__, cli
+from carbondef import UsageSample, __version__, cli, grid
 from carbondef import report as report_module
 from carbondef.cli import main
 from carbondef.ingest import parse_usage_trace, serialize_usage_trace
@@ -429,6 +429,18 @@ class TestFullReport:
         sci_rows = {r["metric"]: r["value"] for r in rows if r["section"] == "sci"}
         assert float(sci_rows["sci_kg_co2e_per_unit"]) == pytest.approx(0.10045, rel=1e-9)
 
+    @pytest.mark.parametrize("consumer", ["svc-a", "ghost"])
+    def test_consumer_section_matches_embodied_command(self, runner, consumer):
+        full = invoke(runner, TRACE_COMMANDS["report"] + [
+            "--trace", str(CLI / "trace_full_load.csv"), "--consumer", consumer,
+        ])
+        alone = invoke(runner, ["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", consumer])
+        assert full.exit_code == alone.exit_code == 0
+        assert json.loads(full.stdout)["embodied"] == json.loads(alone.stdout)["embodied"]
+        warnings = [line for line in full.stderr.splitlines() if line.startswith("warning:")]
+        assert warnings == ([f"warning: consumer {consumer!r} has no records; reporting 0 kg"]
+                            if consumer == "ghost" else [])
+
 
 TRACE_COMMANDS = {
     "estimate": ["estimate", "--config", str(CLI / "config.json")],
@@ -483,7 +495,7 @@ class TestCommandLifecycle:
         UsageSample(0, 1.0, 0, 0, 0, 0)  # and the counter does see a sample built
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    @pytest.mark.parametrize("command", [*sorted(TRACE_COMMANDS), "embodied"])
     def test_inputs_released_before_rendering(self, runner, monkeypatch, command):
         parsed, alive_at_render = [], []
         real_parse_trace, real_parse_ledger = cli.parse_usage_trace, cli.parse_ledger
@@ -506,9 +518,45 @@ class TestCommandLifecycle:
         monkeypatch.setattr(cli, "parse_usage_trace", parse_trace)
         monkeypatch.setattr(cli, "parse_ledger", parse_ledger)
         monkeypatch.setattr(cli, "render_report", render)
-        args = TRACE_COMMANDS[command] + ["--trace", str(CLI / "trace_full_load.csv")]
+        if command == "embodied":
+            args = ["embodied", "--ledger", str(CLI / "ledger.json")]
+        else:
+            args = TRACE_COMMANDS[command] + ["--trace", str(CLI / "trace_full_load.csv")]
         assert invoke(runner, args).exit_code == 0
         assert alive_at_render == [False] * (2 if command == "report" else 1)
+
+    def test_every_benchmark_span_target_is_called(self, runner, monkeypatch, tmp_path):
+        # bench/spans.py wraps these module globals by name and silently skips
+        # one the package no longer has, so its metrics would read 0
+        targets = {
+            cli: ("load_config", "parse_usage_trace", "parse_ledger", "build_full_report", "render_report"),
+            report_module: (
+                "trace_to_energy_series", "clamped_sample_indices", "resolve_intensity",
+                "operational_emissions", "consumer_embodied", "idle_residual",
+            ),
+            grid: ("align_segments",),
+        }
+        calls, rendered = {}, []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                result = real(*args, **kwargs)
+                if name == "render_report":
+                    rendered.append(len(result))
+                return result
+            return wrapper
+
+        for module, names in targets.items():
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        out = tmp_path / "report.json"
+        args = TRACE_COMMANDS["report"] + [
+            "--trace", str(CLI / "trace_full_load.csv"), "--clamp-usage", "--out", str(out),
+        ]
+        assert invoke(runner, args).exit_code == 0
+        assert sorted(calls) == sorted(name for names in targets.values() for name in names)
+        assert rendered == [out.stat().st_size]
 
     @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640])
     def test_out_file_keeps_its_mode(self, runner, tmp_path, mode):

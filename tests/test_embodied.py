@@ -28,7 +28,7 @@ from carbondef.errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
-from carbondef.report import build_embodied_report
+from carbondef.report import build_report
 
 from support import gen_ledger, naive_check_oversubscription, rel_close
 
@@ -312,7 +312,7 @@ class TestLedger:
         late = record([ProfileStep(T0 + 10 * YEAR - 5, T0 + 10 * YEAR + 5, 0.5)])
         with pytest.raises(ProfileOutOfLifespan):
             ledger = Ledger(objects={"rack-1": rack()}, records=(late,))
-            build_embodied_report(ledger, "sha")
+            build_report("embodied", ledger=ledger, ledger_digest="sha")
 
     def test_direct_construction_rejects_dangling_reference(self):
         with pytest.raises(LedgerReferenceError, match=r"unknown object 'x' \(at records\[1\]\)"):
@@ -339,7 +339,7 @@ class TestLedger:
         calls = []
         real_check = embodied._check_within_lifespan
         monkeypatch.setattr(embodied, "_check_within_lifespan", lambda *args: calls.append(args) or real_check(*args))
-        build_embodied_report(ledger, "sha", consumer_id)
+        build_report("embodied", ledger=ledger, ledger_digest="sha", consumer_id=consumer_id)
         assert ledger.records and calls == []
 
     def test_exactly_full_subscription_allowed(self):

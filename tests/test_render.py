@@ -16,10 +16,7 @@ from carbondef.grid import EmissionsReport, UncoveredSpan
 from carbondef.ingest import FunctionalUnit, IntensitySource, RunConfig, serialize_intensity_feed
 from carbondef.report import (
     Rows,
-    build_embodied_report,
-    build_emissions_report,
-    build_estimate_report,
-    build_full_report,
+    build_report,
     to_csv_bytes,
     to_json_bytes,
 )
@@ -153,10 +150,10 @@ def gen_reports(seed: int, tmp_path) -> list[dict]:
     trace = UsageTrace(samples=tuple(samples))
     ledger = gen_ledger(rng)
     return [
-        build_estimate_report(config, trace, "t"),
-        build_emissions_report(config, trace, "t"),
-        build_embodied_report(ledger, "l"),
-        build_full_report(config, trace, "t", ledger, "l"),
+        build_report("estimate", config, trace, "t"),
+        build_report("emissions", config, trace, "t"),
+        build_report("embodied", ledger=ledger, ledger_digest="l"),
+        build_report("report", config, trace, "t", ledger, "l"),
     ]
 
 
@@ -225,4 +222,4 @@ def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
         base_dir=tmp_path,
     )
     with pytest.raises(ValidationError, match=r"operational\.uncovered\[\*\]\.kwh is inf"):
-        build_emissions_report(config, UsageTrace(samples=()), "t")
+        build_report("emissions", config, UsageTrace(samples=()), "t")

@@ -26,7 +26,7 @@ from carbondef import (
 )
 from carbondef.grid import JOULES_PER_KWH
 from carbondef.ingest import FunctionalUnit, load_config, parse_ledger
-from carbondef.report import build_full_report
+from carbondef.report import build_report
 
 from support import FIXTURES, rel_close
 
@@ -47,7 +47,7 @@ def full_report(pue=1.5, count=1000.0, load=1.0, consumer_id=None):
     config = dataclasses.replace(
         CONFIG, pue=PueFactor(pue), functional_unit=FunctionalUnit("api_call", count)
     )
-    return build_full_report(config, hour_trace(load), "", LEDGER, "", consumer_id)
+    return build_report("report", config, hour_trace(load), "", LEDGER, "", consumer_id)
 
 
 def software_joules(load: float) -> float:
