@@ -3,9 +3,10 @@
 All four commands run one path: load the config, trace and ledger the
 command takes, build its report with ``report.build_report``, drop the
 inputs and render. Exit codes: 0 success, 2 validation errors, 3 IO or
-network errors. Reports are rendered fully, then a regular ``--out`` file is
-replaced by a rename that keeps its mode, so a failing run never leaves a
-partial file.
+network errors. Every report check runs as the report is built; it then
+streams block by block, and only an IO error can stop it. That can leave
+partial output on stdout, never in a regular ``--out`` file: it is rendered
+into a temporary file beside it, renamed over it and keeps its mode.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _emit(data: bytes, out_path: str | None) -> None:
+def _emit(report: dict, output: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.buffer.write(data)
+        render_report(report, output, sys.stdout.buffer)
         sys.stdout.buffer.flush()
         return
     path = Path(out_path)
@@ -47,9 +48,10 @@ def _emit(data: bytes, out_path: str | None) -> None:
         os.umask(umask := os.umask(0))  # reading the umask means setting it
         mode = stat.S_IFREG | 0o666 & ~umask
     if stat.S_ISREG(mode):
-        write_atomic(path, data, stat.S_IMODE(mode))
+        write_atomic(path, lambda handle: render_report(report, output, handle), stat.S_IMODE(mode))
     else:  # a symlink, device or FIFO: the rename would replace it, not write to it
-        path.write_bytes(data)
+        with path.open("wb") as handle:
+            render_report(report, output, handle)
 
 
 def _load(parse, path: str, **options):
@@ -90,7 +92,7 @@ def _run(
                 click.echo(f"warning: consumer {consumer_id!r} has no records; reporting 0 kg", err=True)
         report = build_full_report(report_type, config, trace, trace_digest, ledger, ledger_digest, consumer_id)
         del trace, ledger  # rendering is the memory peak and needs only the report
-        _emit(render_report(report, fmt or (config.output if config else "json")), out_path)
+        _emit(report, fmt or (config.output if config else "json"), out_path)
     except ValidationError as exc:
         _fail(str(exc), EXIT_VALIDATION)
     except (TransportError, OSError) as exc:

@@ -105,9 +105,9 @@ class EmissionsReport:
 
 
 def apply_pue(joules: float, pue: PueFactor) -> float:
-    """Scale IT energy up to facility energy."""
-    if joules < 0:
-        raise ValueError(f"joules must be >= 0, got {joules}")
+    """Scale IT energy ``joules`` up to facility energy. ``joules`` must be
+    >= 0 and is not re-checked: the package passes an EnergySeries' total,
+    which the series guarantees non-negative."""
     return joules * pue.value
 
 

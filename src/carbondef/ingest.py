@@ -39,7 +39,7 @@ from itertools import repeat
 from math import inf
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
 
 from .errors import (
     FractionError,
@@ -59,6 +59,8 @@ TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,
 TRACE_FIELDS = ("start", "duration_s", "u_cpu_cores", "u_mem_bytes", "u_io_bytes", "u_net_bytes")
 
 OUTPUT_FORMATS = ("json", "csv")
+
+_CSV_BLOCK = 8192  # CSV trace lines split into cells at once: a whole trace's cells outweigh its columns
 
 DEFAULT_FRESHNESS_S = 1800.0
 
@@ -206,14 +208,16 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
         raise SchemaError(f"header must be {TRACE_CSV_HEADER!r}, got {lines[0]!r}", location="row 1")
     del lines[0]
 
-    # the whole body column by column; any fault leaves its location to the row loop
+    # the body column by column, in blocks; any fault leaves its location to the row loop
     try:
         if set(map(str.count, lines, repeat(","))) - {5}:
             raise ValueError("a row without 6 fields")
-        fields = ",".join(lines).split(",") if lines else []
-        start = list(map(int, fields[0::6]))
-        values = [list(map(float, fields[k::6])) for k in range(1, 6)]
-        return UsageTrace(columns=(start, *values), source_rows=range(2, len(lines) + 2))
+        columns = ([], [], [], [], [], [])
+        for begin in range(0, len(lines), _CSV_BLOCK):
+            fields = ",".join(lines[begin:begin + _CSV_BLOCK]).split(",")
+            for k, column in enumerate(columns):
+                column.extend(map(float if k else int, fields[k::6]))
+        return UsageTrace(columns=columns, source_rows=range(2, len(lines) + 2))
     except ValueError:
         _locate_csv_fault(lines)
         raise
@@ -547,14 +551,14 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
         return None
 
 
-def write_atomic(path: Path, data: bytes, mode: int = 0o600) -> None:
-    """Replace ``path`` by a temporary file in its directory and a rename:
-    readers never see a partial file, a failure leaves no temporary file,
-    and the new file has ``mode`` (by default its owner's only)."""
+def write_atomic(path: Path, write: Callable[[BinaryIO], Any], mode: int = 0o600) -> None:
+    """Replace ``path`` by a temporary file in its directory, filled by
+    ``write(handle)``, and a rename: readers never see a partial file, a failure
+    leaves no temporary file, and the new file has ``mode`` (default owner-only)."""
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
+            write(handle)
         os.chmod(temp_name, mode)
         os.replace(temp_name, path)
     except BaseException:
@@ -616,5 +620,5 @@ def fetch_intensity(
         "payload_sha256": hashlib.sha256(canonical).hexdigest(),
         "payload": canonical.decode("utf-8"),
     }
-    write_atomic(path, canonical_json(entry))
+    write_atomic(path, lambda handle: handle.write(canonical_json(entry)))
     return series

@@ -1,14 +1,13 @@
 """Report assembly and serialization for the CLI.
 
-Reports are dicts with a fixed section order, serialized once at the end
-of a run; their per-interval row lists are read-only ``Rows`` views over
-the pipeline's tuples, rendered without building a dict per row. Every
-report total is checked finite before any byte is written. Internals stay
-in joules; user-facing numbers are kWh and kg CO2e, converted here.
-Output is deterministic: floats use the
-shortest round-trip decimal form and metadata carries input digests and
-the data window rather than wall-clock time, so identical inputs produce
-byte-identical bytes.
+Reports are dicts with a fixed section order, rendered block by block into
+a binary sink; their per-interval row lists are read-only ``Rows`` views
+over the pipeline's tuples, rendered without building a dict per row. Every
+report total is checked finite as the report is built, before any byte is
+written. Internals stay in joules; user-facing numbers are kWh and kg CO2e,
+converted here. Output is deterministic: floats use the shortest round-trip
+decimal form and metadata carries input digests and the data window rather
+than wall-clock time, so identical inputs produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any
+from typing import Any, BinaryIO
 
 from . import __version__
 from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
@@ -340,17 +339,22 @@ def _row_template(keys: tuple, indent: str) -> str:
 
 
 class _Utf8Writer:
-    """Text gathered as UTF-8 into one growing buffer: small pieces wait in
-    a list, each block of rows is flushed on its own, so no full-size str
-    or piece list of a report ever exists."""
+    """UTF-8 text for the binary ``sink``: small pieces wait in a list, each
+    block of rows is written on its own, so no full-size str, bytes or piece
+    list of a report ever exists. ``len()`` is the number of bytes written."""
 
-    def __init__(self) -> None:
-        self.buffer, self.pending = io.BytesIO(), []
+    def __init__(self, sink: BinaryIO) -> None:
+        self.sink, self.pending, self.size = sink, [], 0
         self.write = self.pending.append  # csv.writer writes here too
 
+    def __len__(self) -> int:
+        return self.size
+
     def flush(self) -> None:
-        self.buffer.write("".join(self.pending).encode("utf-8"))
+        data = "".join(self.pending).encode("utf-8")
         self.pending.clear()
+        self.sink.write(data)
+        self.size += len(data)
 
 
 def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
@@ -396,17 +400,6 @@ def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
         out.write(indent + "]")
 
 
-def to_json_bytes(report: Any) -> bytes:
-    """The bytes of ``json.dumps(report, indent=2, default=list) + "\\n"``
-    without its slow pure-Python encoder: a Rows renders through one
-    '%'-template per row, straight from its tuples."""
-    out = _Utf8Writer()
-    _encode(report, out, "\n")
-    out.write("\n")
-    out.flush()
-    return out.buffer.getvalue()  # BytesIO hands its buffer over without a copy
-
-
 def _long_rows(section: str, metrics: tuple[str, ...]) -> Callable[[tuple], str]:
     """Format Rows values ``(start, duration_s, *numbers)`` as one CSV line per metric."""
     template = "".join(f"\0{metric},%r\n" for metric in metrics)
@@ -419,13 +412,12 @@ _REPORT_ENERGY_ROWS = _long_rows("energy", ("kwh_total", *(f"kwh_{s}" for s in E
 _REPORT_OPERATIONAL_ROWS = _long_rows("operational", _SEGMENT_KEYS[2:])
 
 
-def to_csv_bytes(report: dict[str, Any]) -> bytes:
+def _write_csv(report: dict[str, Any], out: _Utf8Writer) -> None:
     """Chart-friendly CSV rendering of a ``build_report`` report, one row
     per interval where possible. Rows go through '%'-templates (``%r`` of a
     number is what csv.writer writes); rows with ids use csv.writer for its
     quoting."""
     report_type = report["meta"]["report"]
-    out = _Utf8Writer()
     writer = csv.writer(out, lineterminator="\n")
     if report_type == "estimate":
         writer.writerow(["start", "duration_s", "kwh_total", *(f"kwh_{s}" for s in ENERGY_SOURCES)])
@@ -465,13 +457,30 @@ def to_csv_bytes(report: dict[str, Any]) -> bytes:
             writer.writerow(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
     else:
         raise ValueError(f"unknown report type {report_type!r}")
-    out.flush()
-    return out.buffer.getvalue()
 
 
-def render_report(report: dict[str, Any], output: str) -> bytes:
+def render_report(report: Any, output: str, sink: BinaryIO) -> _Utf8Writer:
+    """Write ``report`` to the binary ``sink`` block by block, as ``"csv"`` or
+    as ``"json"``: ``json.dumps(report, indent=2, default=list) + "\\n"``, each
+    Rows row through one '%'-template. Returns the writer; the benchmark's span
+    wrapper reads its ``len()``, the bytes written, as the report's size."""
+    out = _Utf8Writer(sink)
     if output == "json":
-        return to_json_bytes(report)
-    if output == "csv":
-        return to_csv_bytes(report)
-    raise ValueError(f"output must be 'json' or 'csv', got {output!r}")
+        _encode(report, out, "\n")
+        out.write("\n")
+    elif output == "csv":
+        _write_csv(report, out)
+    else:
+        raise ValueError(f"output must be 'json' or 'csv', got {output!r}")
+    out.flush()
+    return out
+
+
+def to_json_bytes(report: Any) -> bytes:
+    render_report(report, "json", sink := io.BytesIO())
+    return sink.getvalue()
+
+
+def to_csv_bytes(report: dict[str, Any]) -> bytes:
+    render_report(report, "csv", sink := io.BytesIO())
+    return sink.getvalue()

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from carbondef import UsageSample, __version__, cli, grid
 from carbondef import report as report_module
 from carbondef.cli import main
-from carbondef.ingest import parse_usage_trace, serialize_usage_trace
+from carbondef.ingest import TRACE_CSV_HEADER, parse_usage_trace, serialize_usage_trace
 
 from support import FIXTURES
 
@@ -636,5 +636,43 @@ class TestCommandLifecycle:
         result = invoke(runner, args + ["--out", str(out)])
         assert result.exit_code == 3
         assert "No space left on device" in result.stderr
+        assert out.read_bytes() == b"previous report\n"
+        assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("failing_write", [2, 3])
+    def test_out_write_failing_after_blocks_keeps_old_file(self, runner, tmp_path, monkeypatch, failing_write):
+        # over two blocks of intervals: the report reaches the temporary file in three writes
+        trace = tmp_path / "trace.csv"
+        rows = (f"{10 * i},10,1.0,1e9,1e6,1e6\n" for i in range(2 * report_module._BLOCK + 1))
+        trace.write_text(TRACE_CSV_HEADER + "\n" + "".join(rows))
+        out = tmp_path / "report.json"
+        out.write_bytes(b"previous report\n")
+        real_fdopen = os.fdopen
+        writes = []
+
+        class FailingWrite:
+            """Writes through until write number ``failing_write``, which fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == failing_write:
+                    raise OSError(28, "No space left on device")
+                return self.handle.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: FailingWrite(real_fdopen(*args, **kwargs)))
+        args = ["estimate", "--config", str(CLI / "config.json"), "--trace", str(trace), "--out", str(out)]
+        result = invoke(runner, args)
+        assert result.exit_code == 3
+        assert "No space left on device" in result.stderr
+        assert len(writes) == failing_write and min(writes) > 0
         assert out.read_bytes() == b"previous report\n"
         assert not list(tmp_path.glob(".tmp-*"))

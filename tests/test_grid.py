@@ -68,10 +68,6 @@ class TestApplyPue:
     def test_zero(self):
         assert apply_pue(0.0, PueFactor(2.0)) == 0.0
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            apply_pue(-1.0, PueFactor(1.0))
-
     def test_pue_below_one_rejected(self):
         with pytest.raises(ValueError):
             PueFactor(0.9)

@@ -11,6 +11,7 @@ from carbondef.errors import (
     NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
 )
 from carbondef.ingest import (
+    _CSV_BLOCK,
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
     fetch_intensity,
@@ -141,6 +142,27 @@ class TestBulkParseAgainstReference:
     def test_malformed_traces_match_reference(self, filename, kind):
         data, fmt = (FIXTURES / "malformed" / filename).read_bytes(), kind.removeprefix("trace_")
         assert parse_outcome(parse_usage_trace, data, fmt) == parse_outcome(naive_parse_trace, data, fmt)
+
+    @pytest.mark.parametrize("rows", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
+    def test_csv_block_boundaries(self, rows):
+        # the body is split _CSV_BLOCK lines at a time; line i of ``lines`` is row i + 1
+        lines = [TRACE_CSV_HEADER, *(f"{10 * i},10,{i % 5 * 0.5},{i},{i % 3}e6,0.25" for i in range(rows))]
+        data = ("\n".join(lines) + "\n").encode()
+        expected = parse_outcome(naive_parse_trace, data, "csv")
+        assert parse_outcome(parse_usage_trace, data, "csv") == expected
+        assert len(expected[0]) == rows
+        faulty = [len(lines) - 1] + ([_CSV_BLOCK + 1] if rows > _CSV_BLOCK else [])  # last row, second block's first
+        for index in faulty:
+            cells = lines[index].split(",")
+            bad_lines = (  # a float timestamp, a non-number, a negative usage
+                ",".join(["1.5", *cells[1:]]), ",".join([*cells[:2], "x", *cells[3:]]),
+                ",".join([*cells[:3], "-1", *cells[4:]]),
+            )
+            for bad_line in bad_lines:
+                data = ("\n".join([*lines[:index], bad_line, *lines[index + 1:]]) + "\n").encode()
+                expected = parse_outcome(naive_parse_trace, data, "csv")
+                assert expected[2] == f"row {index + 1}"
+                assert parse_outcome(parse_usage_trace, data, "csv") == expected
 
 
 class TestIntensityParsing:

@@ -2,6 +2,7 @@
 ``json.dumps(value, indent=2, default=list) + "\\n"`` byte for byte, CSV
 must equal the one-list-per-row csv.writer reference in ``support``."""
 
+import io
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from carbondef.ingest import FunctionalUnit, IntensitySource, RunConfig, seriali
 from carbondef.report import (
     Rows,
     build_report,
+    render_report,
     to_csv_bytes,
     to_json_bytes,
 )
@@ -223,3 +225,51 @@ def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
     )
     with pytest.raises(ValidationError, match=r"operational\.uncovered\[\*\]\.kwh is inf"):
         build_report("emissions", config, UsageTrace(samples=()), "t")
+
+
+class RecordingSink(io.BytesIO):
+    """A binary sink that keeps each write's bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, data):
+        self.chunks.append(bytes(data))
+        return super().write(data)
+
+
+@pytest.fixture(scope="module")
+def large_report(tmp_path_factory):
+    """A full report of 20,000 intervals and as many segments."""
+    tmp_path = tmp_path_factory.mktemp("large")
+    rng = random.Random(7)
+    spec = gen_spec(rng, idle_max=50.0)
+    samples, t = [], 0
+    for _ in range(20_000):
+        samples.append(sample := gen_usage(rng, spec, t))
+        t = math.ceil(sample.end)
+    (tmp_path / "intensity.json").write_bytes(
+        serialize_intensity_feed(IntensitySeries(region="ZZ", entries=(IntensityEntry(0, t, 0.3),)))
+    )
+    config = RunConfig(
+        server=spec,
+        pue=PueFactor(1.2),
+        intensity=IntensitySource(file="intensity.json"),
+        functional_unit=FunctionalUnit("call", 1.0),
+        base_dir=tmp_path,
+    )
+    return build_report("report", config, UsageTrace(samples=tuple(samples)), "t", gen_ledger(rng), "l")
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_rendering_streams_in_blocks(output, large_report):
+    # no write holds the whole report: a regression to one report-sized buffer fails here
+    assert len(large_report["energy"]["intervals"]) == 20_000
+    sink = RecordingSink()
+    written = render_report(large_report, output, sink)
+    whole = b"".join(sink.chunks)
+    assert whole == (to_json_bytes if output == "json" else to_csv_bytes)(large_report)
+    assert len(written) == len(whole)
+    assert len(sink.chunks) > 1
+    assert max(map(len, sink.chunks)) < len(whole) / 4
