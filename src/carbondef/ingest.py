@@ -14,27 +14,26 @@ Formats (all timestamps are integer UTC epoch seconds):
 Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
-fault in its check order. Serializers emit a canonical form that
+fault in its check order. Every JSON key, required or optional, is read by
+one field reader, ``_fields``. Serializers emit a canonical form that
 round-trips byte-identically through the matching parser.
 
 The intensity fetcher keeps a content-addressed file cache (one entry per
-endpoint+region) with atomic writes; ``CARBONDEF_CACHE_DIR`` overrides the
-cache location.
+endpoint+region) with atomic writes, read through the same field reader: an
+entry it rejects is a miss. ``CARBONDEF_CACHE_DIR`` overrides the cache location.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import re
 import sys
-import tempfile
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from math import inf
 from operator import attrgetter
@@ -108,16 +107,20 @@ def _decode_json(data: bytes) -> Any:
 
 def _fields(raw: Any, location: str, *fields: tuple[str, Callable[[Any, str, str], Any]]) -> list:
     """The value of each ``(key, kind)`` field of the object ``raw``, read in
-    order: a missing key is a SchemaError at ``location``, and
-    ``kind(value, location, key)`` checks and converts the value, raising at
-    ``location.key``."""
+    order, the one reader of every JSON key: ``kind(value, location, key)``
+    checks and converts a present value, raising at ``location.key``. A
+    missing key reads as ``kind.default`` when the kind has one (an optional
+    key, see :func:`_optional`), else it is a SchemaError at ``location``."""
     if not isinstance(raw, dict):
         raise SchemaError("expected an object", location=location)
     values = []
     for key, kind in fields:
-        if key not in raw:
+        if key in raw:
+            values.append(kind(raw[key], location, key))
+        elif hasattr(kind, "default"):
+            values.append(kind.default)
+        else:
             raise SchemaError(f"missing key {key!r}", location=location)
-        values.append(kind(raw[key], location, key))
     return values
 
 
@@ -143,8 +146,7 @@ def _integer(value: Any, location: str, key: str, expected: str = "integer epoch
     return value
 
 
-def _cpu_count(value: Any, location: str, key: str) -> int:
-    return _integer(value, location, key, "an integer CPU count")
+_cpu_count = partial(_integer, expected="an integer CPU count")
 
 
 def _string(value: Any, location: str, key: str) -> str:
@@ -165,13 +167,22 @@ def _object(value: Any, location: str, key: str) -> dict:
     return value
 
 
-def _setting(doc: dict, key: str, choices: tuple, expected: str | None = None) -> Any:
-    """The optional top-level key ``key``: one of ``choices`` and of their
-    type (so 1 is no True), ``choices[0]`` when absent."""
-    value = doc.get(key, choices[0])
-    if type(value) is not type(choices[0]) or value not in choices:
-        raise ParseError(f"{key} must be {expected or f'one of {choices}, got {value!r}'}", location=f"$.{key}")
-    return value
+def _optional(kind: Callable[[Any, str, str], Any], default: Any) -> Callable[[Any, str, str], Any]:
+    """``kind`` for an optional key, which reads as ``default`` when missing."""
+    optional = partial(kind)
+    optional.default = default
+    return optional
+
+
+def _choice(choices: tuple, expected: str | None = None) -> Callable[[Any, str, str], Any]:
+    """The kind of an optional key holding one of ``choices``, of their type
+    (so 1 is no True), ``choices[0]`` when missing."""
+    def choice(value: Any, location: str, key: str) -> Any:
+        if type(value) is not type(choices[0]) or value not in choices:
+            message = f"{key} must be {expected or f'one of {choices}, got {value!r}'}"
+            raise ParseError(message, location=f"{location}.{key}")
+        return value
+    return _optional(choice, choices[0])
 
 
 def _located(build: Callable[..., Any], location: str, *args: Any) -> Any:
@@ -409,7 +420,7 @@ class FunctionalUnit:
 class IntensitySource:
     """Exactly one of ``file`` or ``endpoint``+``region`` is set."""
 
-    file: str | None = None
+    file: Path | None = None
     endpoint: str | None = None
     region: str | None = None
 
@@ -423,83 +434,60 @@ class RunConfig:
     functional_unit: FunctionalUnit | None = None
     clamp_usage: bool = False
     output: str = "json"
-    base_dir: Path = Path(".")
     digest: str = ""
-
-    def intensity_file(self) -> Path | None:
-        if self.intensity.file is None:
-            return None
-        return self.base_dir / self.intensity.file
 
 
 def _per_component(raw: Any, location: str) -> PerComponent:
     return PerComponent(*_fields(raw, location, *((component, _number) for component in COMPONENTS)))
 
 
+def _functional_unit(value: Any, location: str, key: str) -> FunctionalUnit:
+    count, name = _fields(value, f"{location}.{key}", ("count", _number), ("name", _string))
+    return _located(FunctionalUnit, f"{location}.{key}.count", name, count)
+
+
 def parse_config(data: bytes, base_dir: Path = Path(".")) -> RunConfig:
+    """Parse a run config; an intensity ``file`` is read as relative to ``base_dir``."""
     doc = _decode_json(data)
 
     (raw_server,) = _fields(doc, "$", ("server", _present))
-    raw_alpha, raw_umax = _fields(raw_server, "$.server", ("alpha", _present), ("u_max", _present))
-    raw_units = _object(raw_server.get("u_max_units", {}), "$.server", "u_max_units")
-    units = UnitTags(**{
-        component: _string(raw_units[component], "$.server.u_max_units", component)
-        for component in ("mem", "io", "net") if component in raw_units
-    })
-    tdp_watts, n_cpu = _fields(raw_server, "$.server", ("tdp_watts", _number), ("n_cpu", _cpu_count))
-    spec = ServerSpec(
-        tdp_watts=tdp_watts,
-        n_cpu=n_cpu,
-        alpha=_per_component(raw_alpha, "$.server.alpha"),
-        u_max=_per_component(raw_umax, "$.server.u_max"),
-        idle_watts=_number(raw_server.get("idle_watts", 0.0), "$.server", "idle_watts"),
-        u_max_units=units,
+    raw_alpha, raw_umax, raw_units = _fields(
+        raw_server, "$.server", ("alpha", _present), ("u_max", _present), ("u_max_units", _optional(_object, {}))
     )
+    tag = _optional(_string, "bytes")
+    units = UnitTags(*_fields(raw_units, "$.server.u_max_units", ("mem", tag), ("io", tag), ("net", tag)))
+    tdp_watts, n_cpu = _fields(raw_server, "$.server", ("tdp_watts", _number), ("n_cpu", _cpu_count))
+    alpha, u_max = _per_component(raw_alpha, "$.server.alpha"), _per_component(raw_umax, "$.server.u_max")
+    (idle_watts,) = _fields(raw_server, "$.server", ("idle_watts", _optional(_number, 0.0)))
+    spec = ServerSpec(tdp_watts, n_cpu, alpha, u_max, idle_watts, units)
 
     pue = _located(PueFactor, "$.pue", *_fields(doc, "$", ("pue", _number)))
 
     (raw_intensity,) = _fields(doc, "$", ("intensity", _object))
-    has_file = "file" in raw_intensity
-    if has_file == ("endpoint" in raw_intensity):
-        raise SchemaError(
-            "exactly one intensity source: either 'file' or 'endpoint'+'region'",
-            location="$.intensity",
-        )
-    if has_file:
-        source = IntensitySource(*_fields(raw_intensity, "$.intensity", ("file", _string)))
+    if ("file" in raw_intensity) == ("endpoint" in raw_intensity):
+        raise SchemaError("exactly one intensity source: either 'file' or 'endpoint'+'region'", location="$.intensity")
+    if "file" in raw_intensity:
+        (file,) = _fields(raw_intensity, "$.intensity", ("file", _string))
+        source = IntensitySource(file=base_dir / file)
     else:
         endpoint, region = _fields(raw_intensity, "$.intensity", ("endpoint", _string), ("region", _string))
         source = IntensitySource(endpoint=endpoint, region=region)
 
-    coverage_policy = _setting(doc, "coverage_policy", COVERAGE_POLICIES)
-
-    functional_unit = None
-    if "functional_unit" in doc:
-        count, name = _fields(doc["functional_unit"], "$.functional_unit", ("count", _number), ("name", _string))
-        functional_unit = _located(FunctionalUnit, "$.functional_unit.count", name, count)
-
-    clamp_usage = _setting(doc, "clamp_usage", (False, True), "a boolean")
-    output = _setting(doc, "output", OUTPUT_FORMATS)
-
-    return RunConfig(
-        server=spec,
-        pue=pue,
-        intensity=source,
-        coverage_policy=coverage_policy,
-        functional_unit=functional_unit,
-        clamp_usage=clamp_usage,
-        output=output,
-        base_dir=base_dir,
-        digest=hashlib.sha256(data).hexdigest(),
+    settings = _fields(  # in RunConfig's field order
+        doc, "$",
+        ("coverage_policy", _choice(COVERAGE_POLICIES)),
+        ("functional_unit", _optional(_functional_unit, None)),
+        ("clamp_usage", _choice((False, True), "a boolean")),
+        ("output", _choice(OUTPUT_FORMATS)),
     )
+    return RunConfig(spec, pue, source, *settings, digest=hashlib.sha256(data).hexdigest())
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a config file; referenced files must exist."""
+    """Read and validate a config file; its intensity file, relative to it, must exist."""
     path = Path(path)
     config = parse_config(path.read_bytes(), base_dir=path.parent)
-    intensity_file = config.intensity_file()
-    if intensity_file is not None and not intensity_file.exists():
+    if (intensity_file := config.intensity.file) is not None and not intensity_file.exists():
         raise FileNotFoundError(f"intensity file not found: {intensity_file}")
     return config
 
@@ -526,35 +514,24 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
     foreign or unparsable entry is refetched and overwritten.
     """
     try:
-        entry = json.loads(path.read_text("utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(entry, dict) or not {"payload", "window", "fetched_at"} <= entry.keys():
-        return None
-    cached, fetched_at, payload = entry["window"], entry["fetched_at"], entry["payload"]
-    if not (
-        isinstance(cached, dict)
-        and type(cached.get("start")) is int
-        and type(cached.get("end")) is int
-        and type(fetched_at) in (int, float)
-        and isinstance(payload, str)
-    ):
-        return None
-    if cached["start"] > window[0] or cached["end"] < window[1]:
-        return None
-    try:
+        raw_window, fetched_at, payload, checksum = _fields(
+            _decode_json(path.read_bytes()), "$",
+            ("window", _present), ("fetched_at", _number), ("payload", _string), ("payload_sha256", _present),
+        )
+        start, end = _fields(raw_window, "$.window", ("start", _integer), ("end", _integer))
         data = payload.encode("utf-8")
-        if hashlib.sha256(data).hexdigest() != entry.get("payload_sha256"):
-            return None
-        return fetched_at, parse_intensity_feed(data)
-    except (ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
-        return None
+        if start <= window[0] and window[1] <= end and hashlib.sha256(data).hexdigest() == checksum:
+            return fetched_at, parse_intensity_feed(data)
+    except (OSError, ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
+        pass
+    return None
 
 
 def write_atomic(path: Path, write: Callable[[BinaryIO], Any], mode: int = 0o600) -> None:
     """Replace ``path`` by a temporary file in its directory, filled by
     ``write(handle)``, and a rename: readers never see a partial file, a failure
     leaves no temporary file, and the new file has ``mode`` (default owner-only)."""
+    import tempfile  # here, not at module level: every run's cold start would pay for it
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(descriptor, "wb") as handle:
@@ -591,6 +568,8 @@ def fetch_intensity(
     if cached is not None and now - cached[0] <= freshness_s:
         return cached[1]
 
+    import http.client  # here, not at module level: every run's cold start would pay for them
+    import urllib.request
     query = urllib.parse.urlencode({"region": region, "start": window[0], "end": window[1]})
     url = f"{endpoint}{'&' if '?' in endpoint else '?'}{query}"
     try:

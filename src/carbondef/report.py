@@ -237,7 +237,7 @@ def resolve_intensity(config: RunConfig, window: tuple[float, float] | None) -> 
     """Load the intensity series named by the config, file or endpoint."""
     source = config.intensity
     if source.file is not None:
-        return parse_intensity_feed(config.intensity_file().read_bytes())
+        return parse_intensity_feed(source.file.read_bytes())
     if window is None:
         # nothing to fetch for; strict coverage of zero energy is vacuous
         return IntensitySeries(region=source.region, entries=())
@@ -351,10 +351,11 @@ class _Utf8Writer:
         return self.size
 
     def flush(self) -> None:
-        data = "".join(self.pending).encode("utf-8")
+        data = memoryview("".join(self.pending).encode("utf-8"))
         self.pending.clear()
-        self.sink.write(data)
         self.size += len(data)
+        while data:  # a sink may take part of a write, as a pipe whose reader left does; the next one raises
+            data = data[self.sink.write(data):]
 
 
 def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:

@@ -7,8 +7,11 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -22,6 +25,7 @@ from carbondef.ingest import TRACE_CSV_HEADER, parse_usage_trace, serialize_usag
 from support import FIXTURES
 
 CLI = FIXTURES / "cli"
+SRC = Path(cli.__file__).parents[1]
 
 
 @pytest.fixture
@@ -50,6 +54,31 @@ def test_schema_version_matches_the_reports(report_schema):
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def test_cold_start_imports_no_network_modules():
+    # only an endpoint fetch needs them, and every run would pay for importing them
+    code = "import sys, carbondef.cli; print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_report_cut_short_by_a_closed_pipe_exits_3(tmp_path):
+    # as ``carbondef estimate ... | head -c 20``: the reader leaves while the report's one
+    # write of ~125 kB waits on the full pipe, which then takes part of it
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_CSV_HEADER + "\n" + "".join(f"{60 * i},60,1.0,1e9,1e6,1e6\n" for i in range(1000)))
+    args = [sys.executable, "-m", "carbondef.cli", "estimate", "--config", str(CLI / "config.json"),
+            "--trace", str(trace), "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        assert os.read(process.stdout.fileno(), 20)
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.wait(timeout=60)
+    assert process.returncode == 3
+    assert stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 def test_version_from_source_checkout(runner, monkeypatch):

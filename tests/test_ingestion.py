@@ -24,6 +24,7 @@ from carbondef.ingest import (
     serialize_ledger,
     serialize_usage_trace,
 )
+from carbondef.power import UnitTags
 
 from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed
 
@@ -292,8 +293,7 @@ class TestConfig:
         config = load_config(CLI / "config.json")
         assert config.pue.value == 1.5
         assert config.server.tdp_watts == 100.0
-        assert config.intensity.file == "intensity.json"
-        assert config.intensity_file() == CLI / "intensity.json"
+        assert config.intensity.file == CLI / "intensity.json"
         assert config.functional_unit.count == 1000.0
         assert config.coverage_policy == "strict"
         assert len(config.digest) == 64
@@ -303,7 +303,7 @@ class TestConfig:
         doc["intensity"] = {"endpoint": "http://example.invalid/feed", "region": "NL"}
         config = parse_config(json.dumps(doc).encode())
         assert config.intensity.endpoint == "http://example.invalid/feed"
-        assert config.intensity_file() is None
+        assert config.intensity.file is None
 
     def test_missing_intensity_file(self, tmp_path):
         doc = json.loads((CLI / "config.json").read_text())
@@ -322,6 +322,60 @@ class TestConfig:
         assert config.functional_unit is None
         assert config.clamp_usage is False
         assert config.output == "json"
+
+    # the optional keys tests/fault_order.json never mutates (its fixture has no u_max_units), each
+    # set alone: the value read, followed along the key path, or the (class name, message) raised
+    DELETE = object()
+    OPTIONAL_KEYS = [
+        (("server", "u_max_units"), DELETE, UnitTags()),
+        (("server", "u_max_units"), {}, UnitTags()),
+        (("server", "u_max_units"), [], ("SchemaError", "'u_max_units' must be an object (at $.server.u_max_units)")),
+        (("server", "u_max_units"), {"mem": 1},
+         ("ParseError", "expected a string, got 1 (at $.server.u_max_units.mem)")),
+        (("server", "u_max_units"), {"io": "bits"},
+         ("SpecError", "u_max_units.io must be one of ('bytes', 'bytes_per_interval')")),
+        (("server", "idle_watts"), DELETE, 0.0),
+        (("server", "idle_watts"), None, ("ParseError", "expected a number, got None (at $.server.idle_watts)")),
+        (("server", "idle_watts"), True, ("ParseError", "expected a number, got True (at $.server.idle_watts)")),
+        (("server", "idle_watts"), "0", ("ParseError", "expected a number, got '0' (at $.server.idle_watts)")),
+        (("server", "idle_watts"), 2**1100,
+         ("ParseError", f"expected a finite number, got {2**1100} (at $.server.idle_watts)")),
+        (("functional_unit",), None, ("SchemaError", "expected an object (at $.functional_unit)")),
+        (("functional_unit",), [], ("SchemaError", "expected an object (at $.functional_unit)")),
+        (("functional_unit", "name"), DELETE, ("SchemaError", "missing key 'name' (at $.functional_unit)")),
+        (("functional_unit", "count"), 0,
+         ("ParseError", "functional unit count must be > 0, got 0.0 (at $.functional_unit.count)")),
+        (("coverage_policy",), DELETE, "strict"),
+        (("coverage_policy",), 1, ("ParseError", "coverage_policy must be one of ('strict', 'skip_uncovered'),"
+                                                 " got 1 (at $.coverage_policy)")),
+        (("coverage_policy",), True, ("ParseError", "coverage_policy must be one of ('strict', 'skip_uncovered'),"
+                                                    " got True (at $.coverage_policy)")),
+        (("clamp_usage",), DELETE, False),
+        (("clamp_usage",), 1, ("ParseError", "clamp_usage must be a boolean (at $.clamp_usage)")),
+        (("clamp_usage",), True, True),
+        (("output",), DELETE, "json"),
+        (("output",), 1, ("ParseError", "output must be one of ('json', 'csv'), got 1 (at $.output)")),
+        (("output",), True, ("ParseError", "output must be one of ('json', 'csv'), got True (at $.output)")),
+    ]
+
+    @pytest.mark.parametrize("path,value,expected", OPTIONAL_KEYS)
+    def test_optional_key(self, path, value, expected):
+        doc = json.loads((CLI / "config.json").read_text())
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is self.DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+        try:
+            read = parse_config(json.dumps(doc).encode())
+        except ValidationError as exc:
+            assert (type(exc).__name__, str(exc)) == expected
+            return
+        for step in path:
+            read = getattr(read, step)
+        assert read == expected and type(read) is type(expected)
 
 
 class TestFetchIntensity:
@@ -410,10 +464,14 @@ class TestFetchIntensity:
             ("payload", "\ud800"),
             ("fetched_at", "yesterday"),
             ("fetched_at", True),
+            ("fetched_at", 10**400),
+            ("fetched_at", math.inf),
             ("window", {"start": 0.0, "end": 3600}),
+            ("window", {"start": -(2**53) - 1, "end": 3600}),
         ],
         ids=["payload-not-string", "payload-unparsable", "payload-lone-surrogate",
-             "fetched-at-string", "fetched-at-bool", "window-float-bound"],
+             "fetched-at-string", "fetched-at-bool", "fetched-at-past-float-range", "fetched-at-infinite",
+             "window-float-bound", "window-beyond-2**53"],
     )
     def test_malformed_cache_entry_is_a_miss(self, feed_server, tmp_path, field, value):
         series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)

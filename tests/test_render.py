@@ -144,10 +144,9 @@ def gen_reports(seed: int, tmp_path) -> list[dict]:
     config = RunConfig(
         server=spec,
         pue=PueFactor(rng.uniform(1.0, 2.0)),
-        intensity=IntensitySource(file="intensity.json"),
+        intensity=IntensitySource(file=tmp_path / "intensity.json"),
         coverage_policy="skip_uncovered",
         functional_unit=FunctionalUnit("call", float(rng.randint(1, 10**6))),
-        base_dir=tmp_path,
     )
     trace = UsageTrace(samples=tuple(samples))
     ledger = gen_ledger(rng)
@@ -219,24 +218,24 @@ def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
     config = RunConfig(
         server=gen_spec(random.Random(0), idle_max=50.0),
         pue=PueFactor(1.5),
-        intensity=IntensitySource(file="intensity.json"),
+        intensity=IntensitySource(file=tmp_path / "intensity.json"),
         coverage_policy="skip_uncovered",
-        base_dir=tmp_path,
     )
     with pytest.raises(ValidationError, match=r"operational\.uncovered\[\*\]\.kwh is inf"):
         build_report("emissions", config, UsageTrace(samples=()), "t")
 
 
 class RecordingSink(io.BytesIO):
-    """A binary sink that keeps each write's bytes."""
+    """A binary sink that keeps the bytes it takes of each write: at most
+    ``limit`` of them, as a pipe may, and says how many."""
 
-    def __init__(self):
+    def __init__(self, limit=None):
         super().__init__()
-        self.chunks = []
+        self.chunks, self.limit = [], limit
 
     def write(self, data):
-        self.chunks.append(bytes(data))
-        return super().write(data)
+        self.chunks.append(bytes(data[:self.limit]))
+        return super().write(self.chunks[-1])
 
 
 @pytest.fixture(scope="module")
@@ -255,21 +254,23 @@ def large_report(tmp_path_factory):
     config = RunConfig(
         server=spec,
         pue=PueFactor(1.2),
-        intensity=IntensitySource(file="intensity.json"),
+        intensity=IntensitySource(file=tmp_path / "intensity.json"),
         functional_unit=FunctionalUnit("call", 1.0),
-        base_dir=tmp_path,
     )
     return build_report("report", config, UsageTrace(samples=tuple(samples)), "t", gen_ledger(rng), "l")
 
 
+@pytest.mark.parametrize("limit", [None, 4099])
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_rendering_streams_in_blocks(output, large_report):
-    # no write holds the whole report: a regression to one report-sized buffer fails here
+def test_rendering_streams_in_blocks(output, limit, large_report):
+    # no write holds the whole report: a regression to one report-sized buffer fails here;
+    # a write the sink takes only part of is completed by the next ones
     assert len(large_report["energy"]["intervals"]) == 20_000
-    sink = RecordingSink()
+    sink = RecordingSink(limit)
     written = render_report(large_report, output, sink)
     whole = b"".join(sink.chunks)
     assert whole == (to_json_bytes if output == "json" else to_csv_bytes)(large_report)
     assert len(written) == len(whole)
     assert len(sink.chunks) > 1
     assert max(map(len, sink.chunks)) < len(whole) / 4
+
