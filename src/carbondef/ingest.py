@@ -34,9 +34,9 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -185,6 +185,12 @@ def _choice(choices: tuple, expected: str | None = None) -> Callable[[Any, str, 
     return _optional(choice, choices[0])
 
 
+def _fails_kind(columns: tuple, types: set, limit: float) -> bool:
+    """Whether a value in ``columns`` has a type outside ``types`` (so a bool is no int) or
+    an ``abs`` past ``limit``. A NaN that max() skips passes: the value types reject it."""
+    return any(set(map(type, column)) - types or not max(map(abs, column), default=0) <= limit for column in columns)
+
+
 def _located(build: Callable[..., Any], location: str, *args: Any) -> Any:
     """``build(*args)``, its ValueError raised as a ParseError at ``location``."""
     try:
@@ -263,8 +269,7 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
         start, *values = [[raw[key] for raw in raw_samples] for key in TRACE_FIELDS]
         if set(map(type, start)) - {int}:
             raise ValueError("a start that is no integer")
-        if any(set(map(type, column)) - {int, float} or not max(map(abs, column), default=0) <= sys.float_info.max
-               for column in values):  # _number's test: a bool is an int, an int may pass the float range
+        if _fails_kind(values, {int, float}, sys.float_info.max):  # _number's test
             raise ValueError("a value that is no finite number")
         return UsageTrace(columns=(start, *(list(map(float, column)) for column in values)))
     except (KeyError, TypeError, ValueError):
@@ -331,8 +336,19 @@ def serialize_intensity_feed(series: IntensitySeries) -> bytes:
 
 # --- embodied ledgers ---
 
+_OBJECT_FIELDS = (("id", _string), ("m_kg", _number), ("r_kg", _number), ("eol_kg", _number),
+                  ("lifespan_start", _integer), ("lifespan_s", _number))
+_RECORD_FIELDS = (("consumer_id", _string), ("object_id", _string), ("profile", _array))
+_STEP_FIELDS = (("start", _integer), ("end", _integer), ("fraction", _number))
+
+
 def parse_ledger(data: bytes) -> Ledger:
     """Parse a ledger and run the full cross-reference validation.
+
+    Objects, records and their flattened steps are read key by key into
+    columns, checked in bulk and built into the value types. On a KeyError,
+    TypeError, ValueError or FractionError (caught by name: it is no ValueError),
+    :func:`_locate_ledger_fault` runs the entry-by-entry loop to name the first fault.
 
     Raises ParseError for malformed values, FractionError for fractions
     outside [0, 1], LedgerReferenceError for dangling object ids, and
@@ -343,34 +359,49 @@ def parse_ledger(data: bytes) -> Ledger:
     raw_objects, raw_records = _fields(doc, "$", ("objects", _present), ("records", _present))
     raw_objects, raw_records = _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
 
-    object_fields = (("id", _string), ("m_kg", _number), ("r_kg", _number), ("eol_kg", _number),
-                     ("lifespan_start", _integer), ("lifespan_s", _number))
-    objects: list[EmbodiedObject] = []
+    try:
+        ids, m_kg, r_kg, eol_kg, lifespan_start, lifespan_s = (
+            list(map(itemgetter(key), raw_objects)) for key, _ in _OBJECT_FIELDS)
+        consumer_ids, object_ids, profiles = (list(map(itemgetter(key), raw_records)) for key, _ in _RECORD_FIELDS)
+        starts, ends, fractions = (list(map(itemgetter(key), chain.from_iterable(profiles))) for key, _ in _STEP_FIELDS)
+        # _string's, _array's, _integer's and _number's tests; a profile that is no array fails here or above
+        if (set(map(type, chain(ids, consumer_ids, object_ids))) - {str} or set(map(type, profiles)) - {list}
+                or _fails_kind((lifespan_start, starts, ends), {int}, EPOCH_LIMIT)
+                or _fails_kind((m_kg, r_kg, eol_kg, lifespan_s, fractions), {int, float}, sys.float_info.max)):
+            raise ValueError("a value that fails its kind's test")
+        objects = list(map(EmbodiedObject, ids, *(map(float, column) for column in (m_kg, r_kg, eol_kg)),
+                           lifespan_start, map(float, lifespan_s)))
+        steps = map(ProfileStep, starts, ends, map(float, fractions))
+        records = list(map(ConsumptionRecord, consumer_ids, object_ids,
+                           map(SharingProfile, map(tuple, map(islice, repeat(steps), map(len, profiles))))))
+    except (KeyError, TypeError, ValueError, FractionError):
+        _locate_ledger_fault(raw_objects, raw_records)
+        raise
+
+    del doc, raw_objects, raw_records, profiles  # free the parsed JSON before Ledger.build indexes
+    return _located(Ledger.build, "$.objects", objects, records)  # a ValueError: duplicate object ids
+
+
+def _locate_ledger_fault(raw_objects: list, raw_records: list) -> None:
+    """Raise the error of the first faulty object or record, as an entry-by-entry parse would."""
     for index, raw in enumerate(raw_objects):
         location = f"objects[{index}]"
-        objects.append(_located(EmbodiedObject, location, *_fields(raw, location, *object_fields)))
+        _located(EmbodiedObject, location, *_fields(raw, location, *_OBJECT_FIELDS))
 
-    record_fields = (("consumer_id", _string), ("object_id", _string), ("profile", _array))
-    step_fields = (("start", _integer), ("end", _integer), ("fraction", _number))
-    records: list[ConsumptionRecord] = []
     for index, raw in enumerate(raw_records):
         location = f"records[{index}]"
-        consumer_id, object_id, raw_profile = _fields(raw, location, *record_fields)
+        *_, raw_profile = _fields(raw, location, *_RECORD_FIELDS)
         steps: list[ProfileStep] = []
         for step_index, raw_step in enumerate(raw_profile):
             step_location = f"{location}.profile[{step_index}]"
-            start, end, fraction = _fields(raw_step, step_location, *step_fields)
+            start, end, fraction = _fields(raw_step, step_location, *_STEP_FIELDS)
             try:
                 steps.append(ProfileStep(start, end, fraction))
             except FractionError as exc:
                 raise FractionError(f"{step_location}: {exc}") from exc
             except ValueError as exc:
                 raise ParseError(str(exc), location=step_location) from exc
-        profile = _located(SharingProfile, f"{location}.profile", tuple(steps))
-        records.append(ConsumptionRecord(consumer_id, object_id, profile))
-
-    del doc, raw_objects, raw_records  # free the parsed JSON before Ledger.build indexes
-    return _located(Ledger.build, "$.objects", objects, records)  # a ValueError: duplicate object ids
+        _located(SharingProfile, f"{location}.profile", tuple(steps))
 
 
 def serialize_ledger(ledger: Ledger) -> bytes:
@@ -506,12 +537,12 @@ def _cache_path(cache_dir: Path, endpoint: str, region: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySeries] | None:
-    """(fetched_at, series) of a well-formed entry covering ``window``
-    whose payload matches its ``payload_sha256``.
+def _read_cache(path: Path, window: tuple[int, int], now: float) -> tuple[float, IntensitySeries] | None:
+    """(fetched_at, series) of a well-formed entry covering ``window``,
+    fetched no later than ``now``, whose payload matches its ``payload_sha256``.
 
     Anything else is a miss, never an input error: a corrupt, edited,
-    foreign or unparsable entry is refetched and overwritten.
+    foreign, future-dated or unparsable entry is refetched and overwritten.
     """
     try:
         raw_window, fetched_at, payload, checksum = _fields(
@@ -520,7 +551,7 @@ def _read_cache(path: Path, window: tuple[int, int]) -> tuple[float, IntensitySe
         )
         start, end = _fields(raw_window, "$.window", ("start", _integer), ("end", _integer))
         data = payload.encode("utf-8")
-        if start <= window[0] and window[1] <= end and hashlib.sha256(data).hexdigest() == checksum:
+        if start <= window[0] and window[1] <= end and fetched_at <= now and hashlib.sha256(data).hexdigest() == checksum:
             return fetched_at, parse_intensity_feed(data)
     except (OSError, ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
         pass
@@ -562,8 +593,8 @@ def fetch_intensity(
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _cache_path(cache_dir, endpoint, region)
-    cached = _read_cache(path, window)
     now = time.time()
+    cached = _read_cache(path, window, now)
 
     if cached is not None and now - cached[0] <= freshness_s:
         return cached[1]

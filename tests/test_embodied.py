@@ -19,7 +19,7 @@ from carbondef import (
     lifecycle_total,
 )
 from carbondef import embodied
-from carbondef.embodied import _check_oversubscription
+from carbondef.embodied import OVERSUBSCRIPTION_TOL, _check_oversubscription
 from carbondef.errors import (
     DurationError,
     FractionError,
@@ -76,6 +76,22 @@ def oversubscription_outcome(check):
     except OversubscriptionError as exc:
         return exc.object_id, exc.instant, exc.total
     return None
+
+
+def drifting_steps(total):
+    """1,000 overlapping steps near 0.001 whose ledger order is not their start
+    order, and a last step that lifts the ledger-order sum to exactly ``total``."""
+    fractions = [0.001 + (i % 3 - 1) * 1e-6 for i in range(1000)]
+    starts = [T0 + i * 331 % 1000 for i in range(1000)]
+    by_start = [fraction for _, fraction in sorted(zip(starts, fractions))]
+    assert sum(by_start) != sum(fractions)  # a running total over the edges drifts from the re-sum
+    steps = [ProfileStep(start, T0 + 1000, fraction) for start, fraction in zip(starts, fractions)]
+    return [*steps, ProfileStep(T0 + 999, T0 + 1000, total - sum(fractions))]
+
+
+# (sum, rejected) one ulp below, at and one ulp above the oversubscription limit
+LIMIT = 1.0 + OVERSUBSCRIPTION_TOL
+AROUND_LIMIT = ((math.nextafter(LIMIT, 0), False), (LIMIT, False), (math.nextafter(LIMIT, 2), True))
 
 
 class TestEmbodiedObjectBounds:
@@ -270,6 +286,24 @@ class TestLedger:
     def test_sweep_matches_naive_oracle(self, records):
         steps = [step for rec in records for step in rec.profile.steps]
         expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
+        assert oversubscription_outcome(lambda: _check_oversubscription("rack-1", steps)) == expected
+        assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
+
+    # sums on each side of the tolerance: the prefilter may pass only what the exact sweep passes,
+    # and a rejection reports the sweep's edge and bit-identical total
+    @pytest.mark.parametrize("steps, rejected", [
+        ([ProfileStep(T0, T0 + 10, 0.1)] * 10, False),  # sums to 0.9999999999999999
+        ([ProfileStep(T0, T0 + 10, 0.1)] * 11, True),
+        *(([ProfileStep(T0, T0 + 10, 0.5), ProfileStep(T0 + 5, T0 + 10, total - 0.5)], rejected)
+          for total, rejected in AROUND_LIMIT),
+        ([ProfileStep(T0 + i, T0 + 1000, 0.001) for i in range(1000)], False),
+        *((drifting_steps(total), rejected) for total, rejected in AROUND_LIMIT),
+    ], ids=["ten-0.1", "eleven-0.1", "two-below", "two-at", "two-above", "thousand-0.001",
+            "drift-below", "drift-at", "drift-above"])
+    def test_sweep_boundaries_match_naive_oracle(self, steps, rejected):
+        records = [record([step], consumer=f"c{index}") for index, step in enumerate(steps)]
+        expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
+        assert (expected is not None) == rejected
         assert oversubscription_outcome(lambda: _check_oversubscription("rack-1", steps)) == expected
         assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
 

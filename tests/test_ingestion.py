@@ -2,13 +2,15 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carbondef import ingest
 from carbondef.errors import (
-    NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
+    FractionError, NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
 )
 from carbondef.ingest import (
     _CSV_BLOCK,
@@ -25,6 +27,7 @@ from carbondef.ingest import (
     serialize_usage_trace,
 )
 from carbondef.power import UnitTags
+from carbondef.report import build_report, to_json_bytes
 
 from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed
 
@@ -231,6 +234,99 @@ class TestLedgerParsing:
         assert set(ledger.objects) == {"rack-1"}
         assert ledger.consumer_ids() == ("svc-a",)
 
+    @staticmethod
+    def two_object_ledger() -> dict:
+        """Two objects, one record each of two steps: every fault below sits in a later one."""
+        def rack(i):
+            return {"id": f"rack-{i}", "m_kg": 600.0, "r_kg": 300.0, "eol_kg": 100.0,
+                    "lifespan_start": 1600000000, "lifespan_s": 315360000.0}
+
+        def claim(i):
+            return {"consumer_id": f"svc-{i}", "object_id": f"rack-{i}", "profile": [
+                {"start": 1600000000, "end": 1600086400, "fraction": 0.5},
+                {"start": 1600086400, "end": 1600172800, "fraction": 0.25},
+            ]}
+        return {"objects": [rack(1), rack(2)], "records": [claim(1), claim(2)]}
+
+    # faults a column-wise check can miss (max() skips a NaN that is not first, an int
+    # may pass the float range, True is an int, FractionError is no ValueError), each
+    # with the class and message a key-by-key parse gives it
+    @pytest.mark.parametrize("path, value, error, message", [
+        *((("objects", 1, key), value, ParseError, f"expected a finite number, got {value} (at objects[1].{key})")
+          for key in ("m_kg", "r_kg", "eol_kg", "lifespan_s") for value in (math.nan, math.inf, -math.inf)),
+        *((("records", 1, "profile", 1, "fraction"), value, ParseError,
+           f"expected a finite number, got {value} (at records[1].profile[1].fraction)")
+          for value in (math.nan, math.inf)),
+        (("objects", 1, "lifespan_s"), 10**400, ParseError,
+         f"expected a finite number, got {10**400} (at objects[1].lifespan_s)"),
+        (("objects", 1, "m_kg"), -1, ParseError, "lifecycle emissions must be >= 0 (at objects[1])"),
+        (("objects", 1, "lifespan_s"), 0, ParseError, "lifespan_s must be > 0, got 0.0 (at objects[1])"),
+        (("objects", 1, "lifespan_start"), 2**53 + 1, ParseError, "integer beyond ±2**53 (at objects[1].lifespan_start)"),
+        (("objects", 1, "id"), 7, ParseError, "expected a string, got 7 (at objects[1].id)"),
+        (("records", 1, "profile", 1, "fraction"), True, ParseError,
+         "expected a number, got True (at records[1].profile[1].fraction)"),
+        (("records", 1, "profile", 1, "fraction"), 1.5, FractionError,
+         "records[1].profile[1]: fraction must be within [0, 1], got 1.5"),
+        (("records", 1, "profile", 1, "fraction"), -1e-300, FractionError,
+         "records[1].profile[1]: fraction must be within [0, 1], got -1e-300"),
+        (("records", 1, "profile", 1, "end"), 1600086400.5, ParseError,
+         "expected integer epoch seconds, got 1600086400.5 (at records[1].profile[1].end)"),
+        (("records", 1, "profile", 1), [1600086400, 1600172800, 0.25], SchemaError,
+         "expected an object (at records[1].profile[1])"),
+        (("records", 1, "profile", 1), "step", SchemaError, "expected an object (at records[1].profile[1])"),
+        (("records", 1, "profile"), {"start": 1600000000, "end": 1600086400, "fraction": 0.5}, SchemaError,
+         "'profile' must be an array (at records[1].profile)"),
+        (("records", 1, "profile"), {}, SchemaError, "'profile' must be an array (at records[1].profile)"),
+        (("records", 1, "profile", 1, "end"), 1600086400, ParseError,
+         "profile step end 1600086400 <= start 1600086400 (at records[1].profile[1])"),
+        (("records", 1, "profile", 1, "start"), 1600086399, ParseError,
+         "profile steps unsorted or overlapping at start=1600086399 (at records[1].profile)"),
+        (("records", 1, "object_id"), None, ParseError, "expected a string, got None (at records[1].object_id)"),
+    ], ids=[*(f"{key}-{value}" for key in ("m_kg", "r_kg", "eol_kg", "lifespan_s") for value in ("nan", "inf", "-inf")),
+            "fraction-nan", "fraction-inf", "lifespan-10**400", "m_kg-negative", "lifespan-0", "lifespan_start-2**53+1",
+            "id-int", "fraction-true", "fraction-above-1", "fraction-below-0", "end-float", "step-array",
+            "step-string", "profile-object", "profile-empty-object", "start-equals-end", "steps-overlap",
+            "object_id-null"])
+    def test_later_fault_located(self, path, value, error, message):
+        doc = self.two_object_ledger()
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(error) as exc_info:
+            parse_ledger(json.dumps(doc).encode())
+        assert type(exc_info.value) is error and str(exc_info.value) == message
+
+    def test_valid_ledger_is_read_in_bulk(self, monkeypatch):
+        # only the document root goes through the field reader; the entry-by-entry loop runs on a fault
+        calls, real_fields = [], ingest._fields
+
+        def counted_fields(raw, location, *fields):
+            calls.append(location)
+            return real_fields(raw, location, *fields)
+        monkeypatch.setattr(ingest, "_fields", counted_fields)
+        doc = json.loads((CLI / "ledger.json").read_text())
+        assert len(parse_ledger(json.dumps(doc).encode()).records) == 2
+        assert calls == ["$"]
+        calls.clear()
+        doc["records"][1]["profile"][1]["fraction"] = 1.5
+        with pytest.raises(FractionError, match=r"^records\[1\]\.profile\[1\]: "):
+            parse_ledger(json.dumps(doc).encode())
+        assert calls[-1] == "records[1].profile[1]"
+
+    @pytest.mark.parametrize("fraction", [0, 1])
+    def test_integer_fraction_reads_as_float(self, fraction):
+        doc = self.two_object_ledger()
+        doc["records"][1]["profile"][1]["fraction"] = fraction
+        ledger = parse_ledger(json.dumps(doc).encode())
+        assert type(ledger.records[1].profile.steps[1].fraction) is float
+        doc["records"][1]["profile"][1]["fraction"] = float(fraction)
+        as_float = parse_ledger(json.dumps(doc).encode())
+        assert serialize_ledger(ledger) == serialize_ledger(as_float)
+        assert (to_json_bytes(build_report("embodied", ledger=ledger, ledger_digest="sha"))
+                == to_json_bytes(build_report("embodied", ledger=as_float, ledger_digest="sha")))
+
 
 @pytest.mark.parametrize(
     "filename,kind,error_class,marker",
@@ -378,6 +474,10 @@ class TestConfig:
         assert read == expected and type(read) is type(expected)
 
 
+# a clock set back or an edited entry: a negative age makes no entry fresh
+FUTURE = (lambda: time.time() + 3600, lambda: 1e300)
+
+
 class TestFetchIntensity:
     def test_miss_then_cache_hit(self, feed_server, tmp_path):
         series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
@@ -488,6 +588,34 @@ class TestFetchIntensity:
         # rewritten well-formed: the next call is a cache hit
         assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
         assert feed_server.hits == 1
+
+    @staticmethod
+    def date_cache_entry(directory, fetched_at):
+        (path,) = directory.iterdir()
+        entry = json.loads(path.read_text())
+        entry["fetched_at"] = fetched_at
+        path.write_text(json.dumps(entry))
+
+    @pytest.mark.parametrize("fetched_at", FUTURE, ids=["in-an-hour", "1e300"])
+    def test_future_entry_is_refetched(self, feed_server, tmp_path, fetched_at):
+        series = fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path)
+        self.date_cache_entry(tmp_path, fetched_at())
+        assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path, freshness_s=1e12) == series
+        assert feed_server.hits == 2
+        # rewritten with the time of the refetch: the next call is a cache hit
+        assert fetch_intensity(feed_server.endpoint, "NL", (0, 3600), tmp_path) == series
+        assert feed_server.hits == 2
+
+    @pytest.mark.parametrize("fetched_at", FUTURE, ids=["in-an-hour", "1e300"])
+    def test_future_entry_is_no_stale_fallback(self, feed_server, tmp_path, capsys, fetched_at):
+        endpoint = feed_server.endpoint
+        fetch_intensity(endpoint, "NL", (0, 3600), tmp_path)
+        self.date_cache_entry(tmp_path, fetched_at())
+        feed_server.shutdown()
+        feed_server.server_close()
+        with pytest.raises(NetworkError):
+            fetch_intensity(endpoint, "NL", (0, 3600), tmp_path, freshness_s=0.0, timeout_s=0.2)
+        assert capsys.readouterr().err == ""
 
     @staticmethod
     def edit_cached_payload(directory):
