@@ -91,7 +91,7 @@ def _run(
             if consumer_id is not None and consumer_id not in ledger.consumer_ids():
                 click.echo(f"warning: consumer {consumer_id!r} has no records; reporting 0 kg", err=True)
         report = build_full_report(report_type, config, trace, trace_digest, ledger, ledger_digest, consumer_id)
-        del trace, ledger  # rendering is the memory peak and needs only the report
+        del trace, ledger  # rendering needs only the report, which shares the trace's start and duration lists
         _emit(report, fmt or (config.output if config else "json"), out_path)
     except ValidationError as exc:
         _fail(str(exc), EXIT_VALIDATION)

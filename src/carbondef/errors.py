@@ -33,7 +33,7 @@ class UsageOutOfRange(ValidationError):
 
 
 class TraceOrderError(ValidationError):
-    """Usage samples are unsorted or overlap in time."""
+    """Usage samples are unsorted, overlap in time or end where they start."""
 
 
 # --- grid integration ---

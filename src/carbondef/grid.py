@@ -9,13 +9,19 @@ boundary instant belongs to the later interval.
 
 Facility overhead enters as a single PUE multiplier applied to total
 energy, idle baseline included.
+
+Segments and uncovered spans are held as columns, one per row field:
+starts, durations and intensities as lists of the values met (an int stays
+an int), joules and kg CO2e as array('d'), about 70 bytes a segment.
+``segments`` and ``uncovered`` rows are built on demand.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import CoverageError
 from .power import EnergySeries
@@ -89,19 +95,28 @@ class EmissionsSegment(NamedTuple):
 
 @dataclass(frozen=True)
 class EmissionsReport:
-    """Operational emissions with per-segment breakdown and diagnostics."""
+    """Operational emissions with per-segment breakdown and diagnostics, the
+    rows held as align_segments' columns."""
 
     total_kg_co2e: float
     pue: float
     coverage_policy: str
-    segments: tuple[EmissionsSegment, ...]
-    uncovered: tuple[UncoveredSpan, ...]
+    segment_columns: tuple[Sequence, ...]
+    uncovered_columns: tuple[Sequence, ...]
+
+    @property
+    def segments(self) -> tuple[EmissionsSegment, ...]:
+        return tuple(map(EmissionsSegment, *self.segment_columns))
+
+    @property
+    def uncovered(self) -> tuple[UncoveredSpan, ...]:
+        return tuple(map(UncoveredSpan, *self.uncovered_columns))
 
     def covered_joules(self) -> float:
-        return sum(segment.joules for segment in self.segments)
+        return sum(self.segment_columns[2])
 
     def uncovered_joules(self) -> float:
-        return sum(span.joules_share for span in self.uncovered)
+        return sum(self.uncovered_columns[2])
 
 
 def apply_pue(joules: float, pue: PueFactor) -> float:
@@ -113,10 +128,11 @@ def apply_pue(joules: float, pue: PueFactor) -> float:
 
 def align_segments(
     energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
-) -> tuple[tuple[EmissionsSegment, ...], tuple[UncoveredSpan, ...]]:
-    """Split energy intervals at intensity boundaries into emissions rows.
+) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
+    """Split energy intervals at intensity boundaries into emissions rows,
+    returned as the segment and uncovered columns (module docstring).
 
-    Each returned segment lies inside exactly one energy interval and one
+    Each segment lies inside exactly one energy interval and one
     intensity window; its joules are the interval's energy prorated by
     duration, its kg CO2e those joules times intensity and PUE. Spans
     without intensity coverage come back separately, never silently
@@ -125,12 +141,14 @@ def align_segments(
     Both series are in time order, so ``first``, the first entry ending
     after the current interval's start, only moves forward.
     """
-    segments: list[EmissionsSegment] = []
-    uncovered: list[UncoveredSpan] = []
+    segments = ([], [], array("d"), [], array("d"))
+    uncovered = ([], [], array("d"))
+    add_start, add_length, add_joules, add_intensity, add_kg = (column.append for column in segments)
+    add_gap_start, add_gap_length, add_gap_joules = (column.append for column in uncovered)
     entries = intensity.entries
     n_entries, first = len(entries), 0
 
-    for start, duration, joules_total, _ in energy.entries:
+    for start, duration, joules_total in zip(*energy.columns[:3]):
         interval_end = start + duration
         rate = joules_total / duration
         cursor = start
@@ -143,23 +161,24 @@ def align_segments(
             # the conditionals pick what max() and min() would, ties included
             overlap_start = entry.start if entry.start > cursor else cursor
             if overlap_start > cursor:
-                uncovered.append(
-                    UncoveredSpan(cursor, overlap_start - cursor, rate * (overlap_start - cursor))
-                )
+                add_gap_start(cursor)
+                add_gap_length(overlap_start - cursor)
+                add_gap_joules(rate * (overlap_start - cursor))
             overlap_end = entry.end if entry.end < interval_end else interval_end
             length = overlap_end - overlap_start
             joules = joules_total * (length / duration)
-            kg_co2e = pue.value * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH)
-            segments.append(
-                EmissionsSegment(overlap_start, length, joules, entry.intensity_kg_per_kwh, kg_co2e)
-            )
+            add_start(overlap_start)
+            add_length(length)
+            add_joules(joules)
+            add_intensity(entry.intensity_kg_per_kwh)
+            add_kg(pue.value * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH))
             cursor = overlap_end
             index += 1
         if cursor < interval_end:
-            uncovered.append(
-                UncoveredSpan(cursor, interval_end - cursor, rate * (interval_end - cursor))
-            )
-    return tuple(segments), tuple(uncovered)
+            add_gap_start(cursor)
+            add_gap_length(interval_end - cursor)
+            add_gap_joules(rate * (interval_end - cursor))
+    return segments, uncovered
 
 
 def operational_emissions(
@@ -180,21 +199,21 @@ def operational_emissions(
         raise ValueError(f"coverage_policy must be one of {COVERAGE_POLICIES}")
 
     segments, uncovered = align_segments(energy, intensity, pue)
-    if coverage_policy == "strict" and uncovered:
-        gap = uncovered[0]
+    if coverage_policy == "strict" and uncovered[0]:
+        start, duration_s, joules_share = (column[0] for column in uncovered)
         raise CoverageError(
-            f"no intensity coverage for [{gap.start}, {gap.start + gap.duration_s}) "
-            f"({gap.joules_share} J); {len(uncovered)} uncovered span(s) total"
+            f"no intensity coverage for [{start}, {start + duration_s}) "
+            f"({joules_share} J); {len(uncovered[0])} uncovered span(s) total"
         )
 
     total_kg = 0.0
-    for segment in segments:
-        total_kg += segment.kg_co2e
+    for kg_co2e in segments[4]:
+        total_kg += kg_co2e
     return EmissionsReport(
         total_kg_co2e=total_kg,
         pue=pue.value,
         coverage_policy=coverage_policy,
-        segments=segments,
-        uncovered=uncovered,
+        segment_columns=segments,
+        uncovered_columns=uncovered,
     )
 

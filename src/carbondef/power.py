@@ -7,15 +7,19 @@ and every component scales linearly with its usage ratio. An optional
 idle baseline is added on top, outside the allocated budget.
 
 All power figures are watts; energy is joules over half-open intervals
-[start, start + duration).
+[start, start + duration). A trace and its energy series are held as
+columns and computed in bulk: the series shares the trace's start and
+duration lists and adds six array('d') joule columns, 48 bytes a sample;
+``entries`` rows are built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from array import array
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from math import inf
-from operator import add, gt, itemgetter, le, ne
+from operator import add, gt, itemgetter, le, lt, mul, ne, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
@@ -143,7 +147,7 @@ def _columns(samples: Iterable[UsageSample]) -> tuple[list, ...]:
 
 
 class UsageTrace:
-    """Sorted, non-overlapping usage samples as six read-only ``columns``, one
+    """Sorted, non-overlapping, non-empty usage samples as six read-only ``columns``, one
     list per UsageSample field, built from samples or in bulk (``columns=``);
     ``samples`` are built on demand. Construction checks each column once
     against UsageSample's field condition (ValueError) and the order, the one
@@ -168,10 +172,14 @@ class UsageTrace:
             for index, values in enumerate(zip(*self.columns)):
                 if (fault := _sample_fault(*values)) is not None:
                     raise ValueError(f"{at(index)}: {fault}")
-        if not all(map(le, map(add, start, duration_s), islice(start, 1, None))):
-            for index, (begin, previous_end) in enumerate(zip(start[1:], map(add, start, duration_s)), 1):
-                if begin < previous_end:
-                    raise TraceOrderError(f"{at(index)} starts at {begin}, before previous sample end {previous_end}")
+        # each end lies past its own start (a short duration_s can round away near ±2**53) and by the next start
+        if not (all(map(lt, start, map(add, start, duration_s)))
+                and all(map(le, map(add, start, duration_s), islice(start, 1, None)))):
+            for index, (begin, end) in enumerate(zip(start, map(add, start, duration_s))):
+                if not begin < end:
+                    raise TraceOrderError(f"{at(index)} ends where it starts: {begin} + {duration_s[index]} rounds to {end}")
+                if index + 1 < len(start) and start[index + 1] < end:
+                    raise TraceOrderError(f"{at(index + 1)} starts at {start[index + 1]}, before previous sample end {end}")
 
     @property
     def samples(self) -> tuple[UsageSample, ...]:
@@ -201,63 +209,69 @@ class EnergyEntry(NamedTuple):
         return self.start + self.duration_s
 
 
-@dataclass(frozen=True)
 class EnergySeries:
-    """Energy entries in trace order, which UsageTrace has checked."""
+    """Energy in trace order as eight read-only ``columns``, one per
+    EnergyEntry value: ``start``, ``duration_s``, then array('d') of
+    ``joules_total`` and of each ENERGY_SOURCES entry's joules. Built from
+    entries or in bulk (``columns=``); construction checks every joule value
+    >= 0 (a NaN passes) and the starts in order."""
 
-    entries: tuple[EnergyEntry, ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        entries = self.entries
-        # C-level passes; a NaN compares false, so it passes as in a walk over the entries
-        if any(map(gt, repeat(0), chain(map(itemgetter(2), entries), chain.from_iterable(map(itemgetter(3), entries))))):
+    def __init__(self, entries: Iterable[EnergyEntry] = (), *, columns: Sequence[Sequence] | None = None):
+        if columns is None:
+            rows = [(e.start, e.duration_s, e.joules_total, *e.joules_by_component) for e in entries]
+            columns = [list(column) for column in zip(*rows)] if rows else [[]] * 8
+            columns[2:] = map(array, repeat("d"), columns[2:])
+        self.columns = start, _, *joules = tuple(columns)
+        if any(map(gt, repeat(0.0), chain(*joules))):
             raise ValueError("energy values must be >= 0")
-        later = map(itemgetter(0), islice(entries, 1, None))
-        unordered = compress(islice(entries, 1, None), map(gt, map(itemgetter(0), entries), later))
-        if (entry := next(unordered, None)) is not None:  # align_segments merges in start order
-            raise ValueError(f"energy entries out of start order at start={entry.start}")
+        unordered = compress(islice(start, 1, None), map(gt, start, islice(start, 1, None)))
+        if (begin := next(unordered, None)) is not None:  # align_segments merges in start order
+            raise ValueError(f"energy entries out of start order at start={begin}")
+
+    @property
+    def entries(self) -> tuple[EnergyEntry, ...]:
+        start, duration_s, total, *joules = self.columns
+        return tuple(map(EnergyEntry, start, duration_s, total, zip(*joules)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.columns[0])
 
     def total_joules(self) -> float:
-        return sum(map(itemgetter(2), self.entries))
+        return sum(self.columns[2])
 
     def window(self) -> tuple[float, float] | None:
         """(start of first entry, end of last entry), or None when empty."""
-        if not self.entries:
-            return None
-        return self.entries[0].start, self.entries[-1].end
+        start, duration_s = self.columns[:2]
+        return (start[0], start[-1] + duration_s[-1]) if start else None
 
 
-def _energy_kernel(spec: ServerSpec, clamp: bool):
-    """``row(start, duration, u_cpu, u_mem, u_io, u_net)``: the EnergyEntry
-    of one sample's fields, by the model's one formula with the spec's
-    constants taken once. A usage above its maximum raises UsageOutOfRange,
-    or with ``clamp`` counts as the maximum."""
-    anchor = spec.tdp_watts * spec.n_cpu
-    alpha, idle = spec.alpha, spec.idle_watts
-    limits = l_cpu, l_mem, l_io, l_net = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
-    s_mem, s_io, s_net = alpha.mem / alpha.cpu, alpha.io / alpha.cpu, alpha.net / alpha.cpu
-
-    def row(start: int, duration: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> EnergyEntry:
-        if u_cpu > l_cpu or u_mem > l_mem or u_io > l_io or u_net > l_net:
-            usages = (u_cpu, u_mem, u_io, u_net)
-            for component, usage, limit in zip(COMPONENTS, usages, limits):
-                if usage > limit and not clamp:
-                    raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
-            u_cpu, u_mem, u_io, u_net = map(min, usages, limits)
-        joules = (
-            u_cpu / l_cpu * anchor * duration,
-            u_mem / l_mem * s_mem * anchor * duration,
-            u_io / l_io * s_io * anchor * duration,
-            u_net / l_net * s_net * anchor * duration,
-            idle * duration,
-        )
-        total = joules[0] + joules[1] + joules[2] + joules[3] + joules[4]
-        return EnergyEntry(start, duration, total, joules)
-
-    return row
+def _joule_columns(spec: ServerSpec, columns: Sequence[Sequence], clamp: bool) -> list[array]:
+    """Array('d') of the total joules of each sample of trace ``columns``, then
+    one per ENERGY_SOURCES entry: ``u / u_max * share * anchor * duration``,
+    the share relative to the cpu's (for the cpu 1.0, and ``x * 1.0 == x``),
+    and ``idle_watts * duration``, summed in that order. A usage above its
+    maximum raises UsageOutOfRange for the first such sample, or with
+    ``clamp`` counts as the maximum."""
+    _, duration, *usages = columns
+    anchor, alpha = spec.tdp_watts * spec.n_cpu, spec.alpha
+    limits = [spec.u_max.get(component) for component in COMPONENTS]
+    for position, (usage, limit) in enumerate(zip(usages, limits)):
+        if max(usage, default=0) > limit:
+            if not clamp:
+                row = next(row for row in zip(*usages) if any(map(gt, row, limits)))
+                component, usage, limit = next(fault for fault in zip(COMPONENTS, row, limits) if fault[1] > fault[2])
+                raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
+            usages[position] = map(min, usage, repeat(limit))
+    shares = [alpha.get(component) / alpha.cpu for component in COMPONENTS]
+    joules = [
+        array("d", map(mul, map(mul, map(mul, map(truediv, usage, repeat(limit)), repeat(share)), repeat(anchor)), duration))
+        for usage, limit, share in zip(usages, limits, shares)
+    ]
+    joules.append(array("d", map(mul, repeat(spec.idle_watts), duration)))
+    cpu, mem, io, net, idle = joules
+    return [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules]
 
 
 def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> dict[str, float]:
@@ -272,8 +286,9 @@ def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) 
     is False; with ``clamp`` the usage is cut to the maximum instead.
     """
     # the energy of one second is the power: x * 1.0 == x for every float
-    watts = _energy_kernel(spec, clamp)(sample.start, 1.0, *astuple(sample)[2:]).joules_by_component
-    return dict(zip(ENERGY_SOURCES, watts))
+    start, _, *usages = _columns([sample])
+    _, *watts = _joule_columns(spec, (start, [1.0], *usages), clamp)
+    return dict(zip(ENERGY_SOURCES, map(itemgetter(0), watts)))
 
 
 def marginal_power(spec: ServerSpec, component: str) -> float:
@@ -290,7 +305,8 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
 
 def energy_over_interval(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> EnergyEntry:
     """Energy for one sample, treating usage as constant over the interval."""
-    return _energy_kernel(spec, clamp)(*astuple(sample))
+    total, *joules = map(itemgetter(0), _joule_columns(spec, _columns([sample]), clamp))
+    return EnergyEntry(sample.start, sample.duration_s, total, tuple(joules))
 
 
 def trace_to_energy_series(
@@ -307,13 +323,12 @@ def trace_to_energy_series(
     """
     if not isinstance(trace, UsageTrace):
         trace = UsageTrace(samples=tuple(trace))
-    row = _energy_kernel(spec, clamp)
     try:
-        entries = tuple(map(row, *trace.columns))
+        joules = _joule_columns(spec, trace.columns, clamp)
     except UsageOutOfRange as exc:
-        # the kernel raised for the first sample over a limit
+        # raised for the first sample over a limit
         raise UsageOutOfRange(f"sample {clamped_sample_indices(spec, trace)[0]}: {exc}") from exc
-    return EnergySeries(entries=entries)
+    return EnergySeries(columns=(*trace.columns[:2], *joules))
 
 
 def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace | Sequence[UsageSample]) -> list[int]:

@@ -2,12 +2,13 @@
 
 Reports are dicts with a fixed section order, rendered block by block into
 a binary sink; their per-interval row lists are read-only ``Rows`` views
-over the pipeline's tuples, rendered without building a dict per row. Every
-report total is checked finite as the report is built, before any byte is
-written. Internals stay in joules; user-facing numbers are kWh and kg CO2e,
-converted here. Output is deterministic: floats use the shortest round-trip
-decimal form and metadata carries input digests and the data window rather
-than wall-clock time, so identical inputs produce byte-identical bytes.
+over the pipeline's columns, rendered from column slices without building a
+dict per row. Every report total is checked finite as the report is built,
+before any byte is written. Internals stay in joules; user-facing numbers
+are kWh and kg CO2e, converted here. Output is deterministic: floats use the
+shortest round-trip decimal form and metadata carries input digests and the
+data window rather than wall-clock time, so identical inputs produce
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -19,29 +20,15 @@ import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from itertools import repeat
+from operator import truediv
 from typing import Any, BinaryIO
 
 from . import __version__
 from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
-from .grid import (
-    JOULES_PER_KWH,
-    EmissionsReport,
-    EmissionsSegment,
-    IntensitySeries,
-    UncoveredSpan,
-    apply_pue,
-    operational_emissions,
-)
+from .grid import JOULES_PER_KWH, EmissionsReport, IntensitySeries, apply_pue, operational_emissions
 from .ingest import FunctionalUnit, RunConfig, fetch_intensity, parse_intensity_feed
-from .power import (
-    ENERGY_SOURCES,
-    EnergyEntry,
-    EnergySeries,
-    UsageTrace,
-    clamped_sample_indices,
-    trace_to_energy_series,
-)
+from .power import ENERGY_SOURCES, EnergySeries, UsageTrace, clamped_sample_indices, trace_to_energy_series
 from .errors import SchemaError, ValidationError
 
 SCHEMA_VERSION = "2"
@@ -52,32 +39,42 @@ def sha256_hex(data: bytes) -> str:
 
 
 class Rows:
-    """A read-only list of report rows, one per pipeline tuple in ``items``.
+    """A read-only list of report rows, one per index of the pipeline's
+    ``columns`` (its lists and arrays themselves, never copies).
 
     ``keys`` is a row's shape: a key, or a ``(key, inner keys)`` pair for a
-    nested dict; ``values(item)`` gives the row's numbers in that order,
-    flattened. Indexing and iteration build the row dicts on demand; the
-    renderers format ``values`` straight into text and never build one.
+    nested dict, one column per key once flattened; the ``joules`` slice of
+    the columns holds joules, shown as kWh. Indexing and iteration build the
+    row dicts on demand; the renderers format the values of a ``block`` of
+    rows straight into text and never build one.
     """
 
-    __slots__ = ("items", "keys", "values")
+    __slots__ = ("columns", "keys", "joules")
 
-    def __init__(self, items: Sequence, keys: tuple, values: Callable[[Any], tuple]):
-        self.items, self.keys, self.values = items, keys, values
+    def __init__(self, columns: Sequence[Sequence], keys: tuple, joules: slice):
+        self.columns, self.keys, self.joules = columns, keys, joules
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._row(item) for item in self.items[index]]
-        return self._row(self.items[index])
+            return list(self)[index]
+        index = range(len(self))[index]
+        return self._row(next(self.block(index, index + 1)))
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return map(self._row, self.items)
+        return map(self._row, self.block(0, len(self)))
 
-    def _row(self, item: Any) -> dict[str, Any]:
-        numbers = iter(self.values(item))
+    def block(self, begin: int, end: int) -> Iterator[tuple]:
+        """The values of rows ``begin`` to ``end``, in kWh where in joules:
+        a C-level pass over a slice of each column."""
+        columns: list = [column[begin:end] for column in self.columns]
+        columns[self.joules] = [map(truediv, column, repeat(JOULES_PER_KWH)) for column in columns[self.joules]]
+        return zip(*columns)
+
+    def _row(self, values: tuple) -> dict[str, Any]:
+        numbers = iter(values)
         row: dict[str, Any] = {}
         for key in self.keys:
             if isinstance(key, str):
@@ -99,34 +96,13 @@ def _require_finite(totals: dict[str, float], inputs: str) -> None:
             )
 
 
-def _interval_values(entry: EnergyEntry) -> tuple:
-    start, duration_s, total, (cpu, mem, io_, net, idle) = entry
-    return (
-        start, duration_s, total / JOULES_PER_KWH, cpu / JOULES_PER_KWH, mem / JOULES_PER_KWH,
-        io_ / JOULES_PER_KWH, net / JOULES_PER_KWH, idle / JOULES_PER_KWH,
-    )
-
-
-def _segment_values(segment: EmissionsSegment) -> tuple:
-    start, duration_s, joules, intensity_kg_per_kwh, kg_co2e = segment
-    return start, duration_s, joules / JOULES_PER_KWH, intensity_kg_per_kwh, kg_co2e
-
-
-def _uncovered_values(span: UncoveredSpan) -> tuple:
-    start, duration_s, joules = span
-    return start, duration_s, joules / JOULES_PER_KWH
-
-
 _INTERVAL_KEYS = ("start", "duration_s", "kwh_total", ("kwh_by_component", ENERGY_SOURCES))
 _SEGMENT_KEYS = ("start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e")
 _UNCOVERED_KEYS = ("start", "duration_s", "kwh")
 
 
 def _energy_section(series: EnergySeries) -> dict[str, Any]:
-    by_component = {
-        source: sum(map(itemgetter(position), map(itemgetter(3), series.entries))) / JOULES_PER_KWH
-        for position, source in enumerate(ENERGY_SOURCES)
-    }
+    by_component = {source: sum(joules) / JOULES_PER_KWH for source, joules in zip(ENERGY_SOURCES, series.columns[3:])}
     kwh_total = series.total_joules() / JOULES_PER_KWH
     _require_finite(
         {"energy.kwh_total": kwh_total,
@@ -137,7 +113,7 @@ def _energy_section(series: EnergySeries) -> dict[str, Any]:
         "interval_count": len(series),
         "kwh_total": kwh_total,
         "kwh_by_component": by_component,
-        "intervals": Rows(series.entries, _INTERVAL_KEYS, _interval_values),
+        "intervals": Rows(series.columns, _INTERVAL_KEYS, slice(2, None)),
     }
 
 
@@ -153,8 +129,8 @@ def _operational_section(
         "total_kg_co2e": emissions.total_kg_co2e,
         "software_kwh": joules / JOULES_PER_KWH,
         "overhead_kwh": (apply_pue(joules, config.pue) - joules) / JOULES_PER_KWH,
-        "segments": Rows(emissions.segments, _SEGMENT_KEYS, _segment_values),
-        "uncovered": Rows(emissions.uncovered, _UNCOVERED_KEYS, _uncovered_values),
+        "segments": Rows(emissions.segment_columns, _SEGMENT_KEYS, slice(2, 3)),
+        "uncovered": Rows(emissions.uncovered_columns, _UNCOVERED_KEYS, slice(2, 3)),
     }
     _require_finite(
         {**{f"operational.{f}": section[f] for f in ("total_kg_co2e", "software_kwh", "overhead_kwh")},
@@ -359,9 +335,8 @@ class _Utf8Writer:
 
 
 def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
-    values, items = rows.values, rows.items
-    for begin in range(first, len(items), _BLOCK):
-        out.write("".join(map(format_row, map(values, items[begin:begin + _BLOCK]))))
+    for begin in range(first, len(rows), _BLOCK):
+        out.write("".join(map(format_row, rows.block(begin, begin + _BLOCK))))
         out.flush()
 
 
@@ -386,7 +361,7 @@ def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
     elif isinstance(value, Rows):
         inner = indent + "  "
         template = _row_template(value.keys, inner)
-        out.write("[" + inner + template % value.values(value.items[0]))
+        out.write("[" + inner + template % next(value.block(0, 1)))
         _write_rows(out, value, ("," + inner + template).__mod__, first=1)
         out.write(indent + "]")
     else:

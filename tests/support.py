@@ -7,6 +7,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import json
 import math
 import random
 import sys
@@ -28,6 +29,7 @@ from carbondef import (
     SharingProfile,
     UsageSample,
     UsageTrace,
+    align_segments,
 )
 from carbondef.errors import (
     AllocationError,
@@ -46,6 +48,7 @@ from carbondef.errors import (
 )
 from carbondef.embodied import OVERSUBSCRIPTION_TOL
 from carbondef.grid import JOULES_PER_KWH, EmissionsSegment, UncoveredSpan
+from carbondef.ingest import TRACE_CSV_HEADER, serialize_ledger
 from carbondef.power import COMPONENTS, ENERGY_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -171,6 +174,85 @@ def gen_ledger(rng: random.Random) -> Ledger:
                 )
             )
     return Ledger.build(objects, records)
+
+
+def gen_feed(rng: random.Random, start: int, end: int, widths: tuple[int, int] = (60, 1800)) -> list[IntensityEntry]:
+    """Feed entries of int bounds over about [start, end), with gaps between
+    entries and holes where an entry is left out."""
+    entries, cursor = [], start - rng.randrange(0, 600)
+    while cursor < end + 600:
+        if rng.random() < 0.2:
+            cursor += rng.randrange(1, 600)
+        width = rng.randrange(*widths)
+        if rng.random() > 0.1:
+            entries.append(IntensityEntry(cursor, cursor + width, rng.uniform(0.0, 1.2)))
+        cursor += width
+    return entries
+
+
+def gen_aligned_trace(rng: random.Random) -> tuple[UsageTrace, IntensitySeries]:
+    """Int starts, float durations (whole, quarter and arbitrary seconds) with
+    some gaps, and a feed whose entries are now narrower, now wider than the
+    samples: an interval that spans a whole entry gives a segment the entry's
+    int duration."""
+    samples, t = [], rng.randrange(0, 10**9)
+    for _ in range(rng.randint(1, 12)):
+        duration = rng.choice([float(rng.randrange(1, 4000)), rng.randrange(2, 16000) / 4, rng.uniform(0.5, 4000.0)])
+        samples.append(UsageSample(t, duration, rng.uniform(0.0, 1.0), 0.0, 0.0, 0.0))
+        t = math.ceil(t + duration) + (rng.randrange(1, 900) if rng.random() < 0.25 else 0)
+    feed = gen_feed(rng, samples[0].start, t, rng.choice([(1, 60), (60, 3600), (1, 3600)]))
+    return UsageTrace(samples), IntensitySeries(region="ZZ", entries=tuple(feed))
+
+
+def gen_cli_inputs(rng: random.Random) -> dict[str, Any]:
+    """The inputs of one ``carbondef report`` run: config and feed documents,
+    trace CSV text and ledger bytes. Samples lie at present-day epochs with
+    quarter-second durations, so each end is exact; the feed has gaps and
+    holes (``skip_uncovered``); no value comes near a subnormal or an
+    overflow, so doubling one is exact."""
+    spec = gen_spec(rng, idle_max=300.0)
+    limits = [spec.u_max.get(component) for component in COMPONENTS]
+    rows, t = [], 1_700_000_000 + rng.randrange(0, 10**7)
+    first = t
+    for _ in range(rng.randint(1, 30)):
+        duration = rng.randrange(4, 3600) / 4
+        usages = [rng.choice([rng.uniform(0.0, limit), limit]) for limit in limits]
+        rows.append(",".join(map(repr, (t, duration, *usages))))
+        t = math.ceil(t + duration) + (rng.randrange(1, 900) if rng.random() < 0.2 else 0)
+    feed = [
+        {"start": entry.start, "end": entry.end, "intensity_kg_per_kwh": entry.intensity_kg_per_kwh}
+        for entry in gen_feed(rng, first, t)
+    ]
+    server = {
+        "tdp_watts": spec.tdp_watts,
+        "n_cpu": spec.n_cpu,
+        "alpha": {component: spec.alpha.get(component) for component in COMPONENTS},
+        "u_max": dict(zip(COMPONENTS, limits)),
+        "idle_watts": spec.idle_watts,
+    }
+    return {
+        "config": {
+            "server": server,
+            "pue": rng.uniform(1.0, 2.0),
+            "intensity": {"file": "intensity.json"},
+            "coverage_policy": "skip_uncovered",
+            "functional_unit": {"name": "call", "count": rng.randint(1, 10**6)},
+        },
+        "trace": "\n".join([TRACE_CSV_HEADER, *rows, ""]),
+        "feed": {"region": "ZZ", "entries": feed},
+        "ledger": serialize_ledger(gen_ledger(rng)),
+    }
+
+
+def write_cli_inputs(inputs: dict[str, Any], directory: Path) -> list[str]:
+    """Write ``gen_cli_inputs`` into ``directory``; the ``report`` command line that reads them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "config.json").write_text(json.dumps(inputs["config"]))
+    (directory / "intensity.json").write_text(json.dumps(inputs["feed"]))
+    (directory / "trace.csv").write_text(inputs["trace"])
+    (directory / "ledger.json").write_bytes(inputs["ledger"])
+    return ["report", "--config", str(directory / "config.json"), "--trace", str(directory / "trace.csv"),
+            "--ledger", str(directory / "ledger.json")]
 
 
 # --- naive reference implementations ---
@@ -337,6 +419,14 @@ def bisect_align_segments(
                 UncoveredSpan(cursor, interval_end - cursor, rate * (interval_end - cursor))
             )
     return tuple(segments), tuple(uncovered)
+
+
+def aligned_rows(
+    energy: EnergySeries, intensity: IntensitySeries, pue: PueFactor
+) -> tuple[tuple[EmissionsSegment, ...], tuple[UncoveredSpan, ...]]:
+    """``align_segments``' columns as rows, as ``bisect_align_segments`` gives them."""
+    segments, uncovered = align_segments(energy, intensity, pue)
+    return tuple(map(EmissionsSegment, *segments)), tuple(map(UncoveredSpan, *uncovered))
 
 
 def _csv_bytes(header: list[str], rows: list[list[Any]]) -> bytes:

@@ -186,6 +186,20 @@ class TestEstimate:
         assert "row 2" in result.stderr
         assert not out.exists()
 
+    def test_sample_lost_in_rounding_exit_2(self, runner, tmp_path):
+        # at 2**52 a 0.25 s sample ends where it starts: its energy would reach no segment
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_CSV_HEADER}\n{2**52},0.25,4.0,0,0,0\n{2**52 + 1},0.25,4.0,0,0,0\n")
+        (tmp_path / "intensity.json").write_text(json.dumps(
+            {"region": "NL", "entries": [{"start": 2**52 - 1800, "end": 2**52 + 1800, "intensity_kg_per_kwh": 0.4}]}))
+        shutil.copy(CLI / "config.json", tmp_path / "config.json")
+        out = tmp_path / "report.json"
+        args = ["emissions", "--config", str(tmp_path / "config.json"), "--trace", str(trace), "--out", str(out)]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert "sample 0 (row 2) ends where it starts" in result.stderr
+        assert not out.exists()
+
     def test_missing_trace_file_exit_3(self, runner):
         result = invoke(
             runner,

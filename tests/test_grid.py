@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,18 +10,22 @@ from carbondef import (
     IntensityEntry,
     IntensitySeries,
     PueFactor,
-    align_segments,
+    UsageTrace,
     apply_pue,
     operational_emissions,
+    trace_to_energy_series,
 )
 from carbondef.errors import CoverageError
 from carbondef.grid import JOULES_PER_KWH
 
 from support import (
     OracleResolutionError,
+    aligned_rows,
     bisect_align_segments,
     energy_entry,
+    gen_aligned_trace,
     gen_series_pair,
+    gen_spec,
     intensity_at,
     oracle_emissions,
     rel_close,
@@ -81,14 +86,14 @@ class TestApplyPue:
 class TestAlignSegments:
     def test_aligned_boundaries(self):
         energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
-        segments, uncovered = align_segments(energy, constant_intensity(0.4), PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, constant_intensity(0.4), PueFactor(1.0))
         assert len(segments) == 1 and not uncovered
         assert segments[0].joules == 720000.0
         assert segments[0].duration_s == 3600.0
 
     def test_uniform_split(self):
         energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
-        segments, uncovered = align_segments(energy, split_intensity, PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, split_intensity, PueFactor(1.0))
         assert [s.joules for s in segments] == [360000.0, 360000.0]
         assert [s.intensity_kg_per_kwh for s in segments] == [0.4, 0.2]
         assert not uncovered
@@ -98,7 +103,7 @@ class TestAlignSegments:
         # seconds 0..49 uncovered -> 50 J in diagnostics
         energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
         intensity = constant_intensity(0.3, start=50, end=150)
-        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, intensity, PueFactor(1.0))
         assert len(segments) == 1
         assert (segments[0].start, segments[0].duration_s) == (50, 50.0)
         assert segments[0].joules == 50.0
@@ -112,7 +117,7 @@ class TestAlignSegments:
             region="ZZ",
             entries=(IntensityEntry(0, 30, 0.5), IntensityEntry(70, 100, 0.5)),
         )
-        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, intensity, PueFactor(1.0))
         assert [(s.start, s.duration_s) for s in segments] == [(0, 30.0), (70, 70.0 - 40.0)]
         assert [(u.start, u.duration_s) for u in uncovered] == [(30, 40.0)]
 
@@ -120,7 +125,7 @@ class TestAlignSegments:
         energy = EnergySeries(
             entries=(energy_entry(0, 100.0, 100.0), energy_entry(100, 100.0, 200.0))
         )
-        segments, uncovered = align_segments(energy, constant_intensity(0.1, 0, 200), PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, constant_intensity(0.1, 0, 200), PueFactor(1.0))
         assert not uncovered
         assert [s.joules for s in segments] == [100.0, 200.0]
 
@@ -139,7 +144,33 @@ class TestAlignSegments:
             intensity = tied_intensity(rng, energy)
         expected = bisect_align_segments(energy, intensity, PueFactor(pue))
         # repr tells an int boundary from an equal float one
-        assert repr(align_segments(energy, intensity, PueFactor(pue))) == repr(expected)
+        assert repr(aligned_rows(energy, intensity, PueFactor(pue))) == repr(expected)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10**9), st.sampled_from([1.0, 1.1, 1.58]))
+    def test_rows_equal_bisect_reference_value_by_value(self, seed, pue):
+        # the columns keep each value's type: an int start or duration turned
+        # float would move report bytes ("1800" to "1800.0") while == holds
+        rng = random.Random(seed)
+        trace, intensity = gen_aligned_trace(rng)
+        energy = trace_to_energy_series(gen_spec(rng), trace)
+        aligned = aligned_rows(energy, intensity, PueFactor(pue))
+        for rows, expected in zip(aligned, bisect_align_segments(energy, intensity, PueFactor(pue))):
+            assert len(rows) == len(expected)
+            for row, reference in zip(rows, expected):
+                assert list(map(repr, row)) == list(map(repr, reference))
+
+    def test_aligned_traces_reach_int_and_float_durations(self):
+        # the test above is only as good as the types it sees
+        shapes = set()
+        for seed in range(100):
+            rng = random.Random(seed)
+            trace, intensity = gen_aligned_trace(rng)
+            segments, uncovered = aligned_rows(trace_to_energy_series(gen_spec(rng), trace), intensity, PueFactor(1.0))
+            shapes |= {f"{field} {type(value).__name__}" for row in segments for field, value in row._asdict().items()
+                       if field in ("start", "duration_s")}
+            shapes |= {"uncovered"} if uncovered else set()
+        assert shapes == {"start int", "duration_s int", "duration_s float", "uncovered"}
 
     def test_generated_pairs_cover_every_alignment_shape(self):
         # the reference test above is only as good as the shapes it sees
@@ -164,7 +195,7 @@ class TestAlignSegments:
     @given(series_pairs)
     def test_conservation(self, pair):
         energy, intensity = pair
-        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
+        segments, uncovered = aligned_rows(energy, intensity, PueFactor(1.0))
         covered = sum(s.joules for s in segments)
         missing = sum(u.joules_share for u in uncovered)
         total = energy.total_joules()
@@ -174,7 +205,7 @@ class TestAlignSegments:
     @given(series_pairs)
     def test_segments_sorted_and_inside_energy(self, pair):
         energy, intensity = pair
-        segments, _ = align_segments(energy, intensity, PueFactor(1.0))
+        segments, _ = aligned_rows(energy, intensity, PueFactor(1.0))
         for a, b in zip(segments, segments[1:]):
             assert a.start + a.duration_s <= b.start + 1e-9
         bounds = [(e.start, e.end) for e in energy.entries]
@@ -183,6 +214,23 @@ class TestAlignSegments:
                 lo - 1e-9 <= segment.start and segment.start + segment.duration_s <= hi + 1e-9
                 for lo, hi in bounds
             )
+
+
+def test_energy_and_segments_hold_under_160_bytes_a_sample():
+    # the joule arrays take 48 bytes a sample and the segment columns about 70;
+    # one tuple per energy entry and segment took about 480
+    rng = random.Random(3)
+    n = 20_000
+    trace = UsageTrace(columns=(list(range(0, 15 * n, 15)), [15.0] * n, *([rng.uniform(0, 1.0)] * n for _ in range(4))))
+    intensity = IntensitySeries("ZZ", tuple(IntensityEntry(t, t + 1800, rng.uniform(0, 1.2)) for t in range(0, 15 * n, 1800)))
+    tracemalloc.start()
+    try:
+        report = operational_emissions(trace_to_energy_series(gen_spec(rng), trace), intensity, PueFactor(1.4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.segment_columns[0]) == n
+    assert peak / n < 160
 
 
 class TestOperationalEmissions:

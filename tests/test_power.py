@@ -346,6 +346,16 @@ class TestUsageTraceColumns:
         with pytest.raises(TraceOrderError, match=r"^sample 2 \(row 4\) starts at 89, before previous sample end 90.0$"):
             UsageTrace(columns=columns, source_rows=(2, 3, 4))
 
+    def test_sample_whose_end_rounds_to_its_start_rejected(self):
+        # at 2**52 a float step is 1 s, so 0.25 s adds nothing: the sample would hold energy but no time
+        columns = ([2**52, 2**52 + 1], [0.25, 0.25], [1.0, 1.0], [0, 0], [0, 0], [0, 0])
+        with pytest.raises(TraceOrderError, match=r"^sample 0 \(row 2\) ends where it starts: 4503599627370496 \+ 0.25 "
+                                                  r"rounds to 4503599627370496.0$"):
+            UsageTrace(columns=columns, source_rows=(2, 3))
+        columns[1][0] = 1.0  # the first sample now ends at 2**52 + 1; the second still collapses
+        with pytest.raises(TraceOrderError, match=r"^sample 1 ends where it starts"):
+            UsageTrace(columns=columns)
+
     def test_columns_of_one_length(self):
         with pytest.raises(ValueError, match="six columns of one length"):
             UsageTrace(columns=([0], [1.0], [0], [0], [0], []))

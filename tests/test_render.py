@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from carbondef import IntensityEntry, IntensitySeries, PueFactor, UsageTrace
 from carbondef import report as report_module
 from carbondef.errors import ValidationError
-from carbondef.grid import EmissionsReport, UncoveredSpan
+from carbondef.grid import EmissionsReport
 from carbondef.ingest import FunctionalUnit, IntensitySource, RunConfig, serialize_intensity_feed
 from carbondef.report import (
     Rows,
@@ -211,7 +211,7 @@ def test_rows_are_read_only_views(tmp_path):
 def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
     # uncovered kWh is in no report total, so the finiteness check sums it itself
     def overflowing(energy, intensity, pue, policy):
-        return EmissionsReport(0.0, pue.value, policy, (), (UncoveredSpan(0, 1.0, math.inf),))
+        return EmissionsReport(0.0, pue.value, policy, ((),) * 5, ([0], [1.0], [math.inf]))
 
     monkeypatch.setattr(report_module, "operational_emissions", overflowing)
     (tmp_path / "intensity.json").write_bytes(serialize_intensity_feed(IntensitySeries("ZZ", ())))
