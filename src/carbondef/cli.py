@@ -2,15 +2,16 @@
 
 All four commands run one path: load the config, trace and ledger the
 command takes, build its report with ``report.build_report``, drop the
-inputs and render. Exit codes: 0 success, 2 validation errors, 3 IO or
-network errors. Every report check runs as the report is built; it then
-streams block by block, and only an IO error can stop it. That can leave
-partial output on stdout, never in a regular ``--out`` file: it is rendered
-into a temporary file beside it, renamed over it and keeps its mode.
+inputs and render. Exit codes: 0 success, 2 usage or validation errors, 3
+IO or network errors. Every report check runs as the report is built; it
+then streams block by block, and only an IO error can stop it. That can
+leave partial output on stdout, never in a regular ``--out`` file: it is
+rendered into a temporary file beside it, renamed over it and keeps its mode.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import gc
 import os
@@ -18,11 +19,9 @@ import stat
 import sys
 from pathlib import Path
 
-import click
-
 from . import __version__
 from .errors import TransportError, ValidationError
-from .ingest import load_config, parse_ledger, parse_usage_trace, write_atomic
+from .ingest import OUTPUT_FORMATS, load_config, parse_ledger, parse_usage_trace, write_atomic
 # under the name the benchmark's span wrappers look it up by
 from .report import build_report as build_full_report
 from .report import render_report, sha256_hex
@@ -32,7 +31,7 @@ EXIT_IO = 3
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -89,75 +88,55 @@ def _run(
         if ledger_path is not None:
             ledger, ledger_digest = _load(parse_ledger, ledger_path)
             if consumer_id is not None and consumer_id not in ledger.consumer_ids():
-                click.echo(f"warning: consumer {consumer_id!r} has no records; reporting 0 kg", err=True)
+                print(f"warning: consumer {consumer_id!r} has no records; reporting 0 kg", file=sys.stderr)
         report = build_full_report(report_type, config, trace, trace_digest, ledger, ledger_digest, consumer_id)
         del trace, ledger  # rendering needs only the report, which shares the trace's start and duration lists
         _emit(report, fmt or (config.output if config else "json"), out_path)
-    except ValidationError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    except (TransportError, OSError) as exc:
-        _fail(str(exc), EXIT_IO)
+    except (ValidationError, TransportError, OSError) as exc:
+        _fail(str(exc), EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_IO)
     finally:
         if gc_enabled:
             gc.enable()
 
 
+# each flag once, with its add_argument keywords, so every command's --help shows one text for it
 _OPTIONS = {
-    "config": click.option("--config", "config_path", required=True, help="Run config JSON."),
-    "trace": click.option("--trace", "trace_path", required=True, help="Usage trace (CSV or JSON)."),
-    "ledger": click.option("--ledger", "ledger_path", required=True, help="Embodied ledger JSON."),
-    "consumer": click.option("--consumer", "consumer_id", default=None, help="Restrict to one consumer."),
-    "format": click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv"]), default=None,
-        help="Report format (default: the config's output, else json).",
-    ),
-    "out": click.option("--out", "out_path", default=None, help="Write report here instead of stdout."),
-    "clamp": click.option("--clamp-usage", is_flag=True, help="Clamp usage above u_max instead of failing."),
-    "strict": click.option("--strict-coverage", is_flag=True, help="Fail on intensity coverage gaps."),
+    "config": ("--config", dict(dest="config_path", metavar="PATH", required=True, help="Run config JSON.")),
+    "trace": ("--trace", dict(dest="trace_path", metavar="PATH", required=True, help="Usage trace (CSV or JSON).")),
+    "ledger": ("--ledger", dict(dest="ledger_path", metavar="PATH", required=True, help="Embodied ledger JSON.")),
+    "consumer": ("--consumer", dict(dest="consumer_id", metavar="ID", help="Restrict to one consumer.")),
+    "format": ("--format", dict(dest="fmt", choices=OUTPUT_FORMATS,
+                                help="Report format (default: the config's output, else json).")),
+    "out": ("--out", dict(dest="out_path", metavar="PATH", help="Write report here instead of stdout.")),
+    "clamp": ("--clamp-usage", dict(action="store_true", help="Clamp usage above u_max instead of failing.")),
+    "strict": ("--strict-coverage", dict(action="store_true", help="Fail on intensity coverage gaps.")),
+}
+
+# command: (help text, its options in --help order)
+_COMMANDS = {
+    "estimate": ("Convert a usage trace into a per-interval energy report.",
+                 ("config", "trace", "format", "out", "clamp")),
+    "emissions": ("Operational emissions: energy integrated against grid intensity.",
+                  ("config", "trace", "format", "out", "clamp", "strict")),
+    "embodied": ("Embodied-carbon attributions and idle residuals from a ledger.",
+                 ("ledger", "consumer", "format", "out")),
+    "report": ("Full pipeline: energy, operational, embodied, total carbon, SCI.",
+               ("config", "trace", "ledger", "consumer", "format", "out", "clamp", "strict")),
 }
 
 
-def _options(*names: str):
-    """Apply the shared click options ``names``, listed in --help order."""
-    def decorate(command):
-        for name in reversed(names):
-            command = _OPTIONS[name](command)
-        return command
-    return decorate
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Estimate the carbon footprint of software workloads."""
-
-
-@main.command()
-@_options("config", "trace", "format", "out", "clamp")
-def estimate(**options):
-    """Convert a usage trace into a per-interval energy report."""
-    _run("estimate", **options)
-
-
-@main.command()
-@_options("config", "trace", "format", "out", "clamp", "strict")
-def emissions(**options):
-    """Operational emissions: energy integrated against grid intensity."""
-    _run("emissions", **options)
-
-
-@main.command()
-@_options("ledger", "consumer", "format", "out")
-def embodied(**options):
-    """Embodied-carbon attributions and idle residuals from a ledger."""
-    _run("embodied", **options)
-
-
-@main.command()
-@_options("config", "trace", "ledger", "consumer", "format", "out", "clamp", "strict")
-def report(**options):
-    """Full pipeline: energy, operational, embodied, total carbon, SCI."""
-    _run("report", **options)
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command ``argv`` names (default: ``sys.argv[1:]``); a usage error exits 2.
+    ``standalone_mode`` changes nothing; it is kept so that callers passing ``standalone_mode=False`` still work."""
+    parser = argparse.ArgumentParser(prog="carbondef", allow_abbrev=False,
+                                     description="Estimate the carbon footprint of software workloads.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="report_type", required=True, metavar="COMMAND")
+    for name, (help_text, option_names) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+        for flag, keywords in map(_OPTIONS.get, option_names):
+            command.add_argument(flag, **keywords)
+    _run(**vars(parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -133,10 +133,10 @@ def align_segments(
     returned as the segment and uncovered columns (module docstring).
 
     Each segment lies inside exactly one energy interval and one
-    intensity window; its joules are the interval's energy prorated by
-    duration, its kg CO2e those joules times intensity and PUE. Spans
-    without intensity coverage come back separately, never silently
-    dropped.
+    intensity window; its joules are the interval's energy times its
+    share of the span the segments cover, its kg CO2e those joules
+    times intensity and PUE. Spans without intensity coverage come back
+    separately, never silently dropped.
 
     Both series are in time order, so ``first``, the first entry ending
     after the current interval's start, only moves forward.
@@ -150,6 +150,7 @@ def align_segments(
 
     for start, duration, joules_total in zip(*energy.columns[:3]):
         interval_end = start + duration
+        duration = interval_end - start  # the span the segments partition: start + duration may round
         rate = joules_total / duration
         cursor = start
         while first < n_entries and entries[first].end <= cursor:

@@ -15,8 +15,8 @@ Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
 fault in its check order. Every JSON key, required or optional, is read by
-one field reader, ``_fields``. Serializers emit a canonical form that
-round-trips byte-identically through the matching parser.
+one field reader, ``_fields``. ``serialize_intensity_feed`` emits the canonical
+form the cache stores, which round-trips byte-identically through its parser.
 
 The intensity fetcher keeps a content-addressed file cache (one entry per
 endpoint+region) with atomic writes, read through the same field reader: an
@@ -285,16 +285,6 @@ def _locate_json_fault(raw_samples: list) -> None:
         _located(UsageSample, location, *_fields(raw, location, *sample_fields))
 
 
-def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
-    """Canonical bytes for a trace; floats use shortest round-trip form."""
-    if format == "csv":
-        lines = [TRACE_CSV_HEADER, *map("%r,%r,%r,%r,%r,%r".__mod__, zip(*trace.columns))]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "json":
-        return canonical_json({"samples": [dict(zip(TRACE_FIELDS, row)) for row in zip(*trace.columns)]})
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-
-
 # --- intensity feeds ---
 
 def parse_intensity_feed(data: bytes) -> IntensitySeries:
@@ -402,36 +392,6 @@ def _locate_ledger_fault(raw_objects: list, raw_records: list) -> None:
             except ValueError as exc:
                 raise ParseError(str(exc), location=step_location) from exc
         _located(SharingProfile, f"{location}.profile", tuple(steps))
-
-
-def serialize_ledger(ledger: Ledger) -> bytes:
-    """Canonical ledger bytes; objects sorted by id, records kept in order."""
-    return canonical_json(
-        {
-            "objects": [
-                {
-                    "id": obj.id,
-                    "m_kg": obj.m_kg,
-                    "r_kg": obj.r_kg,
-                    "eol_kg": obj.eol_kg,
-                    "lifespan_start": obj.lifespan_start,
-                    "lifespan_s": obj.lifespan_s,
-                }
-                for obj in sorted(ledger.objects.values(), key=lambda o: o.id)
-            ],
-            "records": [
-                {
-                    "consumer_id": record.consumer_id,
-                    "object_id": record.object_id,
-                    "profile": [
-                        {"start": step.start, "end": step.end, "fraction": step.fraction}
-                        for step in record.profile.steps
-                    ],
-                }
-                for record in ledger.records
-            ],
-        }
-    )
 
 
 # --- run configuration ---

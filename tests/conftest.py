@@ -60,7 +60,8 @@ class StubFeedServer(http.server.ThreadingHTTPServer):
 @pytest.fixture
 def feed_server():
     server = StubFeedServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits up to one interval, and the default 0.5 s adds up over the suite
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield server
     server.shutdown()

@@ -1,6 +1,7 @@
-"""Shared helpers: relative-error checks, seeded random generators for
-specs/series/ledgers, naive reference implementations, and the
-malformed-fixture manifest."""
+"""Shared helpers: an in-process CLI runner, relative-error checks, seeded
+random generators for specs/series/ledgers, the canonical trace and ledger
+serializers, naive reference implementations, and the malformed-fixture
+manifest."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 from carbondef import (
@@ -30,6 +32,7 @@ from carbondef import (
     UsageSample,
     UsageTrace,
     align_segments,
+    cli,
 )
 from carbondef.errors import (
     AllocationError,
@@ -48,10 +51,71 @@ from carbondef.errors import (
 )
 from carbondef.embodied import OVERSUBSCRIPTION_TOL
 from carbondef.grid import JOULES_PER_KWH, EmissionsSegment, UncoveredSpan
-from carbondef.ingest import TRACE_CSV_HEADER, serialize_ledger
+from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, canonical_json
 from carbondef.power import COMPONENTS, ENERGY_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def invoke(argv: list[str]) -> SimpleNamespace:
+    """Run ``carbondef argv`` in-process, as the shell would: stdout and stderr
+    captured as bytes (and text), ``SystemExit`` turned into ``exit_code``.
+    Any other exception propagates: the CLI lets none out."""
+    saved = sys.stdout, sys.stderr
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True) for _ in saved]
+    sys.stdout, sys.stderr = streams
+    try:
+        try:
+            cli.main(argv)
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        # read now: a wrapper closes its buffer once collected
+        stdout_bytes, stderr_bytes = (stream.buffer.getvalue() for stream in streams)
+    finally:
+        sys.stdout, sys.stderr = saved
+    return SimpleNamespace(exit_code=exit_code, stdout_bytes=stdout_bytes, stderr_bytes=stderr_bytes,
+                           stdout=stdout_bytes.decode(), stderr=stderr_bytes.decode())
+
+
+def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
+    """Canonical bytes for a trace; floats use shortest round-trip form."""
+    if format == "csv":
+        lines = [TRACE_CSV_HEADER, *map("%r,%r,%r,%r,%r,%r".__mod__, zip(*trace.columns))]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    if format == "json":
+        return canonical_json({"samples": [dict(zip(TRACE_FIELDS, row)) for row in zip(*trace.columns)]})
+    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def serialize_ledger(ledger: Ledger) -> bytes:
+    """Canonical ledger bytes; objects sorted by id, records kept in order."""
+    return canonical_json(
+        {
+            "objects": [
+                {
+                    "id": obj.id,
+                    "m_kg": obj.m_kg,
+                    "r_kg": obj.r_kg,
+                    "eol_kg": obj.eol_kg,
+                    "lifespan_start": obj.lifespan_start,
+                    "lifespan_s": obj.lifespan_s,
+                }
+                for obj in sorted(ledger.objects.values(), key=lambda o: o.id)
+            ],
+            "records": [
+                {
+                    "consumer_id": record.consumer_id,
+                    "object_id": record.object_id,
+                    "profile": [
+                        {"start": step.start, "end": step.end, "fraction": step.fraction}
+                        for step in record.profile.steps
+                    ],
+                }
+                for record in ledger.records
+            ],
+        }
+    )
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:
@@ -385,7 +449,8 @@ def bisect_align_segments(
 
     for interval in energy.entries:
         interval_end = interval.start + interval.duration_s
-        rate = interval.joules_total / interval.duration_s
+        span = interval_end - interval.start  # the span the segments cover: start + duration may round
+        rate = interval.joules_total / span
         cursor = interval.start
 
         # first entry that could overlap: the one covering cursor, else the next
@@ -401,7 +466,7 @@ def bisect_align_segments(
                     UncoveredSpan(cursor, overlap_start - cursor, rate * (overlap_start - cursor))
                 )
             overlap_end = min(interval_end, entry.end)
-            joules = interval.joules_total * ((overlap_end - overlap_start) / interval.duration_s)
+            joules = interval.joules_total * ((overlap_end - overlap_start) / span)
             segments.append(
                 EmissionsSegment(
                     start=overlap_start,

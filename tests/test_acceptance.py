@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from carbondef import (
     PueFactor,
@@ -26,7 +25,6 @@ from carbondef import (
     marginal_power,
     operational_emissions,
 )
-from carbondef.cli import main
 from carbondef.embodied import ConsumptionRecord, full_use_profile
 from carbondef.grid import JOULES_PER_KWH, IntensityEntry, IntensitySeries
 from carbondef.ingest import fetch_intensity
@@ -40,9 +38,12 @@ from support import (
     gen_series_pair,
     gen_spec,
     gen_usage,
+    invoke,
     oracle_emissions,
     parse_malformed,
     rel_close,
+    serialize_ledger,
+    serialize_usage_trace,
 )
 
 CLI = FIXTURES / "cli"
@@ -196,21 +197,16 @@ def test_criterion_6_embodied_conservation():
 def test_criterion_7_end_to_end_fixture(tmp_path):
     ok, failures = False, []
     try:
-        runner = CliRunner()
         outputs = []
         for run in range(2):
             out = tmp_path / f"run{run}.json"
-            result = runner.invoke(
-                main,
-                [
-                    "report",
-                    "--config", str(CLI / "config.json"),
-                    "--trace", str(CLI / "trace_full_load.csv"),
-                    "--ledger", str(CLI / "ledger.json"),
-                    "--out", str(out),
-                ],
-                catch_exceptions=False,
-            )
+            result = invoke([
+                "report",
+                "--config", str(CLI / "config.json"),
+                "--trace", str(CLI / "trace_full_load.csv"),
+                "--ledger", str(CLI / "ledger.json"),
+                "--out", str(out),
+            ])
             if result.exit_code != 0:
                 failures.append(f"exit {result.exit_code}: {result.stderr}")
             outputs.append(out.read_bytes())
@@ -252,8 +248,6 @@ def test_criterion_8_ingestion_corpus():
             parse_ledger,
             parse_usage_trace,
             serialize_intensity_feed,
-            serialize_ledger,
-            serialize_usage_trace,
         )
 
         canonical = FIXTURES / "canonical"

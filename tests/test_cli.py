@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -15,22 +16,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 from carbondef import UsageSample, __version__, cli, grid
 from carbondef import report as report_module
-from carbondef.cli import main
-from carbondef.ingest import TRACE_CSV_HEADER, parse_usage_trace, serialize_usage_trace
+from carbondef.ingest import TRACE_CSV_HEADER, parse_usage_trace
 
-from support import FIXTURES
+from support import FIXTURES, invoke, serialize_usage_trace
 
 CLI = FIXTURES / "cli"
 SRC = Path(cli.__file__).parents[1]
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +46,10 @@ def test_schema_version_matches_the_reports(report_schema):
     assert report_schema["properties"]["schema_version"] == {"const": report_module.SCHEMA_VERSION}
 
 
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
-
-
 def test_cold_start_imports_no_network_modules():
-    # only an endpoint fetch needs them, and every run would pay for importing them
-    code = "import sys, carbondef.cli; print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
+    # only an endpoint fetch needs the network modules, and the CLI parses its flags with argparse:
+    # every run would pay for importing them
+    code = "import sys, carbondef.cli; print(sorted({'click', 'http.client', 'urllib.request'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
@@ -81,15 +72,47 @@ def test_report_cut_short_by_a_closed_pipe_exits_3(tmp_path):
     assert stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
-def test_version_from_source_checkout(runner, monkeypatch):
+def test_version_from_source_checkout(monkeypatch):
     # a source checkout on PYTHONPATH has no installed package metadata
     def not_installed(name):
         raise importlib.metadata.PackageNotFoundError(name)
 
     monkeypatch.setattr(importlib.metadata, "version", not_installed)
-    result = invoke(runner, ["--version"])
+    result = invoke(["--version"])
     assert result.exit_code == 0
-    assert result.output.rstrip().endswith(f"version {__version__}")
+    assert (result.stdout, result.stderr) == (f"carbondef, version {__version__}\n", "")
+
+
+class TestArgumentSurface:
+    FLAGS = {
+        "estimate": {"--config", "--trace", "--format", "--out", "--clamp-usage"},
+        "emissions": {"--config", "--trace", "--format", "--out", "--clamp-usage", "--strict-coverage"},
+        "embodied": {"--ledger", "--consumer", "--format", "--out"},
+        "report": {"--config", "--trace", "--ledger", "--consumer", "--format", "--out", "--clamp-usage",
+                   "--strict-coverage"},
+    }
+
+    @pytest.mark.parametrize("argv, named", [
+        (["estimate", "--config", str(CLI / "config.json")], "--trace"),
+        (["estimate", "--config", str(CLI / "config.json"), "--trace", str(CLI / "trace_full_load.csv"),
+          "--format", "xml"], "'xml'"),
+        (["forecast", "--config", str(CLI / "config.json")], "'forecast'"),
+        ([], "COMMAND"),
+        # a run with --config spelled out would succeed: no prefix stands for a flag
+        (["estimate", "--conf", str(CLI / "config.json"), "--trace", str(CLI / "trace_full_load.csv")], "--config"),
+    ], ids=["missing option", "format xml", "unknown command", "no command", "abbreviated flag"])
+    def test_usage_error_exit_2(self, argv, named):
+        result = invoke(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: carbondef")
+        assert "error: " in result.stderr and named in result.stderr
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_commands_flags(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0
+        assert set(re.findall(r"--[a-z-]+", result.stdout)) == self.FLAGS[command] | {"--help"}
 
 
 class TestFiniteReports:
@@ -118,29 +141,29 @@ class TestFiniteReports:
         assert f"report field {field} is " in result.stderr
         assert result.stdout == ""
 
-    def test_anchor_overflow_times_zero_usage(self, runner, tmp_path):
+    def test_anchor_overflow_times_zero_usage(self, tmp_path):
         config = self.write_config(tmp_path, {"tdp_watts": 1e308, "n_cpu": 4})
         trace = self.write_trace(tmp_path, "0,3600,0,0,0,0")
-        result = invoke(runner, ["estimate", "--config", config, "--trace", trace])
+        result = invoke(["estimate", "--config", config, "--trace", trace])
         self.assert_rejected(result, "energy.kwh_total")
 
-    def test_power_times_duration_overflow(self, runner, tmp_path):
+    def test_power_times_duration_overflow(self, tmp_path):
         config = self.write_config(tmp_path, {"tdp_watts": 1e300})
         trace = self.write_trace(tmp_path, "0,1e300,4.0,0,0,0")
-        result = invoke(runner, ["estimate", "--config", config, "--trace", trace])
+        result = invoke(["estimate", "--config", config, "--trace", trace])
         self.assert_rejected(result, "energy.kwh_total")
 
-    def test_ledger_lifecycle_overflow(self, runner, tmp_path):
+    def test_ledger_lifecycle_overflow(self, tmp_path):
         ledger = json.loads((CLI / "ledger.json").read_text())
         ledger["objects"][0].update(m_kg=1.7e308, r_kg=1.7e308)
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps(ledger))
-        result = invoke(runner, ["embodied", "--ledger", str(path)])
+        result = invoke(["embodied", "--ledger", str(path)])
         self.assert_rejected(result, "embodied.total_attributed_kg_co2e")
 
-    def test_subnormal_functional_unit_count(self, runner, tmp_path):
+    def test_subnormal_functional_unit_count(self, tmp_path):
         config = self.write_config(tmp_path, functional_unit_count=1e-320)
-        result = invoke(runner, [
+        result = invoke([
             "report", "--config", config, "--trace", str(CLI / "trace_full_load.csv"),
             "--ledger", str(CLI / "ledger.json"),
         ])
@@ -148,9 +171,8 @@ class TestFiniteReports:
 
 
 class TestEstimate:
-    def test_full_load_hour_is_one_kwh(self, runner, report_schema):
+    def test_full_load_hour_is_one_kwh(self, report_schema):
         result = invoke(
-            runner,
             ["estimate", "--config", str(CLI / "config.json"), "--trace", str(CLI / "trace_full_load.csv")],
         )
         assert result.exit_code == 0
@@ -159,9 +181,8 @@ class TestEstimate:
         assert report["energy"]["kwh_total"] == pytest.approx(1.0, rel=1e-9)
         assert report["energy"]["kwh_by_component"]["cpu"] == pytest.approx(0.4, rel=1e-9)
 
-    def test_empty_trace_zero_totals(self, runner, report_schema):
+    def test_empty_trace_zero_totals(self, report_schema):
         result = invoke(
-            runner,
             ["estimate", "--config", str(CLI / "config.json"), "--trace", str(CLI / "trace_empty.csv")],
         )
         assert result.exit_code == 0
@@ -171,10 +192,9 @@ class TestEstimate:
         assert report["energy"]["interval_count"] == 0
         assert report["meta"]["window"] is None
 
-    def test_malformed_trace_exit_2_no_partial_output(self, runner, tmp_path):
+    def test_malformed_trace_exit_2_no_partial_output(self, tmp_path):
         out = tmp_path / "report.json"
         result = invoke(
-            runner,
             [
                 "estimate",
                 "--config", str(CLI / "config.json"),
@@ -186,7 +206,7 @@ class TestEstimate:
         assert "row 2" in result.stderr
         assert not out.exists()
 
-    def test_sample_lost_in_rounding_exit_2(self, runner, tmp_path):
+    def test_sample_lost_in_rounding_exit_2(self, tmp_path):
         # at 2**52 a 0.25 s sample ends where it starts: its energy would reach no segment
         trace = tmp_path / "trace.csv"
         trace.write_text(f"{TRACE_CSV_HEADER}\n{2**52},0.25,4.0,0,0,0\n{2**52 + 1},0.25,4.0,0,0,0\n")
@@ -195,35 +215,34 @@ class TestEstimate:
         shutil.copy(CLI / "config.json", tmp_path / "config.json")
         out = tmp_path / "report.json"
         args = ["emissions", "--config", str(tmp_path / "config.json"), "--trace", str(trace), "--out", str(out)]
-        result = invoke(runner, args)
+        result = invoke(args)
         assert result.exit_code == 2
         assert "sample 0 (row 2) ends where it starts" in result.stderr
         assert not out.exists()
 
-    def test_missing_trace_file_exit_3(self, runner):
+    def test_missing_trace_file_exit_3(self):
         result = invoke(
-            runner,
             ["estimate", "--config", str(CLI / "config.json"), "--trace", str(CLI / "nope.csv")],
         )
         assert result.exit_code == 3
 
-    def test_over_max_rejected_then_clamped(self, runner):
+    def test_over_max_rejected_then_clamped(self):
         args = [
             "estimate",
             "--config", str(CLI / "config.json"),
             "--trace", str(CLI / "trace_over_max.csv"),
         ]
-        rejected = invoke(runner, args)
+        rejected = invoke(args)
         assert rejected.exit_code == 2
         assert "u_cpu" in rejected.stderr
 
-        clamped = invoke(runner, args + ["--clamp-usage"])
+        clamped = invoke(args + ["--clamp-usage"])
         assert clamped.exit_code == 0
         report = json.loads(clamped.stdout)
         assert report["diagnostics"]["clamped_samples"] == [{"index": 0, "row": 2}]
         assert report["energy"]["kwh_total"] == pytest.approx(1.0, rel=1e-9)
 
-    def test_json_trace_clamped_sample_has_no_row(self, runner, tmp_path):
+    def test_json_trace_clamped_sample_has_no_row(self, tmp_path):
         # trace_over_max.csv as JSON: a JSON trace has sample indices, no input rows
         sample = {
             "start": 0, "duration_s": 3600.0, "u_cpu_cores": 6.0,
@@ -232,16 +251,14 @@ class TestEstimate:
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({"samples": [sample]}))
         result = invoke(
-            runner,
             ["estimate", "--config", str(CLI / "config.json"), "--trace", str(trace), "--clamp-usage"],
         )
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["diagnostics"]["clamped_samples"] == [{"index": 0, "row": None}]
 
-    def test_csv_output(self, runner):
+    def test_csv_output(self):
         result = invoke(
-            runner,
             [
                 "estimate",
                 "--config", str(CLI / "config.json"),
@@ -255,9 +272,8 @@ class TestEstimate:
 
 
 class TestEmissions:
-    def test_split_intensity_fixture(self, runner, report_schema):
+    def test_split_intensity_fixture(self, report_schema):
         result = invoke(
-            runner,
             ["emissions", "--config", str(CLI / "config.json"), "--trace", str(CLI / "trace_full_load.csv")],
         )
         assert result.exit_code == 0
@@ -267,9 +283,8 @@ class TestEmissions:
         assert report["operational"]["software_kwh"] == pytest.approx(1.0, rel=1e-9)
         assert report["operational"]["overhead_kwh"] == pytest.approx(0.5, rel=1e-9)
 
-    def test_strict_gap_exit_2_names_interval(self, runner):
+    def test_strict_gap_exit_2_names_interval(self):
         result = invoke(
-            runner,
             [
                 "emissions",
                 "--config", str(CLI / "config_gap_strict.json"),
@@ -279,9 +294,8 @@ class TestEmissions:
         assert result.exit_code == 2
         assert "[1800" in result.stderr and "3600" in result.stderr
 
-    def test_skip_gap_reports_uncovered(self, runner, report_schema):
+    def test_skip_gap_reports_uncovered(self, report_schema):
         result = invoke(
-            runner,
             [
                 "emissions",
                 "--config", str(CLI / "config_skip.json"),
@@ -297,9 +311,8 @@ class TestEmissions:
         assert uncovered[0]["kwh"] == pytest.approx(0.5, rel=1e-9)
         assert report["operational"]["total_kg_co2e"] == pytest.approx(0.3, rel=1e-9)
 
-    def test_strict_flag_overrides_skip_config(self, runner):
+    def test_strict_flag_overrides_skip_config(self):
         result = invoke(
-            runner,
             [
                 "emissions",
                 "--config", str(CLI / "config_skip.json"),
@@ -309,19 +322,35 @@ class TestEmissions:
         )
         assert result.exit_code == 2
 
-    def test_endpoint_unreachable_exit_3(self, runner, tmp_path, monkeypatch):
+    def test_rounded_sample_end_prorates_by_covered_span(self, tmp_path):
+        # 2**52 + 1 + 1.5 rounds to 2**52 + 2: the one segment spans 1.0 s and must carry
+        # all the sample's energy, not 1.0 / 1.5 of it
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_CSV_HEADER}\n{2**52 + 1},1.5,4.0,0,0,0\n")
+        (tmp_path / "intensity.json").write_text(json.dumps(
+            {"region": "NL", "entries": [{"start": 2**52 - 1800, "end": 2**52 + 1800, "intensity_kg_per_kwh": 0.4}]}))
+        shutil.copy(CLI / "config.json", tmp_path / "config.json")
+        result = invoke(["emissions", "--config", str(tmp_path / "config.json"), "--trace", str(trace),
+                         "--strict-coverage"])
+        assert result.exit_code == 0, result.stderr
+        operational = json.loads(result.stdout)["operational"]
+        assert [(row["duration_s"], row["kwh"]) for row in operational["segments"]] == [
+            (1.0, operational["software_kwh"])
+        ]
+        assert operational["uncovered"] == []
+
+    def test_endpoint_unreachable_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARBONDEF_CACHE_DIR", str(tmp_path / "cache"))
         config = json.loads((CLI / "config.json").read_text())
         config["intensity"] = {"endpoint": "http://127.0.0.1:9/feed", "region": "NL"}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         result = invoke(
-            runner,
             ["emissions", "--config", str(config_path), "--trace", str(CLI / "trace_full_load.csv")],
         )
         assert result.exit_code == 3
 
-    def test_endpoint_source_with_cache(self, runner, feed_server, tmp_path, monkeypatch):
+    def test_endpoint_source_with_cache(self, feed_server, tmp_path, monkeypatch):
         monkeypatch.setenv("CARBONDEF_CACHE_DIR", str(tmp_path / "cache"))
         config = json.loads((CLI / "config.json").read_text())
         config["intensity"] = {"endpoint": feed_server.endpoint, "region": "NL"}
@@ -333,19 +362,18 @@ class TestEmissions:
             "--config", str(config_path),
             "--trace", str(CLI / "trace_full_load.csv"),
         ]
-        first = invoke(runner, args)
+        first = invoke(args)
         assert first.exit_code == 0
         assert json.loads(first.stdout)["operational"]["total_kg_co2e"] == pytest.approx(0.45, rel=1e-9)
-        second = invoke(runner, args)
+        second = invoke(args)
         assert second.exit_code == 0
         assert feed_server.hits == 1  # second run hit the cache
         assert first.stdout == second.stdout
 
 
 class TestEmbodied:
-    def test_consumer_attribution(self, runner, report_schema):
+    def test_consumer_attribution(self, report_schema):
         result = invoke(
-            runner,
             ["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", "svc-a"],
         )
         assert result.exit_code == 0
@@ -353,8 +381,8 @@ class TestEmbodied:
         validate(report, report_schema)
         assert report["embodied"]["total_attributed_kg_co2e"] == pytest.approx(100.0, rel=1e-9)
 
-    def test_all_consumers_and_conservation(self, runner, report_schema):
-        result = invoke(runner, ["embodied", "--ledger", str(CLI / "ledger.json")])
+    def test_all_consumers_and_conservation(self, report_schema):
+        result = invoke(["embodied", "--ledger", str(CLI / "ledger.json")])
         report = json.loads(result.stdout)
         validate(report, report_schema)
         assert [c["consumer_id"] for c in report["embodied"]["consumers"]] == ["svc-a"]
@@ -365,9 +393,8 @@ class TestEmbodied:
             conservation["lifecycle_total_kg_co2e"], rel=1e-9
         )
 
-    def test_unknown_consumer_warns_and_reports_zero(self, runner):
+    def test_unknown_consumer_warns_and_reports_zero(self):
         result = invoke(
-            runner,
             ["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", "ghost"],
         )
         assert result.exit_code == 0
@@ -375,9 +402,8 @@ class TestEmbodied:
         report = json.loads(result.stdout)
         assert report["embodied"]["total_attributed_kg_co2e"] == 0.0
 
-    def test_csv_output_has_conservation_row(self, runner):
+    def test_csv_output_has_conservation_row(self):
         result = invoke(
-            runner,
             ["embodied", "--ledger", str(CLI / "ledger.json"), "--format", "csv"],
         )
         rows = list(csv.DictReader(io.StringIO(result.stdout)))
@@ -386,7 +412,7 @@ class TestEmbodied:
 
 
 class TestFullReport:
-    def test_composed_fixture_sci(self, runner, report_schema, tmp_path):
+    def test_composed_fixture_sci(self, report_schema, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = [
             "report",
@@ -394,8 +420,8 @@ class TestFullReport:
             "--trace", str(CLI / "trace_full_load.csv"),
             "--ledger", str(CLI / "ledger.json"),
         ]
-        assert invoke(runner, args + ["--out", str(out1)]).exit_code == 0
-        assert invoke(runner, args + ["--out", str(out2)]).exit_code == 0
+        assert invoke(args + ["--out", str(out1)]).exit_code == 0
+        assert invoke(args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
         report = json.loads(out1.read_text())
@@ -409,7 +435,7 @@ class TestFullReport:
             sci["operational_kg_co2e"] + sci["embodied_kg_co2e"], rel=1e-12
         )
 
-    def test_zero_everything(self, runner, report_schema, tmp_path):
+    def test_zero_everything(self, report_schema, tmp_path):
         config = json.loads((CLI / "config.json").read_text())
         config["pue"] = 1.0
         config["intensity"] = {"file": "intensity_zero.json"}
@@ -424,7 +450,6 @@ class TestFullReport:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         result = invoke(
-            runner,
             [
                 "report",
                 "--config", str(config_path),
@@ -437,14 +462,13 @@ class TestFullReport:
         validate(report, report_schema)
         assert report["sci"]["total_kg_co2e"] == 0.0
 
-    def test_missing_functional_unit_exit_2(self, runner, tmp_path):
+    def test_missing_functional_unit_exit_2(self, tmp_path):
         config = json.loads((CLI / "config.json").read_text())
         del config["functional_unit"]
         shutil.copy(CLI / "intensity.json", tmp_path / "intensity.json")
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         result = invoke(
-            runner,
             [
                 "report",
                 "--config", str(config_path),
@@ -455,9 +479,8 @@ class TestFullReport:
         assert result.exit_code == 2
         assert "functional_unit" in result.stderr
 
-    def test_csv_long_format(self, runner):
+    def test_csv_long_format(self):
         result = invoke(
-            runner,
             [
                 "report",
                 "--config", str(CLI / "config.json"),
@@ -473,11 +496,11 @@ class TestFullReport:
         assert float(sci_rows["sci_kg_co2e_per_unit"]) == pytest.approx(0.10045, rel=1e-9)
 
     @pytest.mark.parametrize("consumer", ["svc-a", "ghost"])
-    def test_consumer_section_matches_embodied_command(self, runner, consumer):
-        full = invoke(runner, TRACE_COMMANDS["report"] + [
+    def test_consumer_section_matches_embodied_command(self, consumer):
+        full = invoke(TRACE_COMMANDS["report"] + [
             "--trace", str(CLI / "trace_full_load.csv"), "--consumer", consumer,
         ])
-        alone = invoke(runner, ["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", consumer])
+        alone = invoke(["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", consumer])
         assert full.exit_code == alone.exit_code == 0
         assert json.loads(full.stdout)["embodied"] == json.loads(alone.stdout)["embodied"]
         warnings = [line for line in full.stderr.splitlines() if line.startswith("warning:")]
@@ -496,7 +519,7 @@ class TestCommandLifecycle:
     @pytest.mark.parametrize("enabled_before", [True, False])
     @pytest.mark.parametrize("trace, code", [("trace_full_load.csv", 0), ("trace_malformed.csv", 2)])
     def test_cyclic_gc_off_during_command_and_restored(
-        self, runner, monkeypatch, enabled_before, trace, code
+        self, monkeypatch, enabled_before, trace, code
     ):
         during = []
         real_parse = cli.parse_usage_trace
@@ -508,7 +531,7 @@ class TestCommandLifecycle:
         monkeypatch.setattr(cli, "parse_usage_trace", parse)
         (gc.enable if enabled_before else gc.disable)()
         try:
-            result = invoke(runner, TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / trace)])
+            result = invoke(TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / trace)])
             after = gc.isenabled()
         finally:
             gc.enable()
@@ -517,7 +540,7 @@ class TestCommandLifecycle:
         assert after is enabled_before
 
     @pytest.mark.parametrize("trace", ["trace_full_load.csv", "trace_over_max.csv", "trace_over_max.json"])
-    def test_report_path_builds_no_usage_sample(self, runner, monkeypatch, tmp_path, trace):
+    def test_report_path_builds_no_usage_sample(self, monkeypatch, tmp_path, trace):
         # the trace stays six columns from parse to report: no per-sample object
         if trace.endswith(".json"):
             (tmp_path / trace).write_bytes(
@@ -532,14 +555,14 @@ class TestCommandLifecycle:
 
         monkeypatch.setattr(UsageSample, "__post_init__", post_init)
         path = tmp_path / trace if trace.endswith(".json") else CLI / trace
-        result = invoke(runner, TRACE_COMMANDS["report"] + ["--trace", str(path), "--clamp-usage"])
+        result = invoke(TRACE_COMMANDS["report"] + ["--trace", str(path), "--clamp-usage"])
         assert result.exit_code == 0
         assert calls == []
         UsageSample(0, 1.0, 0, 0, 0, 0)  # and the counter does see a sample built
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", [*sorted(TRACE_COMMANDS), "embodied"])
-    def test_inputs_released_before_rendering(self, runner, monkeypatch, command):
+    def test_inputs_released_before_rendering(self, monkeypatch, command):
         parsed, alive_at_render = [], []
         real_parse_trace, real_parse_ledger = cli.parse_usage_trace, cli.parse_ledger
         real_render = cli.render_report
@@ -565,10 +588,10 @@ class TestCommandLifecycle:
             args = ["embodied", "--ledger", str(CLI / "ledger.json")]
         else:
             args = TRACE_COMMANDS[command] + ["--trace", str(CLI / "trace_full_load.csv")]
-        assert invoke(runner, args).exit_code == 0
+        assert invoke(args).exit_code == 0
         assert alive_at_render == [False] * (2 if command == "report" else 1)
 
-    def test_every_benchmark_span_target_is_called(self, runner, monkeypatch, tmp_path):
+    def test_every_benchmark_span_target_is_called(self, monkeypatch, tmp_path):
         # bench/spans.py wraps these module globals by name and silently skips
         # one the package no longer has, so its metrics would read 0
         targets = {
@@ -597,42 +620,42 @@ class TestCommandLifecycle:
         args = TRACE_COMMANDS["report"] + [
             "--trace", str(CLI / "trace_full_load.csv"), "--clamp-usage", "--out", str(out),
         ]
-        assert invoke(runner, args).exit_code == 0
+        assert invoke(args).exit_code == 0
         assert sorted(calls) == sorted(name for names in targets.values() for name in names)
         assert rendered == [out.stat().st_size]
 
     @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640])
-    def test_out_file_keeps_its_mode(self, runner, tmp_path, mode):
+    def test_out_file_keeps_its_mode(self, tmp_path, mode):
         out = tmp_path / "report.json"
         out.write_bytes(b"")
         out.chmod(mode)
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
-        assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+        assert invoke(args + ["--out", str(out)]).exit_code == 0
         assert out.stat().st_mode & 0o777 == mode
-        assert out.read_bytes() == invoke(runner, args).stdout_bytes
+        assert out.read_bytes() == invoke(args).stdout_bytes
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o027])
-    def test_new_out_file_follows_umask(self, runner, tmp_path, umask):
+    def test_new_out_file_follows_umask(self, tmp_path, umask):
         out = tmp_path / "report.json"
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
         previous = os.umask(umask)
         try:
-            assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+            assert invoke(args + ["--out", str(out)]).exit_code == 0
             assert os.umask(umask) == umask  # the run restored it
         finally:
             os.umask(previous)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
-    def test_out_symlink_is_written_through(self, runner, tmp_path):
+    def test_out_symlink_is_written_through(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_bytes(b"previous report\n")
         link.symlink_to(target)
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
-        assert invoke(runner, args + ["--out", str(link)]).exit_code == 0
+        assert invoke(args + ["--out", str(link)]).exit_code == 0
         assert link.is_symlink()
-        assert target.read_bytes() == invoke(runner, args).stdout_bytes
+        assert target.read_bytes() == invoke(args).stdout_bytes
 
-    def test_out_fifo_is_written_through(self, runner, tmp_path):
+    def test_out_fifo_is_written_through(self, tmp_path):
         fifo = tmp_path / "report.fifo"
         os.mkfifo(fifo)
         received = []
@@ -640,7 +663,7 @@ class TestCommandLifecycle:
         reader.start()
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
         try:
-            result = invoke(runner, args + ["--out", str(fifo)])
+            result = invoke(args + ["--out", str(fifo)])
         finally:
             try:  # a run that never opened the FIFO leaves the reader blocked: release it
                 os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
@@ -650,9 +673,9 @@ class TestCommandLifecycle:
         assert not reader.is_alive()
         assert result.exit_code == 0
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
-        assert received == [invoke(runner, args).stdout_bytes]
+        assert received == [invoke(args).stdout_bytes]
 
-    def test_failed_out_write_keeps_old_file(self, runner, tmp_path, monkeypatch):
+    def test_failed_out_write_keeps_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
         out.write_bytes(b"previous report\n")
         real_fdopen = os.fdopen
@@ -676,14 +699,14 @@ class TestCommandLifecycle:
 
         monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: HalfWrite(real_fdopen(*args, **kwargs)))
         args = TRACE_COMMANDS["estimate"] + ["--trace", str(CLI / "trace_full_load.csv")]
-        result = invoke(runner, args + ["--out", str(out)])
+        result = invoke(args + ["--out", str(out)])
         assert result.exit_code == 3
         assert "No space left on device" in result.stderr
         assert out.read_bytes() == b"previous report\n"
         assert not list(tmp_path.glob(".tmp-*"))
 
     @pytest.mark.parametrize("failing_write", [2, 3])
-    def test_out_write_failing_after_blocks_keeps_old_file(self, runner, tmp_path, monkeypatch, failing_write):
+    def test_out_write_failing_after_blocks_keeps_old_file(self, tmp_path, monkeypatch, failing_write):
         # over two blocks of intervals: the report reaches the temporary file in three writes
         trace = tmp_path / "trace.csv"
         rows = (f"{10 * i},10,1.0,1e9,1e6,1e6\n" for i in range(2 * report_module._BLOCK + 1))
@@ -713,7 +736,7 @@ class TestCommandLifecycle:
 
         monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: FailingWrite(real_fdopen(*args, **kwargs)))
         args = ["estimate", "--config", str(CLI / "config.json"), "--trace", str(trace), "--out", str(out)]
-        result = invoke(runner, args)
+        result = invoke(args)
         assert result.exit_code == 3
         assert "No space left on device" in result.stderr
         assert len(writes) == failing_write and min(writes) > 0

@@ -19,11 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from carbondef.cli import main
-
-from support import FIXTURES, MALFORMED
+from support import FIXTURES, MALFORMED, invoke
 
 DIGESTS = Path(__file__).parent / "cli_digests.json"
 CONFIGS = ("cli/config.json", "cli/config_gap_strict.json", "cli/config_skip.json")
@@ -65,7 +62,7 @@ def run_case(argv: list[str], scratch: Path) -> list:
         config["intensity"]["file"] = str(FIXTURES / "malformed" / argv[2].removeprefix("intensity="))
         argv[2] = str(scratch / "config.json")
         Path(argv[2]).write_text(json.dumps(config))
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     return [result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest(),
             hashlib.sha256(result.stderr_bytes).hexdigest()]
 

@@ -18,12 +18,9 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from carbondef.cli import main
-
-from support import FIXTURES
+from support import FIXTURES, invoke
 
 CORPUS = sorted(path for kind in ("cli", "malformed") for path in (FIXTURES / kind).iterdir())
 BASE = {
@@ -140,11 +137,11 @@ def test_mutated_corpus_keeps_the_contract(data):
         with mock.patch("urllib.request.urlopen", side_effect=unreachable), mock.patch.dict(
             os.environ, {"CARBONDEF_CACHE_DIR": str(directory / "cache")}
         ):
-            result = CliRunner().invoke(main, args)
+            # any exception but SystemExit propagates out of invoke and fails the example
+            result = invoke(args)
 
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code in (0, 2, 3), (result.exit_code, result.stderr)
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
     if result.exit_code == 0:
         report = json.loads(result.stdout, parse_constant=_reject_constant)
         jsonschema.validate(report, SCHEMA)

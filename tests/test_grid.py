@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from carbondef import (
     EnergySeries,
@@ -16,7 +16,7 @@ from carbondef import (
     trace_to_energy_series,
 )
 from carbondef.errors import CoverageError
-from carbondef.grid import JOULES_PER_KWH
+from carbondef.grid import JOULES_PER_KWH, align_segments
 
 from support import (
     OracleResolutionError,
@@ -46,6 +46,28 @@ split_intensity = IntensitySeries(
 )
 
 series_pairs = st.integers(0, 10**9).map(lambda seed: gen_series_pair(random.Random(seed)))
+
+
+#: an interval's segment plus uncovered joules against its joules, in ulps of those
+#: joules. The pieces' lengths are exact and partition the span the segments cover; each
+#: piece rounds twice (``J * (length / span)`` or ``(J / span) * length``), so the exact
+#: sum of the pieces is within 2 * 2**-53 * J (under 2 ulps) of J.
+SHARE_ULPS = 4
+
+
+@st.composite
+def rounded_intervals(draw) -> tuple[EnergySeries, IntensitySeries]:
+    """One energy interval at an epoch up to 2**52 with an arbitrary float
+    duration, whose end may round, and a feed of int windows cutting it,
+    some left out."""
+    start = draw(st.integers(0, 2**52))
+    duration = draw(st.floats(2**-20, 1e6))
+    assume(start + duration > start)  # UsageTrace rejects a sample whose end rounds to its start
+    cuts = sorted(draw(st.sets(st.integers(start - 2, math.ceil(start + duration) + 2), min_size=2, max_size=8)))
+    kept = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    feed = tuple(IntensityEntry(a, b, 0.5) for a, b, keep in zip(cuts, cuts[1:], kept) if keep)
+    energy = EnergySeries(entries=(energy_entry(start, duration, draw(st.floats(1e-3, 1e15))),))
+    return energy, IntensitySeries(region="ZZ", entries=feed)
 
 
 def tied_intensity(rng: random.Random, energy: EnergySeries) -> IntensitySeries:
@@ -159,6 +181,15 @@ class TestAlignSegments:
             assert len(rows) == len(expected)
             for row, reference in zip(rows, expected):
                 assert list(map(repr, row)) == list(map(repr, reference))
+
+    @settings(max_examples=300)
+    @given(rounded_intervals())
+    def test_pieces_share_out_the_joules_of_a_rounded_interval(self, pair):
+        energy, intensity = pair
+        (start,), (duration,), (joules,) = energy.columns[:3]
+        segments, uncovered = align_segments(energy, intensity, PueFactor(1.0))
+        assert math.fsum([*segments[1], *uncovered[1]]) == (start + duration) - start
+        assert abs(math.fsum([*segments[2], *uncovered[2]]) - joules) <= SHARE_ULPS * math.ulp(joules)
 
     def test_aligned_traces_reach_int_and_float_durations(self):
         # the test above is only as good as the types it sees

@@ -23,13 +23,11 @@ from carbondef.ingest import (
     parse_ledger,
     parse_usage_trace,
     serialize_intensity_feed,
-    serialize_ledger,
-    serialize_usage_trace,
 )
 from carbondef.power import UnitTags
 from carbondef.report import build_report, to_json_bytes
 
-from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed
+from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed, serialize_ledger, serialize_usage_trace
 
 CANONICAL = FIXTURES / "canonical"
 CLI = FIXTURES / "cli"
