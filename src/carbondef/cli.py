@@ -136,7 +136,14 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
         command = commands.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         for flag, keywords in map(_OPTIONS.get, option_names):
             command.add_argument(flag, **keywords)
-    _run(**vars(parser.parse_args(argv)))
+    # a flag that takes a value takes the next token, as ``--flag=token``: argparse reads a bare ``-svc`` as a flag
+    valued = {flag for flag, keywords in _OPTIONS.values() if "action" not in keywords}
+    arguments, tokens = iter(sys.argv[1:] if argv is None else argv), []
+    for token in arguments:
+        if token in valued and (value := next(arguments, None)) is not None:
+            token = f"{token}={value}"
+        tokens.append(token)
+    _run(**vars(parser.parse_args(tokens)))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ Formats (all timestamps are integer UTC epoch seconds):
 * ledger JSON: ``{"objects": [...], "records": [...]}``;
 * run config JSON, see :class:`RunConfig`.
 
+A trace parses into a list of int starts and five array('d'); the CSV body
+is read in ~512 KB byte blocks cut after a newline (never inside a UTF-8
+sequence), and only a faulty trace is decoded whole, to locate its fault.
 Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
@@ -32,6 +35,7 @@ import re
 import sys
 import time
 import urllib.parse
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -59,7 +63,7 @@ TRACE_FIELDS = ("start", "duration_s", "u_cpu_cores", "u_mem_bytes", "u_io_bytes
 
 OUTPUT_FORMATS = ("json", "csv")
 
-_CSV_BLOCK = 8192  # CSV trace lines split into cells at once: a whole trace's cells outweigh its columns
+_CSV_BLOCK = 1 << 19  # CSV trace body bytes decoded and split at once: a whole trace's text and lines outweigh its columns
 
 DEFAULT_FRESHNESS_S = 1800.0
 
@@ -216,6 +220,32 @@ def parse_usage_trace(data: bytes, format: str = "csv") -> UsageTrace:
 
 
 def _parse_trace_csv(data: bytes) -> UsageTrace:
+    # the body in byte blocks cut after a newline (never inside a UTF-8 sequence), into a start list and
+    # five array('d'), so no whole-text str or line list exists; a header-only trace may lack its newline
+    try:
+        begin = len(TRACE_CSV_HEADER) + 1
+        if data[:begin] != f"{TRACE_CSV_HEADER}\n".encode() and data != TRACE_CSV_HEADER.encode():
+            raise ValueError("a header that is not TRACE_CSV_HEADER")
+        columns = ([], *(array("d") for _ in TRACE_FIELDS[1:]))
+        while begin < len(data):
+            end = data.find(b"\n", begin + _CSV_BLOCK) + 1 or len(data)
+            lines = data[begin:end].decode().split("\n")  # a UnicodeDecodeError is a ValueError
+            if not lines[-1]:
+                del lines[-1]
+            if set(map(str.count, lines, repeat(","))) - {5}:
+                raise ValueError("a row without 6 fields")
+            fields = ",".join(lines).split(",")
+            for k, column in enumerate(columns):
+                column.extend(map(float if k else int, fields[k::6]))
+            begin = end
+        return UsageTrace(columns=columns, source_rows=range(2, len(columns[0]) + 2))
+    except ValueError:
+        _locate_csv_fault(data)
+        raise
+
+
+def _locate_csv_fault(data: bytes) -> None:
+    """Raise the ParseError of the first fault, as a whole-text, row-by-row parse would."""
     lines = _decode_utf8(data).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -223,26 +253,7 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
         raise SchemaError("missing header", location="row 1")
     if lines[0] != TRACE_CSV_HEADER:
         raise SchemaError(f"header must be {TRACE_CSV_HEADER!r}, got {lines[0]!r}", location="row 1")
-    del lines[0]
-
-    # the body column by column, in blocks; any fault leaves its location to the row loop
-    try:
-        if set(map(str.count, lines, repeat(","))) - {5}:
-            raise ValueError("a row without 6 fields")
-        columns = ([], [], [], [], [], [])
-        for begin in range(0, len(lines), _CSV_BLOCK):
-            fields = ",".join(lines[begin:begin + _CSV_BLOCK]).split(",")
-            for k, column in enumerate(columns):
-                column.extend(map(float if k else int, fields[k::6]))
-        return UsageTrace(columns=columns, source_rows=range(2, len(lines) + 2))
-    except ValueError:
-        _locate_csv_fault(lines)
-        raise
-
-
-def _locate_csv_fault(lines: list[str]) -> None:
-    """Raise the ParseError of the first faulty body row, as a row-by-row parse would."""
-    for row, line in enumerate(lines, 2):
+    for row, line in enumerate(islice(lines, 1, None), 2):
         location = f"row {row}"
         fields = line.split(",")
         if len(fields) != 6:
@@ -271,7 +282,7 @@ def _parse_trace_json(data: bytes) -> UsageTrace:
             raise ValueError("a start that is no integer")
         if _fails_kind(values, {int, float}, sys.float_info.max):  # _number's test
             raise ValueError("a value that is no finite number")
-        return UsageTrace(columns=(start, *(list(map(float, column)) for column in values)))
+        return UsageTrace(columns=(start, *(array("d", column) for column in values)))  # an int converts as float() does
     except (KeyError, TypeError, ValueError):
         _locate_json_fault(raw_samples)
         raise

@@ -7,10 +7,10 @@ and every component scales linearly with its usage ratio. An optional
 idle baseline is added on top, outside the allocated budget.
 
 All power figures are watts; energy is joules over half-open intervals
-[start, start + duration). A trace and its energy series are held as
-columns and computed in bulk: the series shares the trace's start and
-duration lists and adds six array('d') joule columns, 48 bytes a sample;
-``entries`` rows are built on demand.
+[start, start + duration). A trace (from the parsers, a list of int starts
+and five array('d')) and its energy series are held as columns, computed in
+bulk: the series shares the trace's start and duration columns and adds six
+array('d') joule columns, 48 bytes a sample; rows are built on demand.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from math import inf
-from operator import add, gt, itemgetter, le, lt, mul, ne, truediv
+from operator import add, gt, itemgetter, le, lt, mul, ne, not_, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
@@ -141,15 +141,21 @@ class UsageSample:
         return self.start + self.duration_s
 
 
+def _first_unended(start: Sequence, duration_s: Sequence) -> int | None:
+    """Index of the first interval whose end, ``start + duration_s``, does not lie past its start
+    (a duration_s not > 0, or one that rounds away near ±2**53), or None."""
+    return next(compress(count(), map(not_, map(lt, start, map(add, start, duration_s)))), None)
+
+
 def _columns(samples: Iterable[UsageSample]) -> tuple[list, ...]:
     rows = [(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in samples]
     return tuple(map(list, zip(*rows))) if rows else ([], [], [], [], [], [])
 
 
 class UsageTrace:
-    """Sorted, non-overlapping, non-empty usage samples as six read-only ``columns``, one
-    list per UsageSample field, built from samples or in bulk (``columns=``);
-    ``samples`` are built on demand. Construction checks each column once
+    """Sorted, non-overlapping, non-empty usage samples as six read-only ``columns``, one per
+    UsageSample field (lists, or as the parsers give them a start list and five array('d')),
+    built from samples or in bulk (``columns=``); ``samples`` are built on demand. Construction checks each column once
     against UsageSample's field condition (ValueError) and the order, the one
     place it is checked (TraceOrderError), walking rows only to name a sample.
     ``source_rows`` keeps each sample's input row for later diagnostics.
@@ -172,11 +178,11 @@ class UsageTrace:
             for index, values in enumerate(zip(*self.columns)):
                 if (fault := _sample_fault(*values)) is not None:
                     raise ValueError(f"{at(index)}: {fault}")
-        # each end lies past its own start (a short duration_s can round away near ±2**53) and by the next start
-        if not (all(map(lt, start, map(add, start, duration_s)))
-                and all(map(le, map(add, start, duration_s), islice(start, 1, None)))):
+        # each end lies past its own start and by the next start
+        unended = _first_unended(start, duration_s)
+        if unended is not None or not all(map(le, map(add, start, duration_s), islice(start, 1, None))):
             for index, (begin, end) in enumerate(zip(start, map(add, start, duration_s))):
-                if not begin < end:
+                if index == unended:
                     raise TraceOrderError(f"{at(index)} ends where it starts: {begin} + {duration_s[index]} rounds to {end}")
                 if index + 1 < len(start) and start[index + 1] < end:
                     raise TraceOrderError(f"{at(index + 1)} starts at {start[index + 1]}, before previous sample end {end}")
@@ -214,7 +220,7 @@ class EnergySeries:
     EnergyEntry value: ``start``, ``duration_s``, then array('d') of
     ``joules_total`` and of each ENERGY_SOURCES entry's joules. Built from
     entries or in bulk (``columns=``); construction checks every joule value
-    >= 0 (a NaN passes) and the starts in order."""
+    >= 0 (a NaN passes), each end past its start and the starts in order."""
 
     __slots__ = ("columns",)
 
@@ -223,9 +229,11 @@ class EnergySeries:
             rows = [(e.start, e.duration_s, e.joules_total, *e.joules_by_component) for e in entries]
             columns = [list(column) for column in zip(*rows)] if rows else [[]] * 8
             columns[2:] = map(array, repeat("d"), columns[2:])
-        self.columns = start, _, *joules = tuple(columns)
+        self.columns = start, duration_s, *joules = tuple(columns)
         if any(map(gt, repeat(0.0), chain(*joules))):
             raise ValueError("energy values must be >= 0")
+        if (index := _first_unended(start, duration_s)) is not None:  # align_segments divides by the span
+            raise ValueError(f"energy entry {index} ends where it starts: {start[index]} + {duration_s[index]}")
         unordered = compress(islice(start, 1, None), map(gt, start, islice(start, 1, None)))
         if (begin := next(unordered, None)) is not None:  # align_segments merges in start order
             raise ValueError(f"energy entries out of start order at start={begin}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
@@ -450,13 +449,3 @@ def render_report(report: Any, output: str, sink: BinaryIO) -> _Utf8Writer:
         raise ValueError(f"output must be 'json' or 'csv', got {output!r}")
     out.flush()
     return out
-
-
-def to_json_bytes(report: Any) -> bytes:
-    render_report(report, "json", sink := io.BytesIO())
-    return sink.getvalue()
-
-
-def to_csv_bytes(report: dict[str, Any]) -> bytes:
-    render_report(report, "csv", sink := io.BytesIO())
-    return sink.getvalue()

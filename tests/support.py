@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
@@ -53,6 +54,7 @@ from carbondef.embodied import OVERSUBSCRIPTION_TOL
 from carbondef.grid import JOULES_PER_KWH, EmissionsSegment, UncoveredSpan
 from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, canonical_json
 from carbondef.power import COMPONENTS, ENERGY_SOURCES
+from carbondef.report import render_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,6 +78,18 @@ def invoke(argv: list[str]) -> SimpleNamespace:
         sys.stdout, sys.stderr = saved
     return SimpleNamespace(exit_code=exit_code, stdout_bytes=stdout_bytes, stderr_bytes=stderr_bytes,
                            stdout=stdout_bytes.decode(), stderr=stderr_bytes.decode())
+
+
+def to_json_bytes(report: Any) -> bytes:
+    """The bytes ``render_report`` writes for ``report`` as JSON, in one ``bytes``."""
+    render_report(report, "json", sink := io.BytesIO())
+    return sink.getvalue()
+
+
+def to_csv_bytes(report: dict[str, Any]) -> bytes:
+    """The bytes ``render_report`` writes for ``report`` as CSV, in one ``bytes``."""
+    render_report(report, "csv", sink := io.BytesIO())
+    return sink.getvalue()
 
 
 def serialize_usage_trace(trace: UsageTrace, format: str = "csv") -> bytes:
@@ -658,7 +672,10 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
             raise TraceOrderError(
                 f"sample {index}{row} starts at {samples[index].start}, before previous sample end {previous_end}"
             )
-    return UsageTrace(samples=tuple(samples), source_rows=None if rows is None else tuple(rows))
+    trace = UsageTrace(samples=tuple(samples), source_rows=None if rows is None else tuple(rows))
+    # the parsers' layout: a list of int starts and five array('d') float columns
+    start, *values = trace.columns
+    return UsageTrace(columns=(start, *(array("d", column) for column in values)), source_rows=trace.source_rows)
 
 
 # (fixture file, parser kind, expected error class, location marker in str(exc))

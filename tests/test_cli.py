@@ -108,6 +108,24 @@ class TestArgumentSurface:
         assert result.stderr.startswith("usage: carbondef")
         assert "error: " in result.stderr and named in result.stderr
 
+    def test_a_flag_takes_the_next_token_even_one_starting_with_a_dash(self):
+        result = invoke(["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer", "-svc"])
+        assert result.exit_code == 0
+        assert result.stderr == "warning: consumer '-svc' has no records; reporting 0 kg\n"
+        assert json.loads(result.stdout)["embodied"]["total_attributed_kg_co2e"] == 0.0
+
+    def test_an_out_path_starting_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["embodied", "--ledger", str(CLI / "ledger.json"), "--out", "-report.json"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "", "")
+        expected = invoke(["embodied", "--ledger", str(CLI / "ledger.json")]).stdout_bytes
+        assert (tmp_path / "-report.json").read_bytes() == expected
+
+    def test_a_flag_without_its_value_is_a_usage_error(self):
+        result = invoke(["embodied", "--ledger", str(CLI / "ledger.json"), "--consumer"])
+        assert result.exit_code == 2
+        assert "argument --consumer: expected one argument" in result.stderr
+
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_help_lists_exactly_the_commands_flags(self, command):
         result = invoke([command, "--help"])

@@ -156,6 +156,15 @@ class TestAlignSegments:
         with pytest.raises(ValueError, match="start order at start=0"):
             EnergySeries(entries=(energy_entry(100, 100.0, 200.0), energy_entry(0, 100.0, 100.0)))
 
+    @pytest.mark.parametrize("entry", [energy_entry(2**52, 0.25, 100.0), energy_entry(0, 0.0, 0.0),
+                                       energy_entry(0, -1.0, 1.0), energy_entry(0, math.nan, 1.0)],
+                             ids=["rounds-away", "zero", "negative", "nan"])
+    def test_entry_ending_where_it_starts_rejected(self, entry):
+        # align_segments divides an interval's joules by the span its pieces cover
+        with pytest.raises(ValueError, match=r"energy entry 1 ends where it starts: \S+ \+ "):
+            series = EnergySeries(entries=(energy_entry(-10, 10.0, 1.0), entry))
+            align_segments(series, IntensitySeries("ZZ", (IntensityEntry(-10, 2**53, 0.5),)), PueFactor(1.0))
+
     @settings(max_examples=300)
     @given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.sampled_from([1.0, 1.1, 1.58]))
     def test_two_pointer_equals_bisect_reference(self, seed, allow_gaps, tied, pue):

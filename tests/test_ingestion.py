@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import random
 import sys
 import time
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,6 @@ from carbondef.errors import (
     FractionError, NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
 )
 from carbondef.ingest import (
-    _CSV_BLOCK,
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
     fetch_intensity,
@@ -25,9 +27,11 @@ from carbondef.ingest import (
     serialize_intensity_feed,
 )
 from carbondef.power import UnitTags
-from carbondef.report import build_report, to_json_bytes
+from carbondef.report import build_report
 
-from support import FIXTURES, MALFORMED, naive_parse_trace, parse_malformed, serialize_ledger, serialize_usage_trace
+from support import (
+    FIXTURES, MALFORMED, naive_parse_trace, parse_malformed, serialize_ledger, serialize_usage_trace, to_json_bytes,
+)
 
 CANONICAL = FIXTURES / "canonical"
 CLI = FIXTURES / "cli"
@@ -145,26 +149,75 @@ class TestBulkParseAgainstReference:
         data, fmt = (FIXTURES / "malformed" / filename).read_bytes(), kind.removeprefix("trace_")
         assert parse_outcome(parse_usage_trace, data, fmt) == parse_outcome(naive_parse_trace, data, fmt)
 
-    @pytest.mark.parametrize("rows", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
-    def test_csv_block_boundaries(self, rows):
-        # the body is split _CSV_BLOCK lines at a time; line i of ``lines`` is row i + 1
-        lines = [TRACE_CSV_HEADER, *(f"{10 * i},10,{i % 5 * 0.5},{i},{i % 3}e6,0.25" for i in range(rows))]
+    @pytest.mark.parametrize("block", [200, 333])
+    def test_csv_block_edges(self, monkeypatch, block):
+        # the body is decoded and split in blocks of _CSV_BLOCK bytes and up to the next newline;
+        # a fault in the row just before or after an edge keeps its location
+        monkeypatch.setattr(ingest, "_CSV_BLOCK", block)
+        lines = [TRACE_CSV_HEADER, *(f"{10 * i},10,{i % 5 * 0.5},{i},{i % 3}e6,0.25" for i in range(120))]
         data = ("\n".join(lines) + "\n").encode()
         expected = parse_outcome(naive_parse_trace, data, "csv")
         assert parse_outcome(parse_usage_trace, data, "csv") == expected
-        assert len(expected[0]) == rows
-        faulty = [len(lines) - 1] + ([_CSV_BLOCK + 1] if rows > _CSV_BLOCK else [])  # last row, second block's first
-        for index in faulty:
-            cells = lines[index].split(",")
-            bad_lines = (  # a float timestamp, a non-number, a negative usage
-                ",".join(["1.5", *cells[1:]]), ",".join([*cells[:2], "x", *cells[3:]]),
-                ",".join([*cells[:3], "-1", *cells[4:]]),
-            )
-            for bad_line in bad_lines:
-                data = ("\n".join([*lines[:index], bad_line, *lines[index + 1:]]) + "\n").encode()
-                expected = parse_outcome(naive_parse_trace, data, "csv")
-                assert expected[2] == f"row {index + 1}"
-                assert parse_outcome(parse_usage_trace, data, "csv") == expected
+        assert len(expected[0]) == 120
+        edges, begin = [], len(lines[0]) + 1
+        while (end := data.find(b"\n", begin + block) + 1) and end < len(data):
+            edges.append(end)
+            begin = end
+        assert len(edges) >= 4
+        for edge in edges:
+            after = data.count(b"\n", 0, edge)  # lines[after] starts at the edge
+            for index in (after - 1, after):
+                offset = len("\n".join(lines[:index])) + 1  # where lines[index] starts: the lines are ASCII
+                cells = lines[index].split(",")
+                # a bad UTF-8 byte; 5 fields, a non-numeric (two-byte) field, a float timestamp, a negative usage
+                bad_rows = [(b"\xff" + lines[index][1:].encode(), f"byte {offset}")] + [
+                    (",".join(row).encode(), f"row {index + 1}")
+                    for row in (cells[:5], [*cells[:2], "\u00e9", *cells[3:]],
+                                ["1.5", *cells[1:]], [*cells[:3], "-1", *cells[4:]])]
+                for bad_row, location in bad_rows:
+                    bad = data[:offset] + bad_row + data[offset + len(lines[index]):]
+                    expected = parse_outcome(naive_parse_trace, bad, "csv")
+                    assert expected[2] == location
+                    assert parse_outcome(parse_usage_trace, bad, "csv") == expected
+
+    @pytest.mark.parametrize("data", [
+        TRACE_CSV_HEADER.encode(), f"{TRACE_CSV_HEADER}\n".encode(), f"{TRACE_CSV_HEADER}\n\n".encode(),
+        f"{TRACE_CSV_HEADER}\n0,10,1,0,0,0".encode(), f"{TRACE_CSV_HEADER}\n0,10,1,0,0,0\n".encode(),
+        f"{TRACE_CSV_HEADER}\n0,10,1,0,0,0\n\n".encode(), f"{TRACE_CSV_HEADER}\r\n0,10,1,0,0,0\n".encode(),
+        b"", b"\n", b"\xff\n",
+    ], ids=["header-only-unterminated", "header-only", "header-blank-line", "no-final-newline", "one-row",
+            "trailing-blank-line", "crlf-header", "empty", "blank", "bad-utf8-header"])
+    def test_csv_trace_ends(self, monkeypatch, data):
+        monkeypatch.setattr(ingest, "_CSV_BLOCK", 8)
+        assert parse_outcome(parse_usage_trace, data, "csv") == parse_outcome(naive_parse_trace, data, "csv")
+
+    @pytest.mark.parametrize("data, fmt", [
+        (TRACE_CSV_HEADER.encode(), "csv"), (f"{TRACE_CSV_HEADER}\n0,10,1,0,0,0\n".encode(), "csv"),
+        (b'{"samples": []}', "json"),
+        (json.dumps({"samples": [dict(zip(TRACE_FIELDS, (0, 10, 1, 0, 0, 0)))]}).encode(), "json"),
+    ])
+    def test_parsers_give_a_start_list_and_five_float_arrays(self, data, fmt):
+        start, *values = parse_usage_trace(data, fmt).columns
+        assert type(start) is list
+        assert [(type(column), column.typecode) for column in values] == [(array, "d")] * 5
+
+
+def test_csv_parse_holds_under_160_bytes_a_sample():
+    # a start list and five array('d') hold about 80 bytes a sample, one block's text, lines and cells
+    # about 5 MB; the whole text, its line list and boxed floats took about 400
+    rng = random.Random(5)
+    n = 100_000
+    rows = (f"{1_700_000_000 + 15 * i},15.0,{rng.uniform(0, 64)!r},{rng.uniform(1e9, 9e9)!r},"
+            f"{rng.uniform(0, 5e8)!r},{rng.uniform(0, 5e8)!r}" for i in range(n))
+    data = "\n".join([TRACE_CSV_HEADER, *rows, ""]).encode()
+    tracemalloc.start()
+    try:
+        trace = parse_usage_trace(data, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak / n < 160
 
 
 class TestIntensityParsing:

@@ -19,11 +19,9 @@ from carbondef.report import (
     Rows,
     build_report,
     render_report,
-    to_csv_bytes,
-    to_json_bytes,
 )
 
-from support import gen_ledger, gen_spec, gen_usage, naive_csv_bytes
+from support import gen_ledger, gen_spec, gen_usage, naive_csv_bytes, to_csv_bytes, to_json_bytes
 
 
 def stdlib_json(value) -> bytes:
