@@ -22,6 +22,7 @@ from carbondef import (
     ServerSpec,
     SharingProfile,
     UsageSample,
+    UsageTrace,
     consumer_embodied,
     idle_residual,
     operational_emissions,
@@ -42,7 +43,7 @@ SPEC = ServerSpec(
 )
 
 
-def diurnal_trace(rng: random.Random) -> list[UsageSample]:
+def diurnal_trace(rng: random.Random) -> UsageTrace:
     samples = []
     for slot in range(96):  # 15-minute samples
         start = T0 + slot * 900
@@ -60,7 +61,7 @@ def diurnal_trace(rng: random.Random) -> list[UsageSample]:
                 level * 0.35 * SPEC.u_max.net,
             )
         )
-    return samples
+    return UsageTrace(samples)
 
 
 def daily_intensity(rng: random.Random) -> IntensitySeries:

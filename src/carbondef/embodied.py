@@ -116,10 +116,11 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Objects plus consumption records, checked at construction: a record
-    naming an unknown object raises LedgerReferenceError, a profile outside
-    its object's lifespan ProfileOutOfLifespan, and fractions on one object
-    summing past 1 (within 1e-9) at any instant OversubscriptionError.
+    """Objects plus consumption records, checked at construction: an object
+    keyed by another id raises ValueError, a record naming an unknown object
+    LedgerReferenceError, a profile outside its object's lifespan
+    ProfileOutOfLifespan, and fractions on one object summing past 1 (within
+    1e-9) at any instant OversubscriptionError.
 
     Built single-writer and then treated as immutable; queries are pure.
     Construction indexes the records by object and by consumer, in ledger order.
@@ -131,6 +132,8 @@ class Ledger:
     _by_consumer: dict[str, list[ConsumptionRecord]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (key := next((key for key, obj in self.objects.items() if obj.id != key), None)) is not None:
+            raise ValueError(f"object {self.objects[key].id!r} is keyed {key!r}, not by its id")
         by_object: dict[str, list[ConsumptionRecord]] = {}
         by_consumer: dict[str, list[ConsumptionRecord]] = {}
         for index, record in enumerate(self.records):

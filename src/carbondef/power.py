@@ -7,10 +7,10 @@ and every component scales linearly with its usage ratio. An optional
 idle baseline is added on top, outside the allocated budget.
 
 All power figures are watts; energy is joules over half-open intervals
-[start, start + duration). A trace (from the parsers, a list of int starts
-and five array('d')) and its energy series are held as columns, computed in
-bulk: the series shares the trace's start and duration columns and adds six
-array('d') joule columns, 48 bytes a sample; rows are built on demand.
+[start, start + duration). A trace is a list of int starts and five
+array('d'), however it is built. The energy series is built on its trace:
+it shares the trace's start and duration columns and adds six array('d')
+joule columns, 48 bytes a sample, computed in bulk; rows are built on demand.
 """
 
 from __future__ import annotations
@@ -147,28 +147,32 @@ def _first_unended(start: Sequence, duration_s: Sequence) -> int | None:
     return next(compress(count(), map(not_, map(lt, start, map(add, start, duration_s)))), None)
 
 
-def _columns(samples: Iterable[UsageSample]) -> tuple[list, ...]:
-    rows = [(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in samples]
-    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [], [], [])
+def _float_column(column: Sequence[float]) -> array:
+    """``column`` itself if it is an array('d'), else its values in a new one."""
+    return column if isinstance(column, array) and column.typecode == "d" else array("d", column)
 
 
 class UsageTrace:
-    """Sorted, non-overlapping, non-empty usage samples as six read-only ``columns``, one per
-    UsageSample field (lists, or as the parsers give them a start list and five array('d')),
-    built from samples or in bulk (``columns=``); ``samples`` are built on demand. Construction checks each column once
-    against UsageSample's field condition (ValueError) and the order, the one
-    place it is checked (TraceOrderError), walking rows only to name a sample.
-    ``source_rows`` keeps each sample's input row for later diagnostics.
+    """Sorted, non-overlapping usage samples as six read-only ``columns``, one per UsageSample
+    field: a list of starts and five array('d'), the layout the parsers build. Built from samples
+    or in bulk (``columns=``), where a column already in that layout is kept, not copied;
+    ``samples`` are built on demand. Construction checks each column once against UsageSample's
+    field condition (ValueError) and the order, the one place it is checked (TraceOrderError),
+    walking rows only to name a sample. ``source_rows`` keeps each sample's input row, as the
+    sequence given, for later diagnostics.
     """
 
     __slots__ = ("columns", "source_rows", "__weakref__")
 
     def __init__(self, samples: Iterable[UsageSample] = (), source_rows: Sequence[int] | None = None,
-                 *, columns: tuple[list, ...] | None = None):
-        self.columns = start, duration_s, *usages = _columns(samples) if columns is None else tuple(columns)
-        self.source_rows = rows = None if source_rows is None else tuple(source_rows)
-        if len(self.columns) != 6 or len(set(map(len, self.columns))) > 1:
+                 *, columns: Sequence[Sequence] | None = None):
+        if columns is None:
+            columns = tuple(zip(*[(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in samples])) or ((),) * 6
+        if len(columns) != 6 or len(set(map(len, columns))) > 1:
             raise ValueError("a trace is six columns of one length")
+        start, *floats = columns
+        self.columns = start, duration_s, *usages = (start if type(start) is list else list(start), *map(_float_column, floats))
+        self.source_rows = rows = source_rows
         at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
         in_range = (-EPOCH_LIMIT <= min(start, default=0) and max(start, default=0) <= EPOCH_LIMIT
                     and 0 < min(duration_s, default=1) and max(duration_s, default=0) < inf and all(
@@ -198,7 +202,10 @@ class UsageTrace:
         return map(UsageSample, *self.columns)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, UsageTrace) and (self.columns, self.source_rows) == (other.columns, other.source_rows)
+        # source rows compare by value too: the CSV parser's range equals the tuple of its rows
+        return isinstance(other, UsageTrace) and self.columns == other.columns and (
+            self.source_rows == other.source_rows
+            or None not in (self.source_rows, other.source_rows) and tuple(self.source_rows) == tuple(other.source_rows))
 
 
 class EnergyEntry(NamedTuple):
@@ -216,27 +223,20 @@ class EnergyEntry(NamedTuple):
 
 
 class EnergySeries:
-    """Energy in trace order as eight read-only ``columns``, one per
-    EnergyEntry value: ``start``, ``duration_s``, then array('d') of
-    ``joules_total`` and of each ENERGY_SOURCES entry's joules. Built from
-    entries or in bulk (``columns=``); construction checks every joule value
-    >= 0 (a NaN passes), each end past its start and the starts in order."""
+    """Energy in trace order as eight read-only ``columns``, one per EnergyEntry value: the
+    ``start`` and ``duration_s`` columns of the UsageTrace it is built on, shared, not copied,
+    then the six ``joules`` columns, array('d') of ``joules_total`` and of each ENERGY_SOURCES
+    entry's joules. Construction checks only the joules: six columns of one value a sample, each
+    >= 0 (a NaN passes). The trace has checked every end past its start and the starts in order."""
 
     __slots__ = ("columns",)
 
-    def __init__(self, entries: Iterable[EnergyEntry] = (), *, columns: Sequence[Sequence] | None = None):
-        if columns is None:
-            rows = [(e.start, e.duration_s, e.joules_total, *e.joules_by_component) for e in entries]
-            columns = [list(column) for column in zip(*rows)] if rows else [[]] * 8
-            columns[2:] = map(array, repeat("d"), columns[2:])
-        self.columns = start, duration_s, *joules = tuple(columns)
+    def __init__(self, trace: UsageTrace, joules: Sequence[Sequence[float]]):
+        if len(joules) != 1 + len(ENERGY_SOURCES) or set(map(len, joules)) - {len(trace)}:
+            raise ValueError("an energy series is six joule columns, one value a sample")
         if any(map(gt, repeat(0.0), chain(*joules))):
             raise ValueError("energy values must be >= 0")
-        if (index := _first_unended(start, duration_s)) is not None:  # align_segments divides by the span
-            raise ValueError(f"energy entry {index} ends where it starts: {start[index]} + {duration_s[index]}")
-        unordered = compress(islice(start, 1, None), map(gt, start, islice(start, 1, None)))
-        if (begin := next(unordered, None)) is not None:  # align_segments merges in start order
-            raise ValueError(f"energy entries out of start order at start={begin}")
+        self.columns = (*trace.columns[:2], *joules)
 
     @property
     def entries(self) -> tuple[EnergyEntry, ...]:
@@ -255,14 +255,13 @@ class EnergySeries:
         return (start[0], start[-1] + duration_s[-1]) if start else None
 
 
-def _joule_columns(spec: ServerSpec, columns: Sequence[Sequence], clamp: bool) -> list[array]:
-    """Array('d') of the total joules of each sample of trace ``columns``, then
-    one per ENERGY_SOURCES entry: ``u / u_max * share * anchor * duration``,
-    the share relative to the cpu's (for the cpu 1.0, and ``x * 1.0 == x``),
-    and ``idle_watts * duration``, summed in that order. A usage above its
-    maximum raises UsageOutOfRange for the first such sample, or with
-    ``clamp`` counts as the maximum."""
-    _, duration, *usages = columns
+def _joule_columns(spec: ServerSpec, duration: Sequence[float], usages: list[Sequence[float]], clamp: bool) -> list[array]:
+    """Array('d') of the total joules of each sample of a ``duration`` and four
+    ``usages`` columns, then one per ENERGY_SOURCES entry: ``u / u_max * share
+    * anchor * duration``, the share relative to the cpu's (for the cpu 1.0, and
+    ``x * 1.0 == x``), and ``idle_watts * duration``, summed in that order. A
+    usage above its maximum raises UsageOutOfRange for the first such sample,
+    or with ``clamp`` counts as the maximum."""
     anchor, alpha = spec.tdp_watts * spec.n_cpu, spec.alpha
     limits = [spec.u_max.get(component) for component in COMPONENTS]
     for position, (usage, limit) in enumerate(zip(usages, limits)):
@@ -282,6 +281,10 @@ def _joule_columns(spec: ServerSpec, columns: Sequence[Sequence], clamp: bool) -
     return [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules]
 
 
+def _usage_columns(sample: UsageSample) -> list[list[float]]:
+    return [[sample.u_cpu], [sample.u_mem], [sample.u_io], [sample.u_net]]
+
+
 def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> dict[str, float]:
     """Instantaneous power for one usage sample, watts per ENERGY_SOURCES entry.
 
@@ -294,8 +297,7 @@ def component_power(spec: ServerSpec, sample: UsageSample, clamp: bool = False) 
     is False; with ``clamp`` the usage is cut to the maximum instead.
     """
     # the energy of one second is the power: x * 1.0 == x for every float
-    start, _, *usages = _columns([sample])
-    _, *watts = _joule_columns(spec, (start, [1.0], *usages), clamp)
+    _, *watts = _joule_columns(spec, [1.0], _usage_columns(sample), clamp)
     return dict(zip(ENERGY_SOURCES, map(itemgetter(0), watts)))
 
 
@@ -313,35 +315,26 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
 
 def energy_over_interval(spec: ServerSpec, sample: UsageSample, clamp: bool = False) -> EnergyEntry:
     """Energy for one sample, treating usage as constant over the interval."""
-    total, *joules = map(itemgetter(0), _joule_columns(spec, _columns([sample]), clamp))
+    total, *joules = map(itemgetter(0), _joule_columns(spec, [sample.duration_s], _usage_columns(sample), clamp))
     return EnergyEntry(sample.start, sample.duration_s, total, tuple(joules))
 
 
-def trace_to_energy_series(
-    spec: ServerSpec,
-    trace: UsageTrace | Sequence[UsageSample],
-    clamp: bool = False,
-) -> EnergySeries:
+def trace_to_energy_series(spec: ServerSpec, trace: UsageTrace, clamp: bool = False) -> EnergySeries:
     """Convert a whole trace to an energy series, one entry per sample.
 
-    Raises:
-        TraceOrderError: samples unsorted or overlapping.
-        UsageOutOfRange: some usage exceeds its maximum (clamp off);
-            the message names the offending sample index.
+    Raises UsageOutOfRange when some usage exceeds its maximum and ``clamp``
+    is False; the message names the first such sample's index.
     """
-    if not isinstance(trace, UsageTrace):
-        trace = UsageTrace(samples=tuple(trace))
     try:
-        joules = _joule_columns(spec, trace.columns, clamp)
+        joules = _joule_columns(spec, trace.columns[1], list(trace.columns[2:]), clamp)
     except UsageOutOfRange as exc:
         # raised for the first sample over a limit
         raise UsageOutOfRange(f"sample {clamped_sample_indices(spec, trace)[0]}: {exc}") from exc
-    return EnergySeries(columns=(*trace.columns[:2], *joules))
+    return EnergySeries(trace, joules)
 
 
-def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace | Sequence[UsageSample]) -> list[int]:
+def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace) -> list[int]:
     """Indices of samples with any usage above its maximum (diagnostics)."""
-    columns = trace.columns if isinstance(trace, UsageTrace) else _columns(trace)
     limits = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
-    over = (compress(count(), map(gt, usage, repeat(limit))) for usage, limit in zip(columns[2:], limits))
+    over = (compress(count(), map(gt, usage, repeat(limit))) for usage, limit in zip(trace.columns[2:], limits))
     return sorted(set().union(*over))

@@ -180,6 +180,16 @@ def energy_entry(start: int, duration_s: float, joules: float) -> EnergyEntry:
     )
 
 
+def energy_series(entries) -> EnergySeries:
+    """The EnergySeries of ``entries`` (EnergyEntry rows), built on a UsageTrace of
+    their intervals at zero usage, so the trace checks the intervals."""
+    entries = tuple(entries)
+    intervals = [entry.start for entry in entries], [entry.duration_s for entry in entries]
+    trace = UsageTrace(columns=(*intervals, *[[0.0] * len(entries)] * 4))
+    rows = [(entry.joules_total, *entry.joules_by_component) for entry in entries]
+    return EnergySeries(trace, [array("d", column) for column in zip(*rows)] or [array("d")] * 6)
+
+
 def gen_series_pair(
     rng: random.Random, allow_gaps: bool = True
 ) -> tuple[EnergySeries, IntensitySeries]:
@@ -194,7 +204,7 @@ def gen_series_pair(
         joules = rng.uniform(0.0, 5e8) if rng.random() > 0.1 else 0.0
         entries.append(energy_entry(t, float(duration), joules))
         t += duration
-    energy = EnergySeries(entries=tuple(entries))
+    energy = energy_series(entries)
     window_start, window_end = energy.window()
 
     cursor = int(window_start) - rng.randrange(0, 300)
@@ -672,10 +682,7 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
             raise TraceOrderError(
                 f"sample {index}{row} starts at {samples[index].start}, before previous sample end {previous_end}"
             )
-    trace = UsageTrace(samples=tuple(samples), source_rows=None if rows is None else tuple(rows))
-    # the parsers' layout: a list of int starts and five array('d') float columns
-    start, *values = trace.columns
-    return UsageTrace(columns=(start, *(array("d", column) for column in values)), source_rows=trace.source_rows)
+    return UsageTrace(samples, rows)
 
 
 # (fixture file, parser kind, expected error class, location marker in str(exc))

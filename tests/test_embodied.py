@@ -265,6 +265,11 @@ class TestLedger:
         with pytest.raises(ValueError):
             Ledger.build([rack(), rack()], [])
 
+    def test_object_keyed_by_another_id_rejected(self):
+        # the record names key "x", so without the check it attributes object "rack-1" to "x"
+        with pytest.raises(ValueError, match="^object 'rack-1' is keyed 'x', not by its id$"):
+            Ledger(objects={"x": rack()}, records=(record([ProfileStep(T0, T0 + YEAR, 0.5)], object_id="x"),))
+
     def test_profile_outside_lifespan_rejected_at_build(self):
         with pytest.raises(ProfileOutOfLifespan):
             Ledger.build([rack()], [record([ProfileStep(T0 - 1, T0 + YEAR, 0.5)])])

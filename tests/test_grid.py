@@ -15,7 +15,7 @@ from carbondef import (
     operational_emissions,
     trace_to_energy_series,
 )
-from carbondef.errors import CoverageError
+from carbondef.errors import CoverageError, TraceOrderError
 from carbondef.grid import JOULES_PER_KWH, align_segments
 
 from support import (
@@ -23,6 +23,7 @@ from support import (
     aligned_rows,
     bisect_align_segments,
     energy_entry,
+    energy_series,
     gen_aligned_trace,
     gen_series_pair,
     gen_spec,
@@ -33,7 +34,7 @@ from support import (
 
 
 def one_kwh_series(start=0, duration=3600.0):
-    return EnergySeries(entries=(energy_entry(start, duration, JOULES_PER_KWH),))
+    return energy_series((energy_entry(start, duration, JOULES_PER_KWH),))
 
 
 def constant_intensity(value, start=0, end=3600, region="ZZ"):
@@ -66,7 +67,7 @@ def rounded_intervals(draw) -> tuple[EnergySeries, IntensitySeries]:
     cuts = sorted(draw(st.sets(st.integers(start - 2, math.ceil(start + duration) + 2), min_size=2, max_size=8)))
     kept = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
     feed = tuple(IntensityEntry(a, b, 0.5) for a, b, keep in zip(cuts, cuts[1:], kept) if keep)
-    energy = EnergySeries(entries=(energy_entry(start, duration, draw(st.floats(1e-3, 1e15))),))
+    energy = energy_series((energy_entry(start, duration, draw(st.floats(1e-3, 1e15))),))
     return energy, IntensitySeries(region="ZZ", entries=feed)
 
 
@@ -107,14 +108,14 @@ class TestApplyPue:
 
 class TestAlignSegments:
     def test_aligned_boundaries(self):
-        energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
+        energy = energy_series((energy_entry(0, 3600.0, 720000.0),))
         segments, uncovered = aligned_rows(energy, constant_intensity(0.4), PueFactor(1.0))
         assert len(segments) == 1 and not uncovered
         assert segments[0].joules == 720000.0
         assert segments[0].duration_s == 3600.0
 
     def test_uniform_split(self):
-        energy = EnergySeries(entries=(energy_entry(0, 3600.0, 720000.0),))
+        energy = energy_series((energy_entry(0, 3600.0, 720000.0),))
         segments, uncovered = aligned_rows(energy, split_intensity, PueFactor(1.0))
         assert [s.joules for s in segments] == [360000.0, 360000.0]
         assert [s.intensity_kg_per_kwh for s in segments] == [0.4, 0.2]
@@ -123,7 +124,7 @@ class TestAlignSegments:
     def test_partial_coverage(self):
         # per-second oracle: seconds 50..99 carry 1 J each -> 50 J covered,
         # seconds 0..49 uncovered -> 50 J in diagnostics
-        energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
+        energy = energy_series((energy_entry(0, 100.0, 100.0),))
         intensity = constant_intensity(0.3, start=50, end=150)
         segments, uncovered = aligned_rows(energy, intensity, PueFactor(1.0))
         assert len(segments) == 1
@@ -134,7 +135,7 @@ class TestAlignSegments:
         assert uncovered[0].joules_share == 50.0
 
     def test_interior_gap(self):
-        energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
+        energy = energy_series((energy_entry(0, 100.0, 100.0),))
         intensity = IntensitySeries(
             region="ZZ",
             entries=(IntensityEntry(0, 30, 0.5), IntensityEntry(70, 100, 0.5)),
@@ -144,25 +145,26 @@ class TestAlignSegments:
         assert [(u.start, u.duration_s) for u in uncovered] == [(30, 40.0)]
 
     def test_entry_spanning_two_intervals(self):
-        energy = EnergySeries(
-            entries=(energy_entry(0, 100.0, 100.0), energy_entry(100, 100.0, 200.0))
-        )
+        energy = energy_series((energy_entry(0, 100.0, 100.0), energy_entry(100, 100.0, 200.0)))
         segments, uncovered = aligned_rows(energy, constant_intensity(0.1, 0, 200), PueFactor(1.0))
         assert not uncovered
         assert [s.joules for s in segments] == [100.0, 200.0]
 
     def test_series_out_of_start_order_rejected(self):
-        # the merge only moves forward, so such a series must never reach it
-        with pytest.raises(ValueError, match="start order at start=0"):
-            EnergySeries(entries=(energy_entry(100, 100.0, 200.0), energy_entry(0, 100.0, 100.0)))
+        # the merge only moves forward, so such a series must never reach it: its trace rejects the order
+        with pytest.raises(TraceOrderError, match="^sample 1 starts at 0, before previous sample end 200.0$"):
+            energy_series((energy_entry(100, 100.0, 200.0), energy_entry(0, 100.0, 100.0)))
 
-    @pytest.mark.parametrize("entry", [energy_entry(2**52, 0.25, 100.0), energy_entry(0, 0.0, 0.0),
-                                       energy_entry(0, -1.0, 1.0), energy_entry(0, math.nan, 1.0)],
-                             ids=["rounds-away", "zero", "negative", "nan"])
-    def test_entry_ending_where_it_starts_rejected(self, entry):
-        # align_segments divides an interval's joules by the span its pieces cover
-        with pytest.raises(ValueError, match=r"energy entry 1 ends where it starts: \S+ \+ "):
-            series = EnergySeries(entries=(energy_entry(-10, 10.0, 1.0), entry))
+    @pytest.mark.parametrize("entry, error, message", [
+        (energy_entry(2**52, 0.25, 100.0), TraceOrderError, r"sample 1 ends where it starts: \S+ \+ 0.25 rounds to "),
+        (energy_entry(0, 0.0, 0.0), ValueError, "sample 1: duration_s must be > 0"),
+        (energy_entry(0, -1.0, 1.0), ValueError, "sample 1: duration_s must be > 0"),
+        (energy_entry(0, math.nan, 1.0), ValueError, "sample 1: duration_s must be finite"),
+    ], ids=["rounds-away", "zero", "negative", "nan"])
+    def test_entry_ending_where_it_starts_rejected(self, entry, error, message):
+        # align_segments divides an interval's joules by the span its pieces cover; the trace rejects such an interval
+        with pytest.raises(error, match=f"^{message}"):
+            series = energy_series((energy_entry(-10, 10.0, 1.0), entry))
             align_segments(series, IntensitySeries("ZZ", (IntensityEntry(-10, 2**53, 0.5),)), PueFactor(1.0))
 
     @settings(max_examples=300)
@@ -171,7 +173,7 @@ class TestAlignSegments:
         rng = random.Random(seed)
         energy, intensity = gen_series_pair(rng, allow_gaps)
         if tied:  # float starts too, as a hand-built series may have
-            energy = EnergySeries(tuple(e._replace(start=float(e.start)) for e in energy.entries))
+            energy = energy_series(e._replace(start=float(e.start)) for e in energy.entries)
             intensity = tied_intensity(rng, energy)
         expected = bisect_align_segments(energy, intensity, PueFactor(pue))
         # repr tells an int boundary from an equal float one
@@ -291,19 +293,19 @@ class TestOperationalEmissions:
 
     def test_empty_energy_zero_report_in_strict_mode(self):
         report = operational_emissions(
-            EnergySeries(entries=()), constant_intensity(0.4), PueFactor(1.5), "strict"
+            energy_series(()), constant_intensity(0.4), PueFactor(1.5), "strict"
         )
         assert report.total_kg_co2e == 0.0
         assert report.segments == () and report.uncovered == ()
 
     def test_strict_gap_raises_with_interval(self):
-        energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
+        energy = energy_series((energy_entry(0, 100.0, 100.0),))
         intensity = constant_intensity(0.3, start=50, end=150)
         with pytest.raises(CoverageError, match=r"\[0, 50"):
             operational_emissions(energy, intensity, PueFactor(1.0), "strict")
 
     def test_skip_mode_keeps_uncovered_in_diagnostics(self):
-        energy = EnergySeries(entries=(energy_entry(0, 100.0, 100.0),))
+        energy = energy_series((energy_entry(0, 100.0, 100.0),))
         intensity = constant_intensity(0.3, start=50, end=150)
         report = operational_emissions(energy, intensity, PueFactor(1.0), "skip_uncovered")
         assert report.uncovered_joules() == 50.0
@@ -376,15 +378,15 @@ class TestOracle:
         assert value == pytest.approx(0.45, rel=1e-12)
 
     def test_zero_energy(self):
-        assert oracle_emissions(EnergySeries(entries=()), split_intensity, PueFactor(2.0)) == 0.0
+        assert oracle_emissions(energy_series(()), split_intensity, PueFactor(2.0)) == 0.0
 
     def test_subsecond_energy_boundary_rejected(self):
-        energy = EnergySeries(entries=(energy_entry(0, 10.5, 100.0),))
+        energy = energy_series((energy_entry(0, 10.5, 100.0),))
         with pytest.raises(OracleResolutionError):
             oracle_emissions(energy, constant_intensity(0.4, 0, 60), PueFactor(1.0))
 
     def test_subsecond_intensity_boundary_rejected(self):
-        energy = EnergySeries(entries=(energy_entry(0, 10.0, 100.0),))
+        energy = energy_series((energy_entry(0, 10.0, 100.0),))
         intensity = IntensitySeries(region="ZZ", entries=(IntensityEntry(0.5, 60, 0.4),))
         with pytest.raises(OracleResolutionError):
             oracle_emissions(energy, intensity, PueFactor(1.0))

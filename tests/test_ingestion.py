@@ -26,7 +26,7 @@ from carbondef.ingest import (
     parse_usage_trace,
     serialize_intensity_feed,
 )
-from carbondef.power import UnitTags
+from carbondef.power import UnitTags, UsageTrace
 from carbondef.report import build_report
 
 from support import (
@@ -49,7 +49,7 @@ class TestTraceParsing:
         assert sample.u_mem == 8e9
         assert sample.u_io == 1e9
         assert sample.u_net == 5e8
-        assert trace.source_rows == (2,)
+        assert trace.source_rows == range(2, 3)
 
     def test_csv_empty_body(self):
         trace = parse_usage_trace(f"{TRACE_CSV_HEADER}\n".encode(), "csv")
@@ -200,6 +200,11 @@ class TestBulkParseAgainstReference:
         start, *values = parse_usage_trace(data, fmt).columns
         assert type(start) is list
         assert [(type(column), column.typecode) for column in values] == [(array, "d")] * 5
+
+    def test_parsed_trace_equals_the_trace_of_its_samples(self):
+        trace = parse_usage_trace((FIXTURES / "cli" / "trace_full_load.csv").read_bytes(), "csv")
+        assert type(trace.source_rows) is range  # kept, never copied into n int objects
+        assert trace == UsageTrace(trace.samples, trace.source_rows)
 
 
 def test_csv_parse_holds_under_160_bytes_a_sample():

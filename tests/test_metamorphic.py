@@ -1,12 +1,18 @@
 """Metamorphic properties of the whole report, on the bytes the CLI writes:
-a run against a related run, or against its own totals. Inputs come from
-``support.gen_cli_inputs``; each run goes through ``support.invoke`` in-process."""
+a run against a related run, or against its own totals, or its CSV against
+its JSON. Inputs come from ``support.gen_cli_inputs``; each run goes through
+``support.invoke`` in-process."""
 
+import csv
+import io
 import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from carbondef.power import ENERGY_SOURCES
 
 from support import gen_cli_inputs, invoke, write_cli_inputs
 
@@ -29,6 +35,53 @@ PARTITION_ABS_TOL = 0.0
 #: both roundings of ``(pue - 1) * software_kwh`` add (pue - 1) * u each. Together under
 #: (4 * pue - 3) * u, so 4 * pue * u bounds it.
 OVERHEAD_TOL_UNITS = 4
+
+#: rounding steps a summed term of a trace or feed total takes before its sum, bounded:
+#: an interval's component joules are ``u / u_max * share * anchor * duration`` (the share
+#: and anchor themselves one division or product each, so 6) and its total four additions
+#: (10); a segment's joules two more (``J * (length / span)``, 12) and its kg three
+#: (``pue * (intensity * J / 3.6e6)``, 15); a total then divides into kWh, or adds the
+#: embodied total and divides by the unit count (17). Rounded up to 20.
+REFINEMENT_TERM_STEPS = 20
+
+
+def refinement_tolerance(rows: int, scale: float) -> float:
+    """How far a total of ``rows`` terms may move when samples or feed entries are split.
+
+    ``UsageSample(t, d, ...)`` split at ``t + k`` into ``(t, k)`` and ``(t + k, d - k)``
+    (quarter-second lengths at present-day epochs, so both are exact), or a feed entry at
+    an int inside its window, leaves every exact total as it was: energy is linear in the
+    length and the intensity constant across the cut. Each run's total of n terms, all
+    >= 0, lies within ``(REFINEMENT_TERM_STEPS + n) * 2**-53`` of that exact value,
+    relative (the n - 1 additions plus each term's own steps), so the two runs lie within
+    twice that of each other. ``overhead_kwh``, ``(J * pue - J) / 3.6e6``, may cancel, so
+    its ``scale`` is ``pue * software_kwh``, as for ``OVERHEAD_TOL_UNITS``."""
+    return 2 * (REFINEMENT_TERM_STEPS + rows) * 2**-53 * scale
+
+
+def embodied_refinement_tolerance(steps: int, records: int, lifecycle_kg: float) -> float:
+    """How far an embodied kg field may move when every profile step is split.
+
+    A step ``(a, b, f)`` split at an int inside it leaves each record's exact
+    ``sum(f * (end - start))``, so its attribution ``lifecycle * weighted / lifespan``. In
+    float, a record of s steps rounds s products and s - 1 sums, then two more; consumer
+    and ledger totals add at most 2 * records sums, and a residual subtracts once from its
+    object's lifecycle. With ``steps`` the ledger's step count after the split, every
+    embodied kg field of each run lies within ``(steps + 2 * records + 4) * 2**-53`` of the
+    ledger's lifecycle total of its exact value, and the two runs within twice that."""
+    return 2 * (steps + 2 * records + 4) * 2**-53 * lifecycle_kg
+
+
+def csv_total_tolerance(rows: int, total: float) -> float:
+    """How far the ``math.fsum`` of a total's ``rows`` CSV rows may lie from the JSON total.
+
+    Each row holds one term of the total as its own rounded float (kWh as
+    ``J / 3.6e6``, one rounding); ``math.fsum`` rounds once more. The report's total sums
+    the same terms (or their joules, then divides) with n - 1 float additions and at most
+    one division. All terms are >= 0, so the two differ by at most ``(n + 2) * 2**-53`` of
+    the total; one more step covers the second-order terms."""
+    return (rows + 3) * 2**-53 * total
+
 
 seeds = st.integers(0, 10**9)
 
@@ -121,3 +174,158 @@ def test_overhead_kwh_is_pue_less_one_times_software_kwh(tmp_path_factory, seed)
     pue, software = operational["pue"], operational["software_kwh"]
     tolerance = OVERHEAD_TOL_UNITS * 2**-53 * pue * software
     assert abs(operational["overhead_kwh"] - (pue - 1) * software) <= tolerance
+
+
+def split_samples(trace: str) -> str:
+    """Every sample of a CSV trace longer than 1 s split at the int ``start + k``, k =
+    max(1, floor(duration / 2)): ``(start, k)`` and ``(start + k, duration - k)``."""
+    header, *rows = trace.splitlines()
+    lines = [header]
+    for row in rows:
+        start, duration, *usages = row.split(",")
+        start, duration = int(start), float(duration)
+        k = max(1, int(duration // 2))
+        pieces = [(start, float(k)), (start + k, duration - k)] if k < duration else [(start, duration)]
+        lines += [",".join([str(begin), repr(length), *usages]) for begin, length in pieces]
+    return "\n".join([*lines, ""])
+
+
+def split_windows(items: list[dict]) -> list[dict]:
+    """Every ``start``/``end`` item (a feed entry or a profile step) at least 2 s long
+    split at its int midpoint, the rest of each item kept."""
+    pieces = []
+    for item in items:
+        start, end = item["start"], item["end"]
+        middle = (start + end) // 2
+        bounds = [(start, middle), (middle, end)] if middle > start else [(start, end)]
+        pieces += [{**item, "start": begin, "end": finish} for begin, finish in bounds]
+    return pieces
+
+
+def trace_totals(report: dict) -> dict[str, float]:
+    energy, operational, sci = report["energy"], report["operational"], report["sci"]
+    return {
+        "energy.kwh_total": energy["kwh_total"],
+        **{f"energy.kwh_by_component.{source}": kwh for source, kwh in energy["kwh_by_component"].items()},
+        **{f"operational.{key}": operational[key] for key in ("total_kg_co2e", "software_kwh")},
+        "operational.segments[*].kwh": math.fsum(row["kwh"] for row in operational["segments"]),
+        "operational.uncovered[*].kwh": math.fsum(row["kwh"] for row in operational["uncovered"]),
+        **{f"sci.{key}": sci[key] for key in ("operational_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit")},
+    }
+
+
+def report_rows(report: dict) -> int:
+    operational = report["operational"]
+    return len(report["energy"]["intervals"]) + len(operational["segments"]) + len(operational["uncovered"])
+
+
+@pytest.mark.parametrize("split", ["samples", "feed", "both"])
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_splitting_samples_or_feed_entries_keeps_the_totals(tmp_path_factory, split, seed):
+    inputs = gen_cli_inputs(random.Random(seed))
+    base = json.loads(report_bytes(inputs, tmp_path_factory.mktemp("base")))
+    if split != "feed":
+        inputs["trace"] = split_samples(inputs["trace"])
+    if split != "samples":
+        inputs["feed"]["entries"] = split_windows(inputs["feed"]["entries"])
+    refined = json.loads(report_bytes(inputs, tmp_path_factory.mktemp("refined")))
+    rows = report_rows(refined)
+    assert rows >= report_rows(base)  # a cut in a gap or outside the trace adds no row
+    assert refined["embodied"] == base["embodied"]
+    expected = trace_totals(base)
+    for name, total in trace_totals(refined).items():
+        assert abs(total - expected[name]) <= refinement_tolerance(rows, expected[name]), name
+    overhead, operational = refined["operational"]["overhead_kwh"], base["operational"]
+    scale = operational["pue"] * operational["software_kwh"]
+    assert abs(overhead - operational["overhead_kwh"]) <= refinement_tolerance(rows, scale)
+
+
+def numbers(node, path: str = ""):
+    """(path, value) of every number in a JSON document, in document order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numbers(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from numbers(value, f"{path}[{index}]")
+    elif isinstance(node, (int, float)):
+        yield path, node
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_splitting_profile_steps_keeps_embodied_attribution(tmp_path_factory, seed):
+    inputs = gen_cli_inputs(random.Random(seed))
+    base = json.loads(report_bytes(inputs, tmp_path_factory.mktemp("base")))
+    ledger = json.loads(inputs["ledger"])
+    for record in ledger["records"]:
+        record["profile"] = split_windows(record["profile"])
+    inputs["ledger"] = json.dumps(ledger).encode()
+    refined = json.loads(report_bytes(inputs, tmp_path_factory.mktemp("refined")))
+    for section in ("energy", "operational"):
+        assert refined[section] == base[section]
+    steps = sum(len(record["profile"]) for record in ledger["records"])
+    tolerance = embodied_refinement_tolerance(
+        steps, len(ledger["records"]), base["embodied"]["conservation"]["lifecycle_total_kg_co2e"])
+    pairs = list(zip(numbers(refined["embodied"]), numbers(base["embodied"])))
+    assert [path for (path, _), _ in pairs] == [path for _, (path, _) in pairs] and pairs
+    for (path, value), (_, expected) in pairs:
+        assert abs(value - expected) <= tolerance, path
+    assert abs(refined["sci"]["embodied_kg_co2e"] - base["sci"]["embodied_kg_co2e"]) <= tolerance
+
+
+#: the flags each command reads, of those ``write_cli_inputs`` writes
+COMMAND_FLAGS = {
+    "estimate": ("--config", "--trace"),
+    "emissions": ("--config", "--trace"),
+    "embodied": ("--ledger",),
+    "report": ("--config", "--trace", "--ledger"),
+}
+
+
+def csv_totals(command: str, report: dict, rows: list[dict]) -> list[tuple[str, float, list[float]]]:
+    """(name, the JSON report's total, the CSV values that are its terms) for each total
+    ``command`` reports."""
+
+    def values(section: str, metric: str) -> list[float]:
+        if command == "report":
+            return [float(row["value"]) for row in rows if (row["section"], row["metric"]) == (section, metric)]
+        if command == "embodied":
+            return [float(row[metric]) for row in rows if row["record_type"] == "attribution"]
+        return [float(row[metric]) for row in rows]
+
+    totals = []
+    if command in ("estimate", "report"):
+        energy = report["energy"]
+        totals.append(("energy.kwh_total", energy["kwh_total"], values("energy", "kwh_total")))
+        totals += [(f"energy.kwh_by_component.{source}", energy["kwh_by_component"][source], values("energy", f"kwh_{source}"))
+                   for source in ENERGY_SOURCES]
+    if command in ("emissions", "report"):
+        totals.append(("operational.total_kg_co2e", report["operational"]["total_kg_co2e"], values("operational", "kg_co2e")))
+    if command in ("embodied", "report"):
+        embodied = report["embodied"]
+        totals.append(("embodied.total_attributed_kg_co2e", embodied["total_attributed_kg_co2e"], values("embodied", "kg_co2e")))
+    return totals
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds)
+def test_csv_output_carries_the_json_totals(tmp_path_factory, seed):
+    argv = write_cli_inputs(gen_cli_inputs(random.Random(seed)), tmp_path_factory.mktemp("run"))
+    paths = dict(zip(argv[1::2], argv[2::2]))
+    for command, flags in COMMAND_FLAGS.items():
+        args = [command, *(word for flag in flags for word in (flag, paths[flag]))]
+        as_json, as_csv = invoke(args), invoke([*args, "--format", "csv"])
+        assert as_json.exit_code == as_csv.exit_code == 0, as_json.stderr + as_csv.stderr
+        report, rows = json.loads(as_json.stdout), list(csv.DictReader(io.StringIO(as_csv.stdout)))
+        totals = csv_totals(command, report, rows)
+        assert totals and all(terms for name, _, terms in totals if name.startswith("energy"))  # a feed may cover no sample
+        for name, total, terms in totals:
+            assert abs(math.fsum(terms) - total) <= csv_total_tolerance(len(terms), total), (command, name)
+        if command == "report":  # the sci rows are the totals themselves
+            sci = {row["metric"]: float(row["value"]) for row in rows if row["section"] == "sci"}
+            assert sci == {metric: report["sci"][metric] for metric in sci} and len(sci) == 4
+        if command == "embodied":
+            conservation = [float(row["kg_co2e"]) for row in rows if row["record_type"] == "conservation"]
+            assert conservation == [report["embodied"]["conservation"]["attributed_plus_residual_kg_co2e"]]

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import operator
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbondef import (
+    EnergyEntry,
+    EnergySeries,
     PerComponent,
     ServerSpec,
     UsageSample,
@@ -238,7 +242,7 @@ class TestEnergy:
 
 class TestTraceToSeries:
     def test_empty_trace(self, example_spec):
-        series = trace_to_energy_series(example_spec, [])
+        series = trace_to_energy_series(example_spec, UsageTrace())
         assert len(series) == 0
         assert series.total_joules() == 0.0
         assert series.window() is None
@@ -248,7 +252,7 @@ class TestTraceToSeries:
             UsageSample(0, 3600.0, 2.0, 0, 0, 0),
             UsageSample(7200, 3600.0, 2.0, 0, 0, 0),
         ]
-        series = trace_to_energy_series(example_spec, samples)
+        series = trace_to_energy_series(example_spec, UsageTrace(samples))
         assert series.total_joules() == 1440000.0
         assert series.window() == (0, 10800.0)
 
@@ -257,7 +261,7 @@ class TestTraceToSeries:
             UsageSample(0, 3600.0, 1.0, 0, 0, 0),
             UsageSample(3600, 3600.0, 1.0, 0, 0, 0),
         ]
-        assert len(trace_to_energy_series(example_spec, samples)) == 2
+        assert len(trace_to_energy_series(example_spec, UsageTrace(samples))) == 2
 
     def test_overlap_rejected(self, example_spec):
         samples = [
@@ -265,7 +269,7 @@ class TestTraceToSeries:
             UsageSample(1800, 3600.0, 1.0, 0, 0, 0),
         ]
         with pytest.raises(TraceOrderError):
-            trace_to_energy_series(example_spec, samples)
+            trace_to_energy_series(example_spec, UsageTrace(samples))
 
     def test_unsorted_rejected(self, example_spec):
         samples = [
@@ -273,7 +277,7 @@ class TestTraceToSeries:
             UsageSample(0, 60.0, 1.0, 0, 0, 0),
         ]
         with pytest.raises(TraceOrderError):
-            trace_to_energy_series(example_spec, samples)
+            trace_to_energy_series(example_spec, UsageTrace(samples))
 
     def test_out_of_range_names_sample(self, example_spec):
         samples = [
@@ -281,14 +285,35 @@ class TestTraceToSeries:
             UsageSample(60, 60.0, 9.0, 0, 0, 0),
         ]
         with pytest.raises(UsageOutOfRange, match="sample 1"):
-            trace_to_energy_series(example_spec, samples)
+            trace_to_energy_series(example_spec, UsageTrace(samples))
 
     def test_clamped_indices(self, example_spec):
         samples = [
             UsageSample(0, 60.0, 1.0, 0, 0, 0),
             UsageSample(60, 60.0, 9.0, 0, 0, 0),
         ]
-        assert clamped_sample_indices(example_spec, samples) == [1]
+        assert clamped_sample_indices(example_spec, UsageTrace(samples)) == [1]
+
+
+class TestEnergySeries:
+    TRACE = UsageTrace((UsageSample(0, 60.0, 1.0, 0, 0, 0), UsageSample(60, 30.0, 2.0, 0, 0, 0)))
+
+    def test_shares_the_start_and_duration_columns_of_its_trace(self, example_spec):
+        series = trace_to_energy_series(example_spec, self.TRACE)
+        assert series.columns[0] is self.TRACE.columns[0] and series.columns[1] is self.TRACE.columns[1]
+        assert series.entries[1] == EnergyEntry(60, 30.0, 6000.0, (6000.0, 0.0, 0.0, 0.0, 0.0))
+
+    def test_negative_joules_rejected(self):
+        joules = [array("d", [1.0, 2.0]) for _ in range(6)]
+        joules[4][1] = -1.0
+        with pytest.raises(ValueError, match="^energy values must be >= 0$"):
+            EnergySeries(self.TRACE, joules)
+
+    @pytest.mark.parametrize("joules", [[array("d", [1.0, 2.0])] * 5, [array("d", [1.0])] * 6, [array("d", [1.0, 2.0, 3.0])] * 6],
+                             ids=["five-columns", "short", "long"])
+    def test_six_joule_columns_one_value_a_sample(self, joules):
+        with pytest.raises(ValueError, match="six joule columns, one value a sample"):
+            EnergySeries(self.TRACE, joules)
 
 
 class TestUsageSample:
@@ -319,7 +344,8 @@ class TestUsageTraceColumns:
 
     def test_columns_and_samples_on_demand(self):
         trace = UsageTrace(samples=self.SAMPLES, source_rows=(2, 3, 4))
-        assert trace.columns == ([0, 60, 95], [60.0, 30.0, 5.0], [1.0, 2.0, 0], [0, 5.0, 0], [0, 0, 0], [0, 0, 1.0])
+        floats = [60.0, 30.0, 5.0], [1.0, 2.0, 0], [0, 5.0, 0], [0, 0, 0], [0, 0, 1.0]
+        assert trace.columns == ([0, 60, 95], *(array("d", column) for column in floats))
         assert trace == UsageTrace(columns=trace.columns, source_rows=[2, 3, 4])
         assert trace.samples == self.SAMPLES and tuple(trace) == self.SAMPLES and len(trace) == 3
         assert trace.source_rows == (2, 3, 4) and trace != UsageTrace(samples=self.SAMPLES)
@@ -355,6 +381,20 @@ class TestUsageTraceColumns:
         columns[1][0] = 1.0  # the first sample now ends at 2**52 + 1; the second still collapses
         with pytest.raises(TraceOrderError, match=r"^sample 1 ends where it starts"):
             UsageTrace(columns=columns)
+
+    def test_a_column_in_the_layout_is_kept_not_copied(self):
+        columns = ([0, 60], *(array("d", [60.0, 30.0]) for _ in range(5)))
+        trace = UsageTrace(columns=columns)
+        assert all(map(operator.is_, trace.columns, columns))
+        built = UsageTrace(columns=(tuple(columns[0]), *map(list, columns[1:])))  # any other sequence is read into the layout
+        assert built == trace and type(built.columns[0]) is list and [type(c) for c in built.columns[1:]] == [array] * 5
+
+    def test_source_rows_kept_as_given_and_compared_by_value(self):
+        trace = UsageTrace(samples=self.SAMPLES, source_rows=range(2, 5))
+        assert trace.source_rows == range(2, 5)
+        assert trace == UsageTrace(samples=self.SAMPLES, source_rows=(2, 3, 4))
+        assert trace != UsageTrace(samples=self.SAMPLES, source_rows=(2, 3, 5))
+        assert trace != UsageTrace(samples=self.SAMPLES)
 
     def test_columns_of_one_length(self):
         with pytest.raises(ValueError, match="six columns of one length"):
@@ -393,12 +433,12 @@ class TestKernelAgainstReference:
             expected = naive_energy_rows(spec, samples, clamp=clamp)
         except UsageOutOfRange as exc:
             with pytest.raises(UsageOutOfRange) as raised:
-                trace_to_energy_series(spec, samples, clamp=clamp)
+                trace_to_energy_series(spec, UsageTrace(samples), clamp=clamp)
             assert str(raised.value) == str(exc)  # names the first offending sample
         else:
-            series = trace_to_energy_series(spec, samples, clamp=clamp)
+            series = trace_to_energy_series(spec, UsageTrace(samples), clamp=clamp)
             assert repr([tuple(entry) for entry in series.entries]) == repr(expected)
-        assert clamped_sample_indices(spec, samples) == naive_clamped_indices(spec, samples)
+        assert clamped_sample_indices(spec, UsageTrace(samples)) == naive_clamped_indices(spec, samples)
 
     @given(st.integers(0, 10**9))
     def test_power_and_single_interval_equal_reference(self, seed):
