@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from math import inf
 from operator import add, gt, itemgetter, le, lt, mul, ne, not_, truediv
+from sys import float_info
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
@@ -110,13 +111,13 @@ EPOCH_LIMIT = 2**53
 
 def _sample_fault(start: int, duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
     """Why a sample breaks the field condition, start within ±2**53, duration
-    in (0, inf) and usages in [0, inf), or None."""
+    in (0, inf) and usages in [0, inf), both within the float range, or None."""
     if not -EPOCH_LIMIT <= start <= EPOCH_LIMIT:  # NaN fails this too
         return f"start must be within ±2**53, got {start}"
-    if not 0 < duration_s < inf:
+    if not 0 < duration_s <= float_info.max:
         return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {duration_s}"
     for component, usage in zip(COMPONENTS, (u_cpu, u_mem, u_io, u_net)):
-        if not 0 <= usage < inf:
+        if not 0 <= usage <= float_info.max:
             return f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}"
     return None
 
@@ -158,8 +159,8 @@ class UsageTrace:
     or in bulk (``columns=``), where a column already in that layout is kept, not copied;
     ``samples`` are built on demand. Construction checks each column once against UsageSample's
     field condition (ValueError) and the order, the one place it is checked (TraceOrderError),
-    walking rows only to name a sample. ``source_rows`` keeps each sample's input row, as the
-    sequence given, for later diagnostics.
+    walking rows only to name a sample. ``source_rows`` keeps each sample's input row, one a
+    sample (ValueError), as the sequence given, for later diagnostics.
     """
 
     __slots__ = ("columns", "source_rows", "__weakref__")
@@ -170,13 +171,18 @@ class UsageTrace:
             columns = tuple(zip(*[(s.start, s.duration_s, s.u_cpu, s.u_mem, s.u_io, s.u_net) for s in samples])) or ((),) * 6
         if len(columns) != 6 or len(set(map(len, columns))) > 1:
             raise ValueError("a trace is six columns of one length")
-        start, *floats = columns
-        self.columns = start, duration_s, *usages = (start if type(start) is list else list(start), *map(_float_column, floats))
         self.source_rows = rows = source_rows
+        if rows is not None and len(rows) != len(columns[0]):
+            raise ValueError(f"a trace of {len(columns[0])} samples has {len(rows)} source rows")
         at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
+        start, *floats = columns
+        try:
+            self.columns = start, duration_s, *usages = (start if type(start) is list else list(start), *map(_float_column, floats))
+        except OverflowError:  # an int past the float range, which the walk below names
+            self.columns = start, duration_s, *usages = columns
         in_range = (-EPOCH_LIMIT <= min(start, default=0) and max(start, default=0) <= EPOCH_LIMIT
-                    and 0 < min(duration_s, default=1) and max(duration_s, default=0) < inf and all(
-                        0 <= min(usage, default=0) and max(usage, default=0) < inf for usage in usages))
+                    and 0 < min(duration_s, default=1) and max(duration_s, default=0) <= float_info.max and all(
+                        0 <= min(usage, default=0) and max(usage, default=0) <= float_info.max for usage in usages))
         # NaN is the one value unequal to itself; without one, min and max bound a column
         if not in_range or any(map(ne, chain(*self.columns), chain(*self.columns))):
             for index, values in enumerate(zip(*self.columns)):

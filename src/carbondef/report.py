@@ -3,11 +3,12 @@
 Reports are dicts with a fixed section order, rendered block by block into
 a binary sink; their per-interval row lists are read-only ``Rows`` views
 over the pipeline's columns, rendered from column slices without building a
-dict per row. Every report total is checked finite as the report is built,
-before any byte is written. Internals stay in joules; user-facing numbers
-are kWh and kg CO2e, converted here. Output is deterministic: floats use the
-shortest round-trip decimal form and metadata carries input digests and the
-data window rather than wall-clock time, so identical inputs produce
+dict per row. json's own encoder writes every byte of a JSON report but the
+numbers of those rows. Every report total is checked finite as the report is
+built, before any byte is written. Internals stay in joules; user-facing
+numbers are kWh and kg CO2e, converted here. Output is deterministic: floats
+use the shortest round-trip decimal form and metadata carries input digests
+and the data window rather than wall-clock time, so identical inputs produce
 byte-identical bytes.
 """
 
@@ -18,8 +19,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
-from json.encoder import encode_basestring_ascii
-from itertools import repeat
+from itertools import islice, repeat
 from operator import truediv
 from typing import Any, BinaryIO
 
@@ -198,14 +198,9 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
 
 
 def _diagnostics(config: RunConfig, trace: UsageTrace) -> dict[str, Any]:
-    clamped: list[dict[str, Any]] = []
-    if config.clamp_usage:
-        rows = trace.source_rows
-        clamped = [
-            {"index": index, "row": rows[index] if rows is not None else None}
-            for index in clamped_sample_indices(config.server, trace)
-        ]
-    return {"clamped_samples": clamped}
+    rows = trace.source_rows
+    indices = clamped_sample_indices(config.server, trace) if config.clamp_usage else ()
+    return {"clamped_samples": [{"index": index, "row": rows[index] if rows is not None else None} for index in indices]}
 
 
 def resolve_intensity(config: RunConfig, window: tuple[float, float] | None) -> IntensitySeries:
@@ -289,28 +284,19 @@ def build_report(
     }
 
 
-# json's C encoder spells a str, None, a bool or a number as indent=2 does
-_scalar = json.JSONEncoder().encode
-# rows, or pending pieces of a plain list, encoded per write: no full-size str ever exists
+# json writes every byte of a report but its Rows numbers
+_JSON = json.JSONEncoder(indent=2, default=list)
+# rows, or json's pieces of a list, encoded per write: no full-size str ever exists
 _BLOCK = 4096
 
 
-def _dict_template(slots: list[tuple[str, str]], indent: str) -> str:
-    inner = indent + "  "
-    lines = [f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: {slot}" for key, slot in slots]
-    return "{" + ",".join(lines) + indent + "}"
-
-
-def _row_template(keys: tuple, indent: str) -> str:
-    """The '%'-template of a Rows row, on a line indented by ``indent``:
-    ``%r`` of a finite int or float is what json.dumps writes."""
-    slots = []
-    for key in keys:
-        if isinstance(key, str):
-            slots.append((key, "%r"))
-        else:
-            slots.append((key[0], _dict_template([(inner, "%r") for inner in key[1]], indent + "  ")))
-    return _dict_template(slots, indent)
+def _row_template(rows: Rows, indent: str) -> str:
+    """The '%'-template of a row of ``rows``, on a line indented by ``indent``:
+    json's text of a row of zeros, each value made ``%r``, which of a finite
+    int or float is what json writes. A key's text holds no raw newline, so
+    only a value ends a line in ``0`` or ``0,``."""
+    text = _JSON.encode(rows._row(repeat(0))).replace("%", "%%")
+    return text.replace("0\n", "%r\n").replace("0,\n", "%r,\n").replace("\n", indent)
 
 
 class _Utf8Writer:
@@ -342,37 +328,31 @@ def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str]
 def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
     """Write the text ``json.dumps(value, indent=2, default=list)`` gives for
     ``value``, which starts on a line indented by ``indent`` (a newline and
-    spaces)."""
-    if not isinstance(value, (list, tuple, dict, Rows)):
-        out.write(_scalar(value))
-    elif not value:
-        out.write("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        inner = indent + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if key is None or isinstance(key, (int, float)):
-                key = _scalar(key)
-            out.write(f"{separator}{encode_basestring_ascii(key)}: ")
-            separator = "," + inner
-            _encode(item, out, inner)
-        out.write(indent + "}")
-    elif isinstance(value, Rows):
-        inner = indent + "  "
-        template = _row_template(value.keys, inner)
+    spaces). json writes all of it but the numbers of a Rows view: a str-keyed
+    dict is walked key by key, as a value may be a Rows, and json streams a
+    list, a block of its pieces a write, so no report-sized str is built. Each
+    json call on a value other than a str leaves a cycle, kept while the CLI
+    has the collector off, so a long list is one call, not one an item."""
+    inner = indent + "  "
+    if isinstance(value, Rows) and value:
+        template = _row_template(value, inner)
         out.write("[" + inner + template % next(value.block(0, 1)))
         _write_rows(out, value, ("," + inner + template).__mod__, first=1)
         out.write(indent + "]")
-    else:
-        inner = indent + "  "
-        separator = "[" + inner
-        for item in value:
-            out.write(separator)
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        separator = "{" + inner
+        for key, item in value.items():
+            out.write(separator + _JSON.encode(key) + ": ")
             separator = "," + inner
             _encode(item, out, inner)
-            if len(out.pending) > _BLOCK:
-                out.flush()
-        out.write(indent + "]")
+        out.write(indent + "}")
+    elif isinstance(value, list):
+        pieces = _JSON.iterencode(value)
+        while text := "".join(islice(pieces, _BLOCK)):
+            out.write(text.replace("\n", indent))
+            out.flush()
+    else:  # a scalar, an empty dict or Rows, a tuple or a dict with a key json coerces
+        out.write(_JSON.encode(value).replace("\n", indent))
 
 
 def _long_rows(section: str, metrics: tuple[str, ...]) -> Callable[[tuple], str]:

@@ -388,6 +388,21 @@ class TestEmissions:
         assert feed_server.hits == 1  # second run hit the cache
         assert first.stdout == second.stdout
 
+    def test_endpoint_source_with_empty_trace_fetches_nothing(self, feed_server, tmp_path, monkeypatch):
+        # no samples, no window: nothing to fetch for, and strict coverage of zero energy is vacuous
+        monkeypatch.setenv("CARBONDEF_CACHE_DIR", str(tmp_path / "cache"))
+        config = json.loads((CLI / "config.json").read_text())
+        config["intensity"] = {"endpoint": feed_server.endpoint, "region": "XX"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(["emissions", "--config", str(config_path), "--trace", str(CLI / "trace_empty.csv")])
+        assert result.exit_code == 0
+        assert feed_server.hits == 0
+        report = json.loads(result.stdout)
+        assert report["meta"]["window"] is None
+        assert report["operational"]["region"] == "XX"
+        assert report["operational"]["total_kg_co2e"] == 0.0
+
 
 class TestEmbodied:
     def test_consumer_attribution(self, report_schema):

@@ -400,6 +400,22 @@ class TestUsageTraceColumns:
         with pytest.raises(ValueError, match="six columns of one length"):
             UsageTrace(columns=([0], [1.0], [0], [0], [0], []))
 
+    @pytest.mark.parametrize("start", [[0, 10, 5], [0, 10, 20]])  # an order fault would index past the rows
+    def test_one_source_row_a_sample(self, start):
+        with pytest.raises(ValueError, match=r"^a trace of 3 samples has 1 source rows$"):
+            UsageTrace(columns=(start, [1.0] * 3, [0] * 3, [0] * 3, [0] * 3, [0] * 3), source_rows=(2,))
+        assert len(UsageTrace(columns=([0, 10, 20], [1.0] * 3, [0] * 3, [0] * 3, [0] * 3, [0] * 3), source_rows=range(3))) == 3
+
+    @pytest.mark.parametrize("field", range(1, 6))
+    def test_int_past_the_float_range_names_the_sample(self, field):
+        # array('d') cannot hold it; 0 < 10**400 < inf holds, so only the float range's bound sees it
+        columns = [list(column) for column in UsageTrace(samples=self.SAMPLES).columns]
+        columns[field][1] = 10**400
+        with pytest.raises(ValueError, match=rf"^sample 1 \(row 3\): {'duration_s' if field == 1 else 'u_'}\w* must be finite"):
+            UsageTrace(columns=columns, source_rows=(2, 3, 4))
+        with pytest.raises(ValueError, match="must be finite"):
+            UsageSample(*(column[1] for column in columns))
+
 
 def gen_trace(rng: random.Random, spec: ServerSpec) -> list[UsageSample]:
     """Ordered samples, some with gaps, about a third with usages at or

@@ -2,6 +2,7 @@
 ``json.dumps(value, indent=2, default=list) + "\\n"`` byte for byte, CSV
 must equal the one-list-per-row csv.writer reference in ``support``."""
 
+import gc
 import io
 import json
 import math
@@ -192,6 +193,15 @@ def test_generated_reports_split_intervals_and_leave_gaps(tmp_path):
     assert any(r["operational"]["uncovered"] for r in full)
 
 
+def test_rows_with_odd_keys_match_stdlib():
+    # the row template is json's text of a row of zeros: a key holding '%', ': 0', '0,'
+    # or a newline must stay the key json writes, never become a slot
+    rows = Rows(([1, 2], [0.5, 1e308], [0.0, 3.6e6], [-0.0, 7]),
+                ("%r", "a: 0", ("0,\n", ("%%", "x: 0\n"))), slice(2, None))
+    for value in (rows, {"rows": rows, "n": 2}, [rows]):
+        assert to_json_bytes(value) == stdlib_json(value)
+
+
 def test_rows_are_read_only_views(tmp_path):
     full = next(r for r in (gen_reports(seed, tmp_path)[3] for seed in range(12)) if len(r["energy"]["intervals"]) > 3)
     rows = full["energy"]["intervals"]
@@ -269,6 +279,33 @@ def test_rendering_streams_in_blocks(output, limit, large_report):
     whole = b"".join(sink.chunks)
     assert whole == (to_json_bytes if output == "json" else to_csv_bytes)(large_report)
     assert len(written) == len(whole)
+    assert len(sink.chunks) > 1
+    assert max(map(len, sink.chunks)) < len(whole) / 4
+
+
+def test_long_plain_list_streams_in_blocks(tmp_path):
+    # diagnostics.clamped_samples holds one entry a clamped sample: a plain list, written
+    # item by item, never handed to json whole
+    spec, n = gen_spec(random.Random(3)), 30_000
+    usage = [spec.u_max.cpu * 2] * n  # every sample above u_max
+    trace = UsageTrace(columns=(list(range(0, 60 * n, 60)), [60.0] * n, usage, [0] * n, [0] * n, [0] * n),
+                       source_rows=range(2, n + 2))
+    config = RunConfig(server=spec, pue=PueFactor(1.0), intensity=IntensitySource(file=tmp_path / "unread.json"),
+                       clamp_usage=True)
+    report = build_report("estimate", config, trace, "t")
+    assert report["diagnostics"]["clamped_samples"][-1] == {"index": n - 1, "row": n + 1}
+    assert to_json_bytes(report) == stdlib_json(report)
+    # the section alone, so that the interval rows' blocks do not hide one list-sized write
+    gc.collect()
+    gc.disable()  # as the CLI renders
+    try:
+        render_report(report["diagnostics"], "json", sink := RecordingSink())
+    finally:
+        gc.enable()
+    # each json call leaves a reference cycle: one call for the list, not one an item
+    assert gc.collect() < 1_000
+    whole = b"".join(sink.chunks)
+    assert whole == stdlib_json(report["diagnostics"])
     assert len(sink.chunks) > 1
     assert max(map(len, sink.chunks)) < len(whole) / 4
 
