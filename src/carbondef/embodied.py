@@ -6,16 +6,27 @@ how exclusively they used it during its lifespan. Sharing is expressed
 as a step function of fractions in [0, 1]; a single full-lifespan step
 of fraction 1 is plain unshared use. Whatever no consumer claims is the
 object's idle residual: reported, never allocated to anyone.
+
+A Ledger holds its records as columns: a consumer and an object id a record,
+per-record step offsets, and the steps' start and end ints and fraction
+array('d'). Its checks (fraction range, start < end, step order within a
+profile, known objects, lifespan containment) are bulk passes over the
+columns; only a fault walks the records, to name the first. The
+oversubscription sweep reads each object's slices of the step columns. Each
+record is attributed once, into a kg column that consumer_embodied and
+idle_residual read through index lists. ConsumptionRecord, SharingProfile
+and ProfileStep are built on demand, and only by the records view.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, compress, count
 from math import inf
-from operator import itemgetter
-from typing import Iterable
+from operator import le, lt, mul, neg, sub
+from typing import Iterable, Sequence
 
 from .errors import (
     DurationError,
@@ -25,7 +36,7 @@ from .errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
-from .power import EPOCH_LIMIT
+from .power import EPOCH_LIMIT, shown
 
 OVERSUBSCRIPTION_TOL = 1e-9
 
@@ -47,9 +58,9 @@ class EmbodiedObject:
             negative = any(kg < 0 for kg in emissions)
             raise ValueError(f"lifecycle emissions must be {'>= 0' if negative else 'finite'}")
         if not 0 < self.lifespan_s < inf:
-            raise ValueError(f"lifespan_s must be {'> 0' if self.lifespan_s <= 0 else 'finite'}, got {self.lifespan_s}")
+            raise ValueError(f"lifespan_s must be {'> 0' if self.lifespan_s <= 0 else 'finite'}, got {shown(self.lifespan_s)}")
         if not -EPOCH_LIMIT <= self.lifespan_start <= EPOCH_LIMIT:  # NaN fails this too
-            raise ValueError(f"lifespan_start must be within ±2**53, got {self.lifespan_start}")
+            raise ValueError(f"lifespan_start must be within ±2**53, got {shown(self.lifespan_start)}")
 
     @property
     def lifespan_end(self) -> float:
@@ -66,13 +77,9 @@ class ProfileStep:
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
-            raise FractionError(f"fraction must be within [0, 1], got {self.fraction}")
+            raise FractionError(f"fraction must be within [0, 1], got {shown(self.fraction)}")
         if self.end <= self.start:
-            raise ValueError(f"profile step end {self.end} <= start {self.start}")
-
-    @property
-    def duration_s(self) -> int:
-        return self.end - self.start
+            raise ValueError(f"profile step end {shown(self.end)} <= start {shown(self.start)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,17 +92,12 @@ class SharingProfile:
         previous_end = -inf
         for step in self.steps:
             if step.start < previous_end:
-                raise ValueError(f"profile steps unsorted or overlapping at start={step.start}")
+                raise ValueError(f"profile steps unsorted or overlapping at start={shown(step.start)}")
             previous_end = step.end
 
     def weighted_seconds(self) -> float:
         """Sum of fraction x duration over all steps."""
-        return sum(step.fraction * step.duration_s for step in self.steps)
-
-    def span(self) -> tuple[int, int] | None:
-        if not self.steps:
-            return None
-        return self.steps[0].start, self.steps[-1].end
+        return sum(step.fraction * (step.end - step.start) for step in self.steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,69 +116,121 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
     )
 
 
-@dataclass(frozen=True)
+class RecordsView:
+    """A ledger's records in ledger order, read-only: indexing and iteration build each
+    ConsumptionRecord, its SharingProfile and ProfileSteps, on demand, and a slice is a tuple of
+    them; ``len()`` reads one column. It equals a view of equal columns or the tuple of its records."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):  # the IndexError past the end ends iteration
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        consumer_id, object_id, offsets, start, end, fraction = self.columns
+        index = range(len(self))[index]
+        steps = slice(offsets[index], offsets[index + 1])
+        profile = SharingProfile(tuple(map(ProfileStep, start[steps], end[steps], fraction[steps])))
+        return ConsumptionRecord(consumer_id[index], object_id[index], profile)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordsView):
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+
 class Ledger:
-    """Objects plus consumption records, checked at construction: an object
-    keyed by another id raises ValueError, a record naming an unknown object
-    LedgerReferenceError, a profile outside its object's lifespan
-    ProfileOutOfLifespan, and fractions on one object summing past 1 (within
-    1e-9) at any instant OversubscriptionError.
+    """Objects by id plus records as read-only ``columns`` ``(consumer_id, object_id, offsets,
+    start, end, fraction)``, record i's steps at ``offsets[i]`` up to ``offsets[i + 1]``, all lists
+    but fraction, an array('d'). Built from records or in bulk (``columns=``). Construction raises,
+    in this order: ValueError for an object keyed by another id, a step's ProfileStep or SharingProfile
+    error, LedgerReferenceError for an unknown object, ProfileOutOfLifespan, and OversubscriptionError
+    for fractions on one object summing past 1 (within 1e-9) at any instant. Treated as immutable."""
 
-    Built single-writer and then treated as immutable; queries are pure.
-    Construction indexes the records by object and by consumer, in ledger order.
-    """
+    __slots__ = ("objects", "columns", "kg", "_by_object", "_by_consumer", "__weakref__")
 
-    objects: dict[str, EmbodiedObject]
-    records: tuple[ConsumptionRecord, ...] = field(default=())
-    _by_object: dict[str, list[ConsumptionRecord]] = field(init=False, repr=False, compare=False)
-    _by_consumer: dict[str, list[ConsumptionRecord]] = field(init=False, repr=False, compare=False)
+    def __init__(self, objects: dict[str, EmbodiedObject], records: Iterable[ConsumptionRecord] = (),
+                 *, columns: Sequence[Sequence] | None = None):
+        if (key := next((key for key, obj in objects.items() if obj.id != key), None)) is not None:
+            raise ValueError(f"object {objects[key].id!r} is keyed {key!r}, not by its id")
+        if columns is None:
+            records = tuple(records)
+            steps = [step for record in records for step in record.profile.steps]
+            columns = ([record.consumer_id for record in records], [record.object_id for record in records],
+                       [0, *accumulate(len(record.profile.steps) for record in records)],
+                       *([getattr(step, key) for step in steps] for key in ("start", "end", "fraction")))
+        consumer_id, object_id, offsets, start, end, fraction = columns
+        if not (len(consumer_id) == len(object_id) == len(offsets) - 1 and offsets[0] == 0
+                and all(map(le, offsets, offsets[1:])) and offsets[-1] == len(start) == len(end) == len(fraction)):
+            raise ValueError("a ledger is two id columns, one id a record, and step columns cut at offsets from 0")
+        self.objects, self.columns = objects, (consumer_id, object_id, offsets, start, end, array("d", fraction))
+        fractions, spans = self.columns[5].tolist(), list(map(slice, offsets, offsets[1:]))  # a list slices faster
 
-    def __post_init__(self):
-        if (key := next((key for key, obj in self.objects.items() if obj.id != key), None)) is not None:
-            raise ValueError(f"object {self.objects[key].id!r} is keyed {key!r}, not by its id")
-        by_object: dict[str, list[ConsumptionRecord]] = {}
-        by_consumer: dict[str, list[ConsumptionRecord]] = {}
-        for index, record in enumerate(self.records):
-            obj = self.objects.get(record.object_id)
-            if obj is None:
-                raise LedgerReferenceError(
-                    f"record references unknown object {record.object_id!r}",
-                    location=f"records[{index}]",
-                )
-            _check_within_lifespan(obj, record, f"records[{index}]: ")
-            by_object.setdefault(record.object_id, []).append(record)
-            by_consumer.setdefault(record.consumer_id, []).append(record)
-        for object_id in self.objects:
-            _check_oversubscription(object_id, [s for r in by_object.get(object_id, ()) for s in r.profile.steps])
-        object.__setattr__(self, "_by_object", by_object)
-        object.__setattr__(self, "_by_consumer", by_consumer)
+        # only a record's first step may start before the previous step's end; a NaN fraction,
+        # which min() and max() may skip, makes the sum NaN; a profile's span is its first start and last end
+        lifespans = {key: (obj.lifespan_start, obj.lifespan_end) for key, obj in objects.items()}
+        if not (all(map(lt, start, end)) and 0.0 <= min(fractions, default=0.0) and max(fractions, default=0.0) <= 1.0
+                and sum(fractions) >= 0.0 and set(offsets).issuperset(compress(count(1), map(lt, start[1:], end)))
+                and lifespans.keys() >= set(object_id) and all(
+                    first == last or lifespans[key][0] <= start[first] and end[last - 1] <= lifespans[key][1]
+                    for key, first, last in zip(object_id, offsets, offsets[1:]))):
+            for index, record in enumerate(tuple(self.records)):  # the value types raise a step's fault
+                if (obj := objects.get(record.object_id)) is None:
+                    raise LedgerReferenceError(
+                        f"record references unknown object {record.object_id!r}", location=f"records[{index}]")
+                _check_within_lifespan(obj, record, f"records[{index}]: ")
+
+        self._by_object, self._by_consumer = {}, {}  # record positions by object id and by consumer id
+        for index, (consumer, key) in enumerate(zip(consumer_id, object_id)):
+            self._by_object.setdefault(key, []).append(index)
+            self._by_consumer.setdefault(consumer, []).append(index)
+        for key in objects:  # an object's steps, in ledger order
+            object_spans = [spans[index] for index in self._by_object.get(key, ())]
+            _check_oversubscription(key, *([value for span in object_spans for value in column[span]]
+                                            for column in (start, end, fractions)))
+
+        # lifecycle * weighted seconds / lifespan_s, the seconds summed in step order as weighted_seconds does
+        weighted = list(map(mul, fractions, map(sub, end, start)))
+        lifecycle = {key: (lifecycle_total(obj), obj.lifespan_s) for key, obj in objects.items()}
+        self.kg = array("d", [lifecycle[key][0] * seconds / lifecycle[key][1]
+                              for key, seconds in zip(object_id, map(sum, map(weighted.__getitem__, spans)))])
 
     @classmethod
-    def build(
-        cls,
-        objects: Iterable[EmbodiedObject],
-        records: Iterable[ConsumptionRecord],
-    ) -> Ledger:
+    def build(cls, objects: Iterable[EmbodiedObject], records: Iterable[ConsumptionRecord] = (),
+              *, columns: Sequence[Sequence] | None = None) -> Ledger:
         """Index ``objects`` by id (ValueError on a duplicate) and construct the ledger."""
         by_id: dict[str, EmbodiedObject] = {}
         for obj in objects:
             if obj.id in by_id:
                 raise ValueError(f"duplicate object id {obj.id!r}")
             by_id[obj.id] = obj
-        return cls(objects=by_id, records=tuple(records))
+        return cls(by_id, records, columns=columns)
+
+    @property
+    def records(self) -> RecordsView:
+        return RecordsView(self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Ledger) and self.objects == other.objects and self.columns == other.columns
 
     def records_for_object(self, object_id: str) -> tuple[ConsumptionRecord, ...]:
-        return tuple(self._by_object.get(object_id, ()))
+        return tuple(map(self.records.__getitem__, self._by_object.get(object_id, ())))
 
     def records_for_consumer(self, consumer_id: str) -> tuple[ConsumptionRecord, ...]:
-        return tuple(self._by_consumer.get(consumer_id, ()))
+        return tuple(map(self.records.__getitem__, self._by_consumer.get(consumer_id, ())))
 
     def consumer_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._by_consumer))
 
 
-def _check_oversubscription(object_id: str, steps: list[ProfileStep]) -> None:
-    """Sweep one object's steps (ledger order); fractions may never sum past 1.
+def _check_oversubscription(object_id: str, start: list[int], end: list[int], fraction: list[float]) -> None:
+    """Sweep one object's steps, given as start, end and fraction columns in
+    ledger order; fractions may never sum past 1.
 
     The active steps are re-summed in ledger order at each edge, never kept as a
     running total, so the reported total carries no drift from earlier edges.
@@ -186,33 +240,32 @@ def _check_oversubscription(object_id: str, steps: list[ProfileStep]) -> None:
     4 * n**2 * u of the exact sum of the active fractions after each edge, and a
     ledger-order re-sum of them within n**2 * u: no edge past 1 + tolerance is missed.
     """
-    margin = 4 * len(steps) ** 2 * 2.0**-52
-    events = sorted([*((step.end, -step.fraction) for step in steps), *((step.start, step.fraction) for step in steps)])
-    if max(accumulate(map(itemgetter(1), events)), default=0.0) <= 1.0 + OVERSUBSCRIPTION_TOL - margin:
+    margin = 4 * len(start) ** 2 * 2.0**-52
+    edges, changes = [*end, *start], [*map(neg, fraction), *fraction]  # a stable sort puts closings first
+    events = sorted(range(len(edges)), key=edges.__getitem__)
+    if max(accumulate(map(changes.__getitem__, events)), default=0.0) <= 1.0 + OVERSUBSCRIPTION_TOL - margin:
         return
     opening: dict[int, list[int]] = {}
     closing: dict[int, list[int]] = {}
-    for position, step in enumerate(steps):
-        opening.setdefault(step.start, []).append(position)
-        closing.setdefault(step.end, []).append(position)
+    for position, (left, right) in enumerate(zip(start, end)):
+        opening.setdefault(left, []).append(position)
+        closing.setdefault(right, []).append(position)
     active: list[int] = []
     for edge in sorted(opening.keys() | closing.keys()):
         for position in closing.get(edge, ()):
             active.remove(position)
         for position in opening.get(edge, ()):
             insort(active, position)
-        total = sum(steps[position].fraction for position in active)
+        total = sum(fraction[position] for position in active)
         if total > 1.0 + OVERSUBSCRIPTION_TOL:
             raise OversubscriptionError(object_id, edge, total)
 
 
 def _check_within_lifespan(obj: EmbodiedObject, record: ConsumptionRecord, prefix: str = "") -> None:
-    span = record.profile.span()
-    if span is not None and (span[0] < obj.lifespan_start or span[1] > obj.lifespan_end):
-        raise ProfileOutOfLifespan(
-            f"{prefix}profile [{span[0]}, {span[1]}) outside lifespan "
-            f"[{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}"
-        )
+    steps = record.profile.steps
+    if steps and (steps[0].start < obj.lifespan_start or steps[-1].end > obj.lifespan_end):
+        raise ProfileOutOfLifespan(f"{prefix}profile [{shown(steps[0].start)}, {shown(steps[-1].end)}) outside "
+                                   f"lifespan [{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}")
 
 
 def lifecycle_total(obj: EmbodiedObject) -> float:
@@ -235,10 +288,6 @@ def attribute_shared(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
     A constant fraction-1 profile reproduces attribute_simple exactly.
     """
     _check_within_lifespan(obj, record)
-    return _attributed(obj, record)
-
-
-def _attributed(obj: EmbodiedObject, record: ConsumptionRecord) -> float:
     return lifecycle_total(obj) * record.profile.weighted_seconds() / obj.lifespan_s
 
 
@@ -256,12 +305,12 @@ def consumer_embodied(ledger: Ledger, consumer_id: str) -> ConsumerAttribution:
 
     An unknown consumer yields zero, not an error.
     """
+    object_ids, kg = ledger.columns[1], ledger.kg
     by_object: dict[str, float] = {}
     total = 0.0
-    for record in ledger.records_for_consumer(consumer_id):
-        kg = _attributed(ledger.objects[record.object_id], record)
-        by_object[record.object_id] = by_object.get(record.object_id, 0.0) + kg
-        total += kg
+    for index in ledger._by_consumer.get(consumer_id, ()):
+        by_object[object_ids[index]] = by_object.get(object_ids[index], 0.0) + kg[index]
+        total += kg[index]
     return ConsumerAttribution(consumer_id=consumer_id, total_kg=total, by_object=by_object)
 
 
@@ -270,5 +319,4 @@ def idle_residual(ledger: Ledger, object_id: str) -> float:
     obj = ledger.objects.get(object_id)
     if obj is None:
         raise UnknownObject(f"unknown object {object_id!r}")
-    attributed = sum(_attributed(obj, record) for record in ledger.records_for_object(object_id))
-    return lifecycle_total(obj) - attributed
+    return lifecycle_total(obj) - sum(map(ledger.kg.__getitem__, ledger._by_object.get(object_id, ())))

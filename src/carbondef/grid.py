@@ -24,7 +24,7 @@ from math import inf
 from typing import NamedTuple, Sequence
 
 from .errors import CoverageError
-from .power import EnergySeries
+from .power import EnergySeries, shown
 
 #: exact joule content of one kilowatt-hour
 JOULES_PER_KWH = 3.6e6
@@ -43,9 +43,9 @@ class IntensityEntry:
     def __post_init__(self):
         intensity = self.intensity_kg_per_kwh
         if not 0 <= intensity < inf:
-            raise ValueError(f"intensity_kg_per_kwh must be {'>= 0' if -inf < intensity < 0 else 'finite'}, got {intensity}")
+            raise ValueError(f"intensity_kg_per_kwh must be {'>= 0' if -inf < intensity < 0 else 'finite'}, got {shown(intensity)}")
         if self.end <= self.start:
-            raise ValueError(f"end {self.end} must be > start {self.start}")
+            raise ValueError(f"end {shown(self.end)} must be > start {shown(self.start)}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class PueFactor:
 
     def __post_init__(self):
         if not 1.0 <= self.value < inf:
-            raise ValueError(f"PUE must be finite and >= 1, got {self.value}")
+            raise ValueError(f"PUE must be finite and >= 1, got {shown(self.value)}")
 
 
 class UncoveredSpan(NamedTuple):

@@ -38,7 +38,7 @@ import urllib.parse
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import inf
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -53,9 +53,9 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .embodied import ConsumptionRecord, EmbodiedObject, Ledger, ProfileStep, SharingProfile
+from .embodied import EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace
+from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, shown
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -346,20 +346,17 @@ _STEP_FIELDS = (("start", _integer), ("end", _integer), ("fraction", _number))
 def parse_ledger(data: bytes) -> Ledger:
     """Parse a ledger and run the full cross-reference validation.
 
-    Objects, records and their flattened steps are read key by key into
-    columns, checked in bulk and built into the value types. On a KeyError,
-    TypeError, ValueError or FractionError (caught by name: it is no ValueError),
-    :func:`_locate_ledger_fault` runs the entry-by-entry loop to name the first fault.
+    Objects, records and their flattened steps are read key by key into columns,
+    checked in bulk, and the step columns go to Ledger.build with per-record offsets,
+    after the parsed JSON is freed. On a KeyError, TypeError, ValueError or FractionError
+    (caught by name: it is no ValueError), :func:`_locate_ledger_fault` runs the
+    entry-by-entry loop over the document decoded again, to name the first fault.
 
     Raises ParseError for malformed values, FractionError for fractions
     outside [0, 1], LedgerReferenceError for dangling object ids, and
     OversubscriptionError when instantaneous shares exceed capacity.
     """
-    doc = _decode_json(data)
-    # both keys present before either's type is checked
-    raw_objects, raw_records = _fields(doc, "$", ("objects", _present), ("records", _present))
-    raw_objects, raw_records = _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
-
+    raw_objects, raw_records = _ledger_entries(data)
     try:
         ids, m_kg, r_kg, eol_kg, lifespan_start, lifespan_s = (
             list(map(itemgetter(key), raw_objects)) for key, _ in _OBJECT_FIELDS)
@@ -372,15 +369,18 @@ def parse_ledger(data: bytes) -> Ledger:
             raise ValueError("a value that fails its kind's test")
         objects = list(map(EmbodiedObject, ids, *(map(float, column) for column in (m_kg, r_kg, eol_kg)),
                            lifespan_start, map(float, lifespan_s)))
-        steps = map(ProfileStep, starts, ends, map(float, fractions))
-        records = list(map(ConsumptionRecord, consumer_ids, object_ids,
-                           map(SharingProfile, map(tuple, map(islice, repeat(steps), map(len, profiles))))))
-    except (KeyError, TypeError, ValueError, FractionError):
-        _locate_ledger_fault(raw_objects, raw_records)
-        raise
+        offsets = [0, *accumulate(map(len, profiles))]
+        del raw_objects, raw_records, profiles  # free the parsed JSON before Ledger.build checks and indexes
+        return Ledger.build(objects, columns=(consumer_ids, object_ids, offsets, starts, ends, fractions))
+    except (KeyError, TypeError, ValueError, FractionError) as exc:
+        _locate_ledger_fault(*_ledger_entries(data))
+        raise ParseError(str(exc), location="$.objects") from exc  # no entry is at fault: a duplicate object id
 
-    del doc, raw_objects, raw_records, profiles  # free the parsed JSON before Ledger.build indexes
-    return _located(Ledger.build, "$.objects", objects, records)  # a ValueError: duplicate object ids
+
+def _ledger_entries(data: bytes) -> tuple[list, list]:
+    # both keys present before either's type is checked
+    raw_objects, raw_records = _fields(_decode_json(data), "$", ("objects", _present), ("records", _present))
+    return _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
 
 
 def _locate_ledger_fault(raw_objects: list, raw_records: list) -> None:
@@ -415,7 +415,7 @@ class FunctionalUnit:
     def __post_init__(self):
         if not 0 < self.count < inf:
             bound = "finite" if self.count > 0 else "> 0"
-            raise ValueError(f"functional unit count must be {bound}, got {self.count}")
+            raise ValueError(f"functional unit count must be {bound}, got {shown(self.count)}")
 
 
 @dataclass(frozen=True)

@@ -81,14 +81,14 @@ class ServerSpec:
     def __post_init__(self):
         # NaN fails every bound below
         if not 0 < self.tdp_watts < inf:
-            raise SpecError(f"tdp_watts must be {'> 0' if self.tdp_watts <= 0 else 'finite'}, got {self.tdp_watts}")
+            raise SpecError(f"tdp_watts must be {'> 0' if self.tdp_watts <= 0 else 'finite'}, got {shown(self.tdp_watts)}")
         if not (1 <= self.n_cpu < inf and int(self.n_cpu) == self.n_cpu):
-            raise SpecError(f"n_cpu must be an integer >= 1, got {self.n_cpu}")
+            raise SpecError(f"n_cpu must be an integer >= 1, got {shown(self.n_cpu)}")
         for component in COMPONENTS:
             if not 0 < (u_max := self.u_max.get(component)) < inf:
                 raise SpecError(f"u_max.{component} must be {'> 0' if u_max <= 0 else 'finite'}")
         if not 0 <= self.idle_watts < inf:
-            raise SpecError(f"idle_watts must be {'>= 0' if self.idle_watts < 0 else 'finite'}, got {self.idle_watts}")
+            raise SpecError(f"idle_watts must be {'>= 0' if self.idle_watts < 0 else 'finite'}, got {shown(self.idle_watts)}")
 
         alpha = self.alpha
         for component in COMPONENTS:
@@ -109,13 +109,22 @@ class ServerSpec:
 EPOCH_LIMIT = 2**53
 
 
+def shown(value: object) -> str:
+    """``value`` as a message shows it: an int too long for str() (sys.get_int_max_str_digits())
+    as its sign and bit count."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
+
+
 def _sample_fault(start: int, duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
     """Why a sample breaks the field condition, start within ±2**53, duration
     in (0, inf) and usages in [0, inf), both within the float range, or None."""
     if not -EPOCH_LIMIT <= start <= EPOCH_LIMIT:  # NaN fails this too
-        return f"start must be within ±2**53, got {start}"
+        return f"start must be within ±2**53, got {shown(start)}"
     if not 0 < duration_s <= float_info.max:
-        return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {duration_s}"
+        return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {shown(duration_s)}"
     for component, usage in zip(COMPONENTS, (u_cpu, u_mem, u_io, u_net)):
         if not 0 <= usage <= float_info.max:
             return f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}"

@@ -224,6 +224,11 @@ def gen_series_pair(
 def gen_ledger(rng: random.Random) -> Ledger:
     """Random multi-object, multi-consumer ledger with sharing fractions
     capped so no instant is oversubscribed."""
+    return Ledger.build(*gen_ledger_parts(rng))
+
+
+def gen_ledger_parts(rng: random.Random) -> tuple[list[EmbodiedObject], list[ConsumptionRecord]]:
+    """The objects and records of :func:`gen_ledger`."""
     objects = []
     records = []
     for object_index in range(rng.randint(1, 4)):
@@ -261,7 +266,7 @@ def gen_ledger(rng: random.Random) -> Ledger:
                     profile=SharingProfile(steps=steps),
                 )
             )
-    return Ledger.build(objects, records)
+    return objects, records
 
 
 def gen_feed(rng: random.Random, start: int, end: int, widths: tuple[int, int] = (60, 1800)) -> list[IntensityEntry]:
@@ -395,6 +400,30 @@ def oracle_emissions(
                 continue
             total += value * joules_per_second
     return pue.value * total / JOULES_PER_KWH
+
+
+def naive_attribution(objects, records) -> tuple[dict[str, tuple[float, dict[str, float]]], dict[str, float]]:
+    """Reference embodied attribution, record by record: ``({consumer id: (total kg, {object id:
+    kg})}, {object id: idle residual kg})``. A record's kg is its object's m + r + eol times the
+    sum of ``fraction * (end - start)`` over its ConsumptionRecord's steps, in step order, over
+    ``lifespan_s``; totals add up in ledger order, and a residual is the lifecycle total less
+    sum() of its object's record kg."""
+    by_id = {obj.id: obj for obj in objects}
+    kg = []
+    for record in records:
+        obj = by_id[record.object_id]
+        seconds = sum(step.fraction * (step.end - step.start) for step in record.profile.steps)
+        kg.append((record, (obj.m_kg + obj.r_kg + obj.eol_kg) * seconds / obj.lifespan_s))
+    consumers: dict[str, tuple[float, dict[str, float]]] = {}
+    for record, value in kg:
+        total, by_object = consumers.get(record.consumer_id, (0.0, {}))
+        by_object[record.object_id] = by_object.get(record.object_id, 0.0) + value
+        consumers[record.consumer_id] = (total + value, by_object)
+    residuals = {
+        object_id: obj.m_kg + obj.r_kg + obj.eol_kg - sum(value for record, value in kg if record.object_id == object_id)
+        for object_id, obj in by_id.items()
+    }
+    return consumers, residuals
 
 
 def naive_check_oversubscription(object_id: str, records) -> None:

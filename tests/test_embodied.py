@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from carbondef import (
     lifecycle_total,
 )
 from carbondef import embodied
-from carbondef.embodied import OVERSUBSCRIPTION_TOL, _check_oversubscription
+from carbondef.embodied import OVERSUBSCRIPTION_TOL, RecordsView, _check_oversubscription
 from carbondef.errors import (
     DurationError,
     FractionError,
@@ -28,9 +29,10 @@ from carbondef.errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
+from carbondef.ingest import parse_ledger
 from carbondef.report import build_report
 
-from support import gen_ledger, naive_check_oversubscription, rel_close
+from support import gen_ledger, gen_ledger_parts, naive_attribution, naive_check_oversubscription, rel_close, serialize_ledger
 
 YEAR = 31536000
 T0 = 1600000000
@@ -78,6 +80,11 @@ def oversubscription_outcome(check):
     return None
 
 
+def sweep(steps):
+    """_check_oversubscription on the start, end and fraction columns of ``steps``."""
+    _check_oversubscription("rack-1", *([getattr(step, key) for step in steps] for key in ("start", "end", "fraction")))
+
+
 def drifting_steps(total):
     """1,000 overlapping steps near 0.001 whose ledger order is not their start
     order, and a last step that lifts the ledger-order sum to exactly ``total``."""
@@ -115,6 +122,11 @@ class TestEmbodiedObjectBounds:
         with pytest.raises(ValueError) as exc_info:
             rack(**{field: value})
         assert str(exc_info.value) == message
+
+    def test_huge_int_lifespan_start_named_by_its_bit_count(self):
+        # str() of an int past sys.get_int_max_str_digits() would raise a ValueError of its own
+        with pytest.raises(ValueError, match=r"^lifespan_start must be within ±2\*\*53, got an integer of 16610 bits$"):
+            EmbodiedObject("a", 1.0, 0.0, 0.0, 10**5000, 1.0)
 
 
 class TestLifecycleTotal:
@@ -172,6 +184,10 @@ class TestAttributeShared:
     def test_profile_outside_lifespan(self):
         with pytest.raises(ProfileOutOfLifespan):
             attribute_shared(rack(), record([ProfileStep(T0 - 10, T0 + YEAR, 0.5)]))
+
+    def test_huge_int_step_start_named_by_its_bit_count(self):
+        with pytest.raises(ValueError, match=r"^profile step end 0 <= start an integer of 16610 bits$"):
+            ProfileStep(10**5000, 0, 0.5)
 
     def test_fraction_above_one_rejected_at_construction(self):
         with pytest.raises(FractionError):
@@ -291,7 +307,7 @@ class TestLedger:
     def test_sweep_matches_naive_oracle(self, records):
         steps = [step for rec in records for step in rec.profile.steps]
         expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
-        assert oversubscription_outcome(lambda: _check_oversubscription("rack-1", steps)) == expected
+        assert oversubscription_outcome(lambda: sweep(steps)) == expected
         assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
 
     # sums on each side of the tolerance: the prefilter may pass only what the exact sweep passes,
@@ -309,7 +325,7 @@ class TestLedger:
         records = [record([step], consumer=f"c{index}") for index, step in enumerate(steps)]
         expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
         assert (expected is not None) == rejected
-        assert oversubscription_outcome(lambda: _check_oversubscription("rack-1", steps)) == expected
+        assert oversubscription_outcome(lambda: sweep(steps)) == expected
         assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
 
     def test_first_oversubscribed_object_in_ledger_order_reported(self):
@@ -410,3 +426,92 @@ class TestLedger:
             assert attribution.total_kg == pytest.approx(
                 sum(attribution.by_object.values()), rel=1e-12, abs=0.0
             ) or attribution.total_kg == 0.0
+
+
+class TestColumnarLedger:
+    @settings(max_examples=200)
+    @given(st.integers(0, 10**9))
+    def test_attribution_equals_naive_reference_exactly(self, seed):
+        objects, records = gen_ledger_parts(random.Random(seed))
+        consumers, residuals = naive_attribution(objects, records)
+        built = Ledger.build(objects, records)
+        parsed = parse_ledger(serialize_ledger(built))
+        for ledger in (built, parsed):
+            assert ledger.consumer_ids() == tuple(sorted(consumers))
+            for consumer_id, (total, by_object) in consumers.items():
+                attribution = consumer_embodied(ledger, consumer_id)
+                assert (attribution.total_kg, attribution.by_object) == (total, by_object)  # no tolerance
+            assert {object_id: idle_residual(ledger, object_id) for object_id in ledger.objects} == residuals
+        assert parsed == built == Ledger.build(parsed.objects.values(), parsed.records)
+
+    def test_records_view_is_sized_without_building_a_record(self, monkeypatch):
+        ledger = gen_ledger(random.Random(3))
+        records = list(ledger.records)
+        monkeypatch.setattr(embodied, "ConsumptionRecord", None)  # any record built now raises a TypeError
+        assert len(ledger.records) == len(records) == len(ledger.columns[0]) > 0
+        monkeypatch.undo()
+        assert ledger.records[-1] == records[-1] and tuple(ledger.records) == tuple(records)
+        with pytest.raises(IndexError):
+            ledger.records[len(records)]
+
+    def test_records_view_slices_and_compares_by_value(self):
+        ledger = gen_ledger(random.Random(3))
+        records = tuple(ledger.records)
+        assert ledger.records[1:] == records[1:] and ledger.records[::-2] == records[::-2] and ledger.records[5:2] == ()
+        assert ledger.records == records and ledger.records == Ledger.build(ledger.objects.values(), records).records
+        assert ledger.records != records[1:] and ledger.records != list(records)
+        assert ledger.records != Ledger.build(ledger.objects.values(), records[1:]).records
+
+    @pytest.mark.parametrize("fraction, oversubscribed", [(1.0, False), (math.nextafter(1.0, 0), False), (0.6, True)])
+    def test_oversubscription_check_builds_no_value_object(self, monkeypatch, fraction, oversubscribed):
+        # five records take the object in turn at full share, each a day of three steps; with
+        # fraction 0.6 the second record's first step opens before the first record's last closes
+        overlap = 1 if oversubscribed else 0
+        start = [T0 + day * 86400 - overlap * (day > 0) + part * 28800 for day in range(5) for part in range(3)]
+        columns = ([f"c{index}" for index in range(5)], ["rack-1"] * 5, [0, 3, 6, 9, 12, 15],
+                   start, [time + 28800 for time in start], [fraction] * 15)
+        for value_type in ("ProfileStep", "SharingProfile", "ConsumptionRecord"):
+            monkeypatch.setattr(embodied, value_type, None)  # any value object built now raises a TypeError
+        if oversubscribed:
+            with pytest.raises(OversubscriptionError) as exc_info:
+                Ledger.build([rack()], columns=columns)
+            assert (exc_info.value.instant, exc_info.value.total) == (T0 + 86400 - 1, 1.2)
+        else:
+            assert len(Ledger.build([rack()], columns=columns).records) == 5
+
+    def test_attribution_reads_the_kg_column_and_builds_no_record(self, monkeypatch):
+        ledger = gen_ledger(random.Random(3))
+        expected = build_report("embodied", ledger=ledger, ledger_digest="sha")
+        monkeypatch.setattr(RecordsView, "__getitem__", None)
+        assert build_report("embodied", ledger=ledger, ledger_digest="sha") == expected
+
+    def test_bulk_columns_equal_the_ledger_of_records(self):
+        records = [record([ProfileStep(T0, T0 + 10, 0.5), ProfileStep(T0 + 20, T0 + 30, 1)], consumer="a"),
+                   record([], consumer="b"), record([ProfileStep(T0 + 5, T0 + 20, 0.25)], consumer="a")]
+        ledger = Ledger.build([rack()], columns=(["a", "b", "a"], ["rack-1"] * 3, [0, 2, 2, 3],
+                                                 [T0, T0 + 20, T0 + 5], [T0 + 10, T0 + 30, T0 + 20], [0.5, 1, 0.25]))
+        assert ledger == Ledger.build([rack()], records) and tuple(ledger.records) == tuple(records)
+        assert ledger.columns[5] == array("d", [0.5, 1.0, 0.25]) and type(ledger.columns[5]) is array
+        assert ledger.records_for_consumer("b") == (records[1],) and consumer_embodied(ledger, "b").by_object == {"rack-1": 0.0}
+
+    @pytest.mark.parametrize("columns", [
+        ([], [], [], [], [], []),  # no offset 0
+        (["a"], ["rack-1"], [0, 2], [T0], [T0 + 1], [0.5]),  # steps past the columns
+        (["a", "b"], ["rack-1"] * 2, [0, 1, 0], [T0], [T0 + 1], [0.5]),  # offsets going back
+        (["a"], ["rack-1"], [0, 1], [T0], [T0 + 1, T0 + 2], [0.5]),  # step columns of two lengths
+    ])
+    def test_bulk_columns_layout_checked(self, columns):
+        with pytest.raises(ValueError, match="^a ledger is two id columns"):
+            Ledger.build([rack()], columns=columns)
+
+    @pytest.mark.parametrize("steps, error, message", [
+        ([(T0, T0 + 10, 0.5), (T0 + 20, T0 + 30, math.nan)], FractionError, "fraction must be within [0, 1], got nan"),
+        ([(T0, T0 + 10, 0.5), (T0 + 20, T0 + 20, 0.5)], ValueError, f"profile step end {T0 + 20} <= start {T0 + 20}"),
+        ([(T0, T0 + 10, 0.5), (T0 + 5, T0 + 30, 0.5)], ValueError, f"profile steps unsorted or overlapping at start={T0 + 5}"),
+    ])
+    def test_bulk_step_fault_raises_the_value_types_error(self, steps, error, message):
+        # the first record is sound; the second breaks a ProfileStep or SharingProfile condition
+        start, end, fraction = zip((T0, T0 + 10, 1.0), *steps)
+        with pytest.raises(error) as exc_info:
+            Ledger.build([rack()], columns=(["a", "b"], ["rack-1"] * 2, [0, 1, 1 + len(steps)], start, end, fraction))
+        assert str(exc_info.value) == message

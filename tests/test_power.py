@@ -416,6 +416,17 @@ class TestUsageTraceColumns:
         with pytest.raises(ValueError, match="must be finite"):
             UsageSample(*(column[1] for column in columns))
 
+    # str() of an int past sys.get_int_max_str_digits() (4300 by default) raises a ValueError naming no sample
+    def test_huge_int_duration_named_by_its_bit_count(self):
+        with pytest.raises(ValueError, match=r"^sample 0: duration_s must be finite, got an integer of 16610 bits$"):
+            UsageTrace(columns=([0], [10**5000], [0], [0], [0], [0]))
+
+    def test_huge_int_start_named_by_its_sign_and_bit_count(self):
+        with pytest.raises(ValueError, match=r"^sample 0: start must be within ±2\*\*53, got an integer of 16610 bits$"):
+            UsageTrace(columns=([10**5000], [1.0], [0], [0], [0], [0]))
+        with pytest.raises(ValueError, match=r"^start must be within ±2\*\*53, got a negative integer of 16610 bits$"):
+            UsageSample(-(10**5000), 1.0, 0, 0, 0, 0)
+
 
 def gen_trace(rng: random.Random, spec: ServerSpec) -> list[UsageSample]:
     """Ordered samples, some with gaps, about a third with usages at or
