@@ -36,7 +36,7 @@ from .errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
-from .power import EPOCH_LIMIT, shown
+from .power import EPOCH_LIMIT, _float_column, broken_bound, epoch_fault, shown
 
 OVERSUBSCRIPTION_TOL = 1e-9
 
@@ -53,14 +53,13 @@ class EmbodiedObject:
     lifespan_s: float
 
     def __post_init__(self):
-        emissions = (self.m_kg, self.r_kg, self.eol_kg)
-        if not all(0 <= kg < inf for kg in emissions):  # NaN fails this too
-            negative = any(kg < 0 for kg in emissions)
-            raise ValueError(f"lifecycle emissions must be {'>= 0' if negative else 'finite'}")
-        if not 0 < self.lifespan_s < inf:
-            raise ValueError(f"lifespan_s must be {'> 0' if self.lifespan_s <= 0 else 'finite'}, got {shown(self.lifespan_s)}")
-        if not -EPOCH_LIMIT <= self.lifespan_start <= EPOCH_LIMIT:  # NaN fails this too
-            raise ValueError(f"lifespan_start must be within ±2**53, got {shown(self.lifespan_start)}")
+        for kg in (self.m_kg, self.r_kg, self.eol_kg):
+            if bound := broken_bound(kg, 0):
+                raise ValueError(f"lifecycle emissions must be {bound}")
+        if bound := broken_bound(self.lifespan_s, 0, strict=True):
+            raise ValueError(f"lifespan_s must be {bound}, got {shown(self.lifespan_s)}")
+        if fault := epoch_fault("lifespan_start", self.lifespan_start):
+            raise ValueError(fault)
 
     @property
     def lifespan_end(self) -> float:
@@ -69,7 +68,7 @@ class EmbodiedObject:
 
 @dataclass(frozen=True, slots=True)
 class ProfileStep:
-    """Constant sharing fraction over one half-open interval."""
+    """Constant sharing fraction over one half-open interval, its start and end within ±2**53."""
 
     start: int
     end: int
@@ -80,6 +79,8 @@ class ProfileStep:
             raise FractionError(f"fraction must be within [0, 1], got {shown(self.fraction)}")
         if self.end <= self.start:
             raise ValueError(f"profile step end {shown(self.end)} <= start {shown(self.start)}")
+        if fault := epoch_fault("start", self.start) or epoch_fault("end", self.end):
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +93,7 @@ class SharingProfile:
         previous_end = -inf
         for step in self.steps:
             if step.start < previous_end:
-                raise ValueError(f"profile steps unsorted or overlapping at start={shown(step.start)}")
+                raise ValueError(f"profile steps unsorted or overlapping at start={step.start}")
             previous_end = step.end
 
     def weighted_seconds(self) -> float:
@@ -168,15 +169,15 @@ class Ledger:
         if not (len(consumer_id) == len(object_id) == len(offsets) - 1 and offsets[0] == 0
                 and all(map(le, offsets, offsets[1:])) and offsets[-1] == len(start) == len(end) == len(fraction)):
             raise ValueError("a ledger is two id columns, one id a record, and step columns cut at offsets from 0")
-        self.objects, self.columns = objects, (consumer_id, object_id, offsets, start, end, array("d", fraction))
-        fractions, spans = self.columns[5].tolist(), list(map(slice, offsets, offsets[1:]))  # a list slices faster
+        self.objects, self.columns = objects, (consumer_id, object_id, offsets, start, end, _float_column(fraction))
+        fractions, spans = list(self.columns[5]), list(map(slice, offsets, offsets[1:]))  # a list slices faster
 
-        # only a record's first step may start before the previous step's end; a NaN fraction,
-        # which min() and max() may skip, makes the sum NaN; a profile's span is its first start and last end
+        # only a record's first step may start before the previous step's end; a NaN fraction, which min() and max()
+        # may skip, makes the sum NaN; a profile's span is its first start and last end; lifespans bound starts to ±2**53
         lifespans = {key: (obj.lifespan_start, obj.lifespan_end) for key, obj in objects.items()}
         if not (all(map(lt, start, end)) and 0.0 <= min(fractions, default=0.0) and max(fractions, default=0.0) <= 1.0
                 and sum(fractions) >= 0.0 and set(offsets).issuperset(compress(count(1), map(lt, start[1:], end)))
-                and lifespans.keys() >= set(object_id) and all(
+                and max(end, default=0) <= EPOCH_LIMIT and lifespans.keys() >= set(object_id) and all(
                     first == last or lifespans[key][0] <= start[first] and end[last - 1] <= lifespans[key][1]
                     for key, first, last in zip(object_id, offsets, offsets[1:]))):
             for index, record in enumerate(tuple(self.records)):  # the value types raise a step's fault
@@ -264,7 +265,7 @@ def _check_oversubscription(object_id: str, start: list[int], end: list[int], fr
 def _check_within_lifespan(obj: EmbodiedObject, record: ConsumptionRecord, prefix: str = "") -> None:
     steps = record.profile.steps
     if steps and (steps[0].start < obj.lifespan_start or steps[-1].end > obj.lifespan_end):
-        raise ProfileOutOfLifespan(f"{prefix}profile [{shown(steps[0].start)}, {shown(steps[-1].end)}) outside "
+        raise ProfileOutOfLifespan(f"{prefix}profile [{steps[0].start}, {steps[-1].end}) outside "
                                    f"lifespan [{obj.lifespan_start}, {obj.lifespan_end}) of {obj.id!r}")
 
 
@@ -275,9 +276,9 @@ def lifecycle_total(obj: EmbodiedObject) -> float:
 
 def attribute_simple(obj: EmbodiedObject, consumed_s: float) -> float:
     """Time-proportional attribution for exclusive use."""
-    if consumed_s < 0 or consumed_s > obj.lifespan_s:
+    if broken_bound(consumed_s, 0) or consumed_s > obj.lifespan_s:
         raise DurationError(
-            f"consumed_s={consumed_s} outside [0, {obj.lifespan_s}] for {obj.id!r}"
+            f"consumed_s={shown(consumed_s)} outside [0, {obj.lifespan_s}] for {obj.id!r}"
         )
     return lifecycle_total(obj) * consumed_s / obj.lifespan_s
 

@@ -21,7 +21,7 @@ class TransportError(CarbondefError):
 # --- server model ---
 
 class SpecError(ValidationError):
-    """Non-positive TDP, CPU count, or usage maximum; negative idle power."""
+    """Non-positive TDP, CPU count, or usage maximum; negative idle power; a number not finite."""
 
 
 class AllocationError(ValidationError):
@@ -45,7 +45,7 @@ class CoverageError(ValidationError):
 # --- embodied ledger ---
 
 class DurationError(ValidationError):
-    """Consumed duration is negative or exceeds the object lifespan."""
+    """Consumed duration is negative, not finite or exceeds the object lifespan."""
 
 
 class FractionError(ValidationError):

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import inf
 from typing import NamedTuple, Sequence
 
 from .errors import CoverageError
-from .power import EnergySeries, shown
+from .power import EnergySeries, broken_bound, epoch_fault, shown
 
 #: exact joule content of one kilowatt-hour
 JOULES_PER_KWH = 3.6e6
@@ -34,18 +33,19 @@ COVERAGE_POLICIES = ("strict", "skip_uncovered")
 
 @dataclass(frozen=True)
 class IntensityEntry:
-    """Grid carbon intensity over one half-open window [start, end)."""
+    """Grid carbon intensity over one half-open window [start, end), each end within ±2**53."""
 
     start: int
     end: int
     intensity_kg_per_kwh: float
 
     def __post_init__(self):
-        intensity = self.intensity_kg_per_kwh
-        if not 0 <= intensity < inf:
-            raise ValueError(f"intensity_kg_per_kwh must be {'>= 0' if -inf < intensity < 0 else 'finite'}, got {shown(intensity)}")
+        if bound := broken_bound(self.intensity_kg_per_kwh, 0):
+            raise ValueError(f"intensity_kg_per_kwh must be {bound}, got {shown(self.intensity_kg_per_kwh)}")
         if self.end <= self.start:
             raise ValueError(f"end {shown(self.end)} must be > start {shown(self.start)}")
+        if fault := epoch_fault("start", self.start) or epoch_fault("end", self.end):
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class PueFactor:
     value: float
 
     def __post_init__(self):
-        if not 1.0 <= self.value < inf:
+        if broken_bound(self.value, 1):
             raise ValueError(f"PUE must be finite and >= 1, got {shown(self.value)}")
 
 

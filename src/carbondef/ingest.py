@@ -39,7 +39,6 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from math import inf
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
@@ -55,7 +54,7 @@ from .errors import (
 )
 from .embodied import EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, shown
+from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, broken_bound, shown
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -413,8 +412,7 @@ class FunctionalUnit:
     count: float
 
     def __post_init__(self):
-        if not 0 < self.count < inf:
-            bound = "finite" if self.count > 0 else "> 0"
+        if bound := broken_bound(self.count, 0, strict=True):
             raise ValueError(f"functional unit count must be {bound}, got {shown(self.count)}")
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from math import inf
 from operator import add, gt, itemgetter, le, lt, mul, ne, not_, truediv
 from sys import float_info
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -66,10 +65,10 @@ class UnitTags:
 
 @dataclass(frozen=True)
 class ServerSpec:
-    """Hardware parameters of the modeled server. Construction raises
-    SpecError for a tdp/n_cpu/u_max not in (0, inf), idle power not in
-    [0, inf) or an unknown usage-unit tag, and AllocationError for a negative
-    allocation entry, a zero cpu share or entries not summing to 1 within 1e-9."""
+    """Hardware parameters of the modeled server, each number bounded by broken_bound. Construction
+    raises SpecError for a tdp/n_cpu/u_max not > 0 and finite, an n_cpu that is no integer, idle power
+    not >= 0 and finite or an unknown usage-unit tag, and AllocationError for an allocation entry not
+    >= 0 and finite, a zero cpu share or entries not summing to 1 within 1e-9."""
 
     tdp_watts: float
     n_cpu: int
@@ -79,25 +78,24 @@ class ServerSpec:
     u_max_units: UnitTags = field(default_factory=UnitTags)
 
     def __post_init__(self):
-        # NaN fails every bound below
-        if not 0 < self.tdp_watts < inf:
-            raise SpecError(f"tdp_watts must be {'> 0' if self.tdp_watts <= 0 else 'finite'}, got {shown(self.tdp_watts)}")
-        if not (1 <= self.n_cpu < inf and int(self.n_cpu) == self.n_cpu):
+        if bound := broken_bound(self.tdp_watts, 0, strict=True):
+            raise SpecError(f"tdp_watts must be {bound}, got {shown(self.tdp_watts)}")
+        if broken_bound(self.n_cpu, 1) or int(self.n_cpu) != self.n_cpu:
             raise SpecError(f"n_cpu must be an integer >= 1, got {shown(self.n_cpu)}")
         for component in COMPONENTS:
-            if not 0 < (u_max := self.u_max.get(component)) < inf:
-                raise SpecError(f"u_max.{component} must be {'> 0' if u_max <= 0 else 'finite'}")
-        if not 0 <= self.idle_watts < inf:
-            raise SpecError(f"idle_watts must be {'>= 0' if self.idle_watts < 0 else 'finite'}, got {shown(self.idle_watts)}")
+            if bound := broken_bound(self.u_max.get(component), 0, strict=True):
+                raise SpecError(f"u_max.{component} must be {bound}")
+        if bound := broken_bound(self.idle_watts, 0):
+            raise SpecError(f"idle_watts must be {bound}, got {shown(self.idle_watts)}")
 
         alpha = self.alpha
         for component in COMPONENTS:
-            if alpha.get(component) < 0:
-                raise AllocationError(f"alpha.{component} must be >= 0")
-        if alpha.cpu <= 0:
-            raise AllocationError("alpha.cpu must be > 0")
+            if bound := broken_bound(alpha.get(component), 0):
+                raise AllocationError(f"alpha.{component} must be {bound}")
+        if bound := broken_bound(alpha.cpu, 0, strict=True):
+            raise AllocationError(f"alpha.cpu must be {bound}")
         total = alpha.cpu + alpha.mem + alpha.io + alpha.net
-        if not abs(total - 1.0) <= ALPHA_SUM_TOL:  # a NaN entry fails here
+        if not abs(total - 1) <= ALPHA_SUM_TOL:  # an int total is compared, not converted: it may pass the float range
             raise AllocationError(f"alpha entries sum to {total!r}, expected 1")
 
         for component in ("mem", "io", "net"):
@@ -118,16 +116,29 @@ def shown(value: object) -> str:
         return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
 
 
+def broken_bound(value: float, low: float, strict: bool = False) -> str | None:
+    """The bound a quantity ``value`` breaks, or None: ``'>= low'`` (``'> low'`` if ``strict``) below ``low``,
+    -inf included, else ``'finite'`` for NaN, inf or an int past the float range, compared, never converted."""
+    if (value <= low) if strict else (value < low):
+        return f"{'>' if strict else '>='} {low}"
+    return None if value <= float_info.max else "finite"
+
+
+def epoch_fault(name: str, value: int) -> str | None:
+    """Why the epoch ``value`` of the field ``name`` lies outside ±2**53 (NaN included), or None."""
+    return None if -EPOCH_LIMIT <= value <= EPOCH_LIMIT else f"{name} must be within ±2**53, got {shown(value)}"
+
+
 def _sample_fault(start: int, duration_s: float, u_cpu: float, u_mem: float, u_io: float, u_net: float) -> str | None:
-    """Why a sample breaks the field condition, start within ±2**53, duration
-    in (0, inf) and usages in [0, inf), both within the float range, or None."""
-    if not -EPOCH_LIMIT <= start <= EPOCH_LIMIT:  # NaN fails this too
-        return f"start must be within ±2**53, got {shown(start)}"
-    if not 0 < duration_s <= float_info.max:
-        return f"duration_s must be {'> 0' if duration_s <= 0 else 'finite'}, got {shown(duration_s)}"
+    """Why a sample breaks the field condition, or None: start within ±2**53 (:func:`epoch_fault`),
+    duration_s > 0 and usages >= 0, each finite (:func:`broken_bound`)."""
+    if fault := epoch_fault("start", start):
+        return fault
+    if bound := broken_bound(duration_s, 0, strict=True):
+        return f"duration_s must be {bound}, got {shown(duration_s)}"
     for component, usage in zip(COMPONENTS, (u_cpu, u_mem, u_io, u_net)):
-        if not 0 <= usage <= float_info.max:
-            return f"u_{component} must be {'>= 0' if usage < 0 else 'finite'}"
+        if bound := broken_bound(usage, 0):
+            return f"u_{component} must be {bound}"
     return None
 
 
@@ -157,9 +168,12 @@ def _first_unended(start: Sequence, duration_s: Sequence) -> int | None:
     return next(compress(count(), map(not_, map(lt, start, map(add, start, duration_s)))), None)
 
 
-def _float_column(column: Sequence[float]) -> array:
+def _float_column(column: Sequence[float]) -> array | list:
     """``column`` itself if it is an array('d'), else its values in a new one."""
-    return column if isinstance(column, array) and column.typecode == "d" else array("d", column)
+    try:
+        return column if isinstance(column, array) and column.typecode == "d" else array("d", column)
+    except OverflowError:  # an int past the float range: a list, for the caller's check to name
+        return list(column)
 
 
 class UsageTrace:
@@ -167,10 +181,10 @@ class UsageTrace:
     field: a list of starts and five array('d'), the layout the parsers build. Built from samples
     or in bulk (``columns=``), where a column already in that layout is kept, not copied;
     ``samples`` are built on demand. Construction checks each column once against UsageSample's
-    field condition (ValueError) and the order, the one place it is checked (TraceOrderError),
-    walking rows only to name a sample. ``source_rows`` keeps each sample's input row, one a
-    sample (ValueError), as the sequence given, for later diagnostics.
-    """
+    field condition on the values as given, so no int past the float range rounds into the range
+    (ValueError), then the order, the one place it is checked (TraceOrderError), walking rows only
+    to name a sample. ``source_rows`` keeps each sample's input row, one a sample (ValueError), as
+    the sequence given, for later diagnostics."""
 
     __slots__ = ("columns", "source_rows", "__weakref__")
 
@@ -184,19 +198,14 @@ class UsageTrace:
         if rows is not None and len(rows) != len(columns[0]):
             raise ValueError(f"a trace of {len(columns[0])} samples has {len(rows)} source rows")
         at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
-        start, *floats = columns
-        try:
-            self.columns = start, duration_s, *usages = (start if type(start) is list else list(start), *map(_float_column, floats))
-        except OverflowError:  # an int past the float range, which the walk below names
-            self.columns = start, duration_s, *usages = columns
-        in_range = (-EPOCH_LIMIT <= min(start, default=0) and max(start, default=0) <= EPOCH_LIMIT
-                    and 0 < min(duration_s, default=1) and max(duration_s, default=0) <= float_info.max and all(
-                        0 <= min(usage, default=0) and max(usage, default=0) <= float_info.max for usage in usages))
-        # NaN is the one value unequal to itself; without one, min and max bound a column
-        if not in_range or any(map(ne, chain(*self.columns), chain(*self.columns))):
-            for index, values in enumerate(zip(*self.columns)):
+        # NaN is the one value unequal to itself; without one, the rows of column minima and maxima bound every row
+        lows, highs = zip(*((min(column, default=1), max(column, default=1)) for column in columns))
+        if _sample_fault(*lows) or _sample_fault(*highs) or any(map(ne, chain(*columns), chain(*columns))):
+            for index, values in enumerate(zip(*columns)):
                 if (fault := _sample_fault(*values)) is not None:
                     raise ValueError(f"{at(index)}: {fault}")
+        start, *floats = columns
+        self.columns = start, duration_s, *_ = (start if type(start) is list else list(start), *map(_float_column, floats))
         # each end lies past its own start and by the next start
         unended = _first_unended(start, duration_s)
         if unended is not None or not all(map(le, map(add, start, duration_s), islice(start, 1, None))):

@@ -408,9 +408,10 @@ class TestIntensitySeries:
         with pytest.raises(ValueError):
             IntensityEntry(100, 100, 0.4)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_intensity_rejected(self, value):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("value, bound", [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, ">= 0")])
+    def test_non_finite_intensity_rejected(self, value, bound):
+        # -inf lies below the bound, as every value type words it
+        with pytest.raises(ValueError, match=f"^intensity_kg_per_kwh must be {bound}, got"):
             IntensityEntry(0, 100, value)
 
     def test_half_open_lookup(self):

@@ -110,7 +110,7 @@ class TestValidateSpec:
         ("tdp_watts", math.inf, "tdp_watts must be finite, got inf"),
         ("idle_watts", math.nan, "idle_watts must be finite, got nan"),
         ("u_max", PerComponent(4.0, math.inf, 1e12, 1e12), "u_max.mem must be finite"),
-        ("alpha", PerComponent(math.nan, 0.3, 0.2, 0.1), "alpha entries sum to nan, expected 1"),
+        ("alpha", PerComponent(math.nan, 0.3, 0.2, 0.1), "alpha.cpu must be finite"),
     ])
     def test_non_finite_messages(self, field, value, message):
         with pytest.raises((SpecError, AllocationError)) as exc_info:

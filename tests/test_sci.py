@@ -105,9 +105,11 @@ class TestSci:
         assert sci["sci_kg_co2e_per_unit"] == sci["total_kg_co2e"]
 
     def test_zero_units_rejected(self):
-        for count in (0, 0.0, -1.0, math.nan):
+        for count in (0, 0.0, -1.0):
             with pytest.raises(ValueError, match="functional unit count must be > 0"):
                 FunctionalUnit("api_call", count)
+        with pytest.raises(ValueError, match="functional unit count must be finite, got nan"):
+            FunctionalUnit("api_call", math.nan)
 
     def test_infinite_units_rejected(self):
         # a library caller's inf would render as "count": Infinity
