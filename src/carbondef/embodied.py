@@ -270,8 +270,8 @@ def _check_within_lifespan(obj: EmbodiedObject, record: ConsumptionRecord, prefi
 
 
 def lifecycle_total(obj: EmbodiedObject) -> float:
-    """Manufacturing + repair + end-of-life emissions, kg CO2e."""
-    return obj.m_kg + obj.r_kg + obj.eol_kg
+    """Manufacturing + repair + end-of-life emissions, kg CO2e, a float sum (inf past the float range)."""
+    return float(obj.m_kg) + obj.r_kg + obj.eol_kg
 
 
 def attribute_simple(obj: EmbodiedObject, consumed_s: float) -> float:

@@ -286,7 +286,7 @@ def _joule_columns(spec: ServerSpec, duration: Sequence[float], usages: list[Seq
     ``x * 1.0 == x``), and ``idle_watts * duration``, summed in that order. A
     usage above its maximum raises UsageOutOfRange for the first such sample,
     or with ``clamp`` counts as the maximum."""
-    anchor, alpha = spec.tdp_watts * spec.n_cpu, spec.alpha
+    anchor, alpha = float(spec.tdp_watts) * spec.n_cpu, spec.alpha  # past the float range: inf, not OverflowError
     limits = [spec.u_max.get(component) for component in COMPONENTS]
     for position, (usage, limit) in enumerate(zip(usages, limits)):
         if max(usage, default=0) > limit:
@@ -332,7 +332,7 @@ def marginal_power(spec: ServerSpec, component: str) -> float:
     component power with respect to usage: tdp*n_cpu/u_max for cpu, the
     allocation-scaled equivalent for the others.
     """
-    anchor = spec.tdp_watts * spec.n_cpu
+    anchor = float(spec.tdp_watts) * spec.n_cpu
     # cpu needs no case of its own: alpha.cpu / alpha.cpu is exactly 1.0
     return (spec.alpha.get(component) / spec.alpha.cpu) * anchor / spec.u_max.get(component)
 

@@ -3,9 +3,12 @@
 Reports are dicts with a fixed section order, rendered block by block into
 a binary sink; their per-interval row lists are read-only ``Rows`` views
 over the pipeline's columns, rendered from column slices without building a
-dict per row. json's own encoder writes every byte of a JSON report but the
-numbers of those rows. Every report total is checked finite as the report is
-built, before any byte is written. Internals stay in joules; user-facing
+dict per row. Of a view past two blocks of rows (8,192), a forked child
+formats the second half into an unnamed temporary file, copied to the sink
+after the first; with no child, or a failed one, this process formats it, so
+the bytes never change. json's own encoder writes every byte of a JSON report
+but the numbers of those rows. Every report total is checked finite as the
+report is built, before any byte is written. Internals stay in joules; user-facing
 numbers are kWh and kg CO2e, converted here. Output is deterministic: floats
 use the shortest round-trip decimal form and metadata carries input digests
 and the data window rather than wall-clock time, so identical inputs produce
@@ -15,9 +18,11 @@ byte-identical bytes.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
+import os
 from collections.abc import Callable, Iterator, Sequence
 from itertools import islice, repeat
 from operator import truediv
@@ -311,18 +316,56 @@ class _Utf8Writer:
     def __len__(self) -> int:
         return self.size
 
-    def flush(self) -> None:
-        data = memoryview("".join(self.pending).encode("utf-8"))
+    def flush(self, data: bytes = b"") -> None:  # the pending text, then the UTF-8 ``data``
+        data = memoryview("".join(self.pending).encode("utf-8") + data)
         self.pending.clear()
         self.size += len(data)
         while data:  # a sink may take part of a write, as a pipe whose reader left does; the next one raises
             data = data[self.sink.write(data):]
 
 
-def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
-    for begin in range(first, len(rows), _BLOCK):
-        out.write("".join(map(format_row, rows.block(begin, begin + _BLOCK))))
+def _format_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], begin: int, end: int) -> None:
+    for start in range(begin, end, _BLOCK):
+        out.write("".join(map(format_row, rows.block(start, min(start + _BLOCK, end)))))
         out.flush()
+
+
+def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
+    """Format rows ``first`` on into ``out``. Past two blocks, a forked child
+    formats the second half into a spill file, copied after the first half."""
+    end, middle = len(rows), (first + len(rows)) // 2
+    if end - first <= 2 * _BLOCK or not hasattr(os, "fork"):
+        return _format_rows(out, rows, format_row, first, end)
+    import tempfile  # here, not at module level: every run's cold start would pay for it
+    try:
+        spill = tempfile.TemporaryFile(buffering=0)
+    except OSError:
+        return _format_rows(out, rows, format_row, first, end)
+    with spill:
+        try:
+            pid = os.fork()
+        except OSError:
+            return _format_rows(out, rows, format_row, first, end)
+        if pid == 0:  # os._exit flushes no buffer shared with this process and runs no atexit hook
+            try:
+                gc.disable()  # a collection could finalize, and so flush, a file object of the parent's
+                _format_rows(_Utf8Writer(spill), rows, format_row, middle, end)
+                os._exit(0)
+            finally:
+                os._exit(1)  # formatting raised
+        try:
+            _format_rows(out, rows, format_row, first, middle)
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:  # a sink error or an interrupt: no child outlives the render
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every run's cold start
+            os.waitpid(pid, 0)
+            raise
+        if status == 0:
+            spill.seek(0)
+            while data := spill.read(1 << 20):
+                out.flush(data)
+            return
+    _format_rows(out, rows, format_row, middle, end)
 
 
 def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:

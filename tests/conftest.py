@@ -2,11 +2,24 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
 import threading
 
 import pytest
 
 from carbondef import PerComponent, ServerSpec
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps each child process it starts: the renderer's forked
+    children included, on success and on every failure."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child left, running or exited
+        return
+    pytest.fail(f"the test left a child process unreaped ({'running' if pid == 0 else f'pid {pid} exited'})")
 
 
 @pytest.fixture

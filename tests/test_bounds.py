@@ -29,7 +29,9 @@ from carbondef import (
     full_use_profile,
 )
 from carbondef.errors import DurationError, FractionError, ValidationError
-from carbondef.ingest import TRACE_CSV_HEADER, FunctionalUnit, parse_usage_trace
+from carbondef.ingest import TRACE_CSV_HEADER, FunctionalUnit, IntensitySource, RunConfig, parse_usage_trace
+from carbondef.power import trace_to_energy_series
+from carbondef.report import build_report
 
 FLOAT_MAX = int(sys.float_info.max)
 NUMBERS = st.one_of(
@@ -177,6 +179,28 @@ def test_full_use_profile_past_epoch_bound_rejected():
 def test_nan_consumed_duration_rejected():
     with pytest.raises(DurationError, match=r"^consumed_s=nan outside \[0, 100000000.0\] for 'rack'$"):
         attribute_simple(EmbodiedObject(**BASES[EmbodiedObject]), math.nan)
+
+
+# ints within the float range whose product or sum leaves it: float arithmetic gives inf, which the report names
+def test_int_anchor_past_float_range_is_named_by_the_report(tmp_path):
+    spec = ServerSpec(2**600, 2**600, PerComponent(0.4, 0.3, 0.2, 0.1), PerComponent(4.0, 1e9, 1e9, 1e9))
+    trace = UsageTrace(columns=([0], [60.0], [1.0], [0.0], [0.0], [0.0]))
+    assert trace_to_energy_series(spec, trace).columns[3][0] == math.inf  # the cpu's joules
+    config = RunConfig(server=spec, pue=PueFactor(1.0), intensity=IntensitySource(file=tmp_path / "unread.json"))
+    with pytest.raises(ValidationError, match=r"^report field energy\.kwh_total is nan: server\.tdp_watts, n_cpu"):
+        build_report("estimate", config, trace, "t")
+
+
+def test_int_lifecycle_past_float_range_is_named_by_the_report():
+    ledger = Ledger.build([EmbodiedObject("a", FLOAT_MAX, FLOAT_MAX, 0, 0, 100.0)],
+                          columns=(["c"], ["a"], [0, 1], [0], [10], [0.5]))
+    assert ledger.kg[0] == math.inf
+    with pytest.raises(ValidationError, match=r"^report field embodied\.total_attributed_kg_co2e is inf: the ledger's"):
+        build_report("embodied", ledger=ledger, ledger_digest="l")
+
+
+def test_int_lifecycle_past_float_range_attributes_inf():
+    assert attribute_simple(EmbodiedObject("a", FLOAT_MAX, FLOAT_MAX, 0, 0, 100.0), 50) == math.inf
 
 
 @pytest.mark.parametrize("row, message", [

@@ -738,11 +738,19 @@ class TestCommandLifecycle:
         assert out.read_bytes() == b"previous report\n"
         assert not list(tmp_path.glob(".tmp-*"))
 
-    @pytest.mark.parametrize("failing_write", [2, 3])
-    def test_out_write_failing_after_blocks_keeps_old_file(self, tmp_path, monkeypatch, failing_write):
+    @pytest.mark.parametrize("block, blocks, failing_write", [
         # over two blocks of intervals: the report reaches the temporary file in three writes
+        pytest.param(report_module._BLOCK, 2, 2, id="2"),
+        pytest.param(report_module._BLOCK, 2, 3, id="3"),
+        # over four: a forked child formats the second half of the rows, and write 1 fails
+        # while it runs, write 3 as its spill is copied (conftest checks that no child is left)
+        pytest.param(16, 4, 1, id="child-running"),
+        pytest.param(16, 4, 3, id="spill-copy"),
+    ])
+    def test_out_write_failing_after_blocks_keeps_old_file(self, tmp_path, monkeypatch, block, blocks, failing_write):
+        monkeypatch.setattr(report_module, "_BLOCK", block)
         trace = tmp_path / "trace.csv"
-        rows = (f"{10 * i},10,1.0,1e9,1e6,1e6\n" for i in range(2 * report_module._BLOCK + 1))
+        rows = (f"{10 * i},10,1.0,1e9,1e6,1e6\n" for i in range(blocks * block + 1))
         trace.write_text(TRACE_CSV_HEADER + "\n" + "".join(rows))
         out = tmp_path / "report.json"
         out.write_bytes(b"previous report\n")

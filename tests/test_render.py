@@ -6,7 +6,10 @@ import gc
 import io
 import json
 import math
+import os
 import random
+import signal
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,13 +124,14 @@ class TestJson:
         assert to_json_bytes(value) == stdlib_json(value)
 
 
-def gen_reports(seed: int, tmp_path) -> list[dict]:
-    """The four report types over a generated trace and an intensity feed
-    whose boundaries and gaps split intervals and leave spans uncovered."""
+def gen_reports(seed: int, tmp_path, count: int | None = None) -> list[dict]:
+    """The four report types over a generated trace of ``count`` samples (by
+    default 0 to 25) and an intensity feed whose boundaries and gaps split
+    intervals and leave spans uncovered."""
     rng = random.Random(seed)
     spec = gen_spec(rng, idle_max=50.0)
     samples, t = [], rng.randrange(0, 1_000_000)
-    for _ in range(rng.randint(0, 25)):
+    for _ in range(rng.randint(0, 25) if count is None else count):
         sample = gen_usage(rng, spec, t)
         samples.append(sample)
         t = math.ceil(sample.end) + (rng.randrange(1, 900) if rng.random() < 0.2 else 0)
@@ -309,3 +313,112 @@ def test_long_plain_list_streams_in_blocks(tmp_path):
     assert len(sink.chunks) > 1
     assert max(map(len, sink.chunks)) < len(whole) / 4
 
+
+# with rows split between two processes past 2 * _BLOCK rows of a range: 3 puts the
+# threshold at 6 rows, and each half crosses block boundaries
+SMALL_BLOCK = 3
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def rendered(report: dict, output: str) -> bytes:
+    """The report's bytes, after checking that ``len()`` of the writer counts them all."""
+    written = render_report(report, output, sink := io.BytesIO())
+    assert len(written) == len(sink.getvalue())
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("count", [2 * SMALL_BLOCK - 1, 2 * SMALL_BLOCK, 2 * SMALL_BLOCK + 1,
+                                   2 * SMALL_BLOCK + 2, 9 * SMALL_BLOCK + 2])
+def test_rows_split_between_processes_give_the_serial_bytes(count, tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(report_module, "_BLOCK", SMALL_BLOCK)
+    reports = gen_reports(1, tmp_path, count)
+    for report in reports:
+        assert rendered(report, "csv") == naive_csv_bytes(plain(report))
+        assert rendered(report, "json") == stdlib_json(report)
+    # a CSV estimate renders its intervals from row 0, a JSON one from row 1: the first row opens the list
+    forks.clear()
+    rendered(reports[0], "csv")
+    assert len(forks) == (count > 2 * SMALL_BLOCK)
+    rendered(reports[0], "json")
+    assert len(forks) == (count > 2 * SMALL_BLOCK) + (count - 1 > 2 * SMALL_BLOCK)
+
+
+def _refused(*args, **kwargs):
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def _in_child(action):
+    """A stand-in for report._format_rows: in a forked child, it formats one row
+    of its half into the spill, then runs ``action``."""
+    parent, real = os.getpid(), report_module._format_rows
+
+    def format_rows(out, rows, format_row, begin, end):
+        if os.getpid() == parent:
+            return real(out, rows, format_row, begin, end)
+        real(out, rows, format_row, begin, begin + 1)
+        action()
+
+    return format_rows
+
+
+def _raise():
+    raise ValueError("formatting failed")
+
+
+@pytest.mark.parametrize("failure", ["fork", "spill", "exit", "killed", "raises"])
+def test_failed_child_gives_the_serial_bytes(failure, tmp_path, monkeypatch, forks):
+    # no process or spill file to spare, or a child that dies part-way: this process formats its rows
+    monkeypatch.setattr(report_module, "_BLOCK", SMALL_BLOCK)
+    reports = gen_reports(2, tmp_path, 9 * SMALL_BLOCK + 2)
+    expected = [(naive_csv_bytes(plain(report)), stdlib_json(report)) for report in reports]
+    if failure == "fork":
+        monkeypatch.setattr(os, "fork", _refused)
+    elif failure == "spill":
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refused)
+    else:
+        action = {"exit": lambda: os._exit(3), "killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+                  "raises": _raise}[failure]
+        monkeypatch.setattr(report_module, "_format_rows", _in_child(action))
+    assert [(rendered(report, "csv"), rendered(report, "json")) for report in reports] == expected
+    assert bool(forks) == (failure not in ("fork", "spill"))
+
+
+class FailingSink(io.BytesIO):
+    """Takes writes until write number ``failing``, which raises ``error``."""
+
+    def __init__(self, failing, error):
+        super().__init__()
+        self.writes, self.failing, self.error = 0, failing, error
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.failing:
+            raise self.error
+        return super().write(data)
+
+
+@pytest.mark.parametrize("failing", [1, 3, 6])
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["OSError", "KeyboardInterrupt"])
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_sink_failure_leaves_no_child(output, error, failing, large_report, forks):
+    # write 1 fails while the child formats its half, write 6 while its spill is copied
+    with pytest.raises(type(error)):
+        render_report(large_report, output, FailingSink(failing, error))
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
