@@ -1,18 +1,21 @@
 """Report assembly and serialization for the CLI.
 
-Reports are dicts with a fixed section order, rendered block by block into
-a binary sink; their per-interval row lists are read-only ``Rows`` views
-over the pipeline's columns, rendered from column slices without building a
-dict per row. Of a view past two blocks of rows (8,192), a forked child
-formats the second half into an unnamed temporary file, copied to the sink
-after the first; with no child, or a failed one, this process formats it, so
-the bytes never change. json's own encoder writes every byte of a JSON report
-but the numbers of those rows. Every report total is checked finite as the
-report is built, before any byte is written. Internals stay in joules; user-facing
-numbers are kWh and kg CO2e, converted here. Output is deterministic: floats
-use the shortest round-trip decimal form and metadata carries input digests
-and the data window rather than wall-clock time, so identical inputs produce
-byte-identical bytes.
+Reports are dicts with a fixed section order, rendered block by block into a
+binary sink; their row lists (intervals, segments, uncovered spans, and the
+embodied section's per-consumer objects and object table) are read-only
+``Rows`` views over columns, rendered from column slices through one
+'%'-template a view without building a dict per row. Of a view past two
+blocks of rows (8,192), a forked child formats the second half into an
+unnamed temporary file, copied to the sink after the first; with no child, or
+a failed one, this process formats it, so the bytes never change. json's own
+encoder writes every byte of a JSON report but the numbers and ids of those
+rows; an id is escaped by ``json.encoder.encode_basestring_ascii``, as json
+writes a str, and CSV quotes ids through csv.writer. Every report total is
+checked finite as the report is built, before any byte is written. Internals
+stay in joules; user-facing numbers are kWh and kg CO2e, converted here.
+Output is deterministic: floats use the shortest round-trip decimal form and
+metadata carries input digests and the data window rather than wall-clock
+time, so identical inputs produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -48,15 +51,16 @@ class Rows:
 
     ``keys`` is a row's shape: a key, or a ``(key, inner keys)`` pair for a
     nested dict, one column per key once flattened; the ``joules`` slice of
-    the columns holds joules, shown as kWh. Indexing and iteration build the
-    row dicts on demand; the renderers format the values of a ``block`` of
-    rows straight into text and never build one.
+    the columns holds joules, shown as kWh, and the ``text`` slice ids (str).
+    Indexing and iteration build the row dicts on demand; the renderers
+    format the values of a ``block`` of rows straight into text and never
+    build one. A view equals a view or list of the same row dicts.
     """
 
-    __slots__ = ("columns", "keys", "joules")
+    __slots__ = ("columns", "keys", "joules", "text")
 
-    def __init__(self, columns: Sequence[Sequence], keys: tuple, joules: slice):
-        self.columns, self.keys, self.joules = columns, keys, joules
+    def __init__(self, columns: Sequence[Sequence], keys: tuple, joules: slice = slice(0), text: slice = slice(0)):
+        self.columns, self.keys, self.joules, self.text = columns, keys, joules, text
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -70,11 +74,16 @@ class Rows:
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return map(self._row, self.block(0, len(self)))
 
-    def block(self, begin: int, end: int) -> Iterator[tuple]:
-        """The values of rows ``begin`` to ``end``, in kWh where in joules:
-        a C-level pass over a slice of each column."""
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (Rows, list)) else NotImplemented
+
+    def block(self, begin: int, end: int, quote: Callable[[str], str] | None = None) -> Iterator[tuple]:
+        """The values of rows ``begin`` to ``end``, in kWh where in joules and
+        each id through ``quote`` if given: a C-level pass over a slice of each column."""
         columns: list = [column[begin:end] for column in self.columns]
         columns[self.joules] = [map(truediv, column, repeat(JOULES_PER_KWH)) for column in columns[self.joules]]
+        if quote is not None:
+            columns[self.text] = [map(quote, column) for column in columns[self.text]]
         return zip(*columns)
 
     def _row(self, values: tuple) -> dict[str, Any]:
@@ -103,6 +112,8 @@ def _require_finite(totals: dict[str, float], inputs: str) -> None:
 _INTERVAL_KEYS = ("start", "duration_s", "kwh_total", ("kwh_by_component", ENERGY_SOURCES))
 _SEGMENT_KEYS = ("start", "duration_s", "kwh", "intensity_kg_per_kwh", "kg_co2e")
 _UNCOVERED_KEYS = ("start", "duration_s", "kwh")
+_ATTRIBUTION_KEYS = ("object_id", "kg_co2e")
+_OBJECT_KEYS = ("object_id", "lifecycle_kg_co2e", "attributed_kg_co2e", "idle_residual_kg_co2e")
 
 
 def _energy_section(series: EnergySeries) -> dict[str, Any]:
@@ -154,34 +165,26 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
     total_attributed = 0.0
     for cid in consumer_ids:
         attribution = consumer_embodied(ledger, cid)
+        object_ids = sorted(attribution.by_object)
         consumers.append(
             {
                 "consumer_id": cid,
                 "kg_co2e": attribution.total_kg,
-                "objects": [
-                    {"object_id": oid, "kg_co2e": kg}
-                    for oid, kg in sorted(attribution.by_object.items())
-                ],
+                "objects": Rows((object_ids, list(map(attribution.by_object.__getitem__, object_ids))),
+                                _ATTRIBUTION_KEYS, text=slice(1)),
             }
         )
         total_attributed += attribution.total_kg
 
-    objects = []
+    objects: tuple[list, ...] = (sorted(ledger.objects), [], [], [])  # id, lifecycle, attributed, idle residual
     lifecycle_sum = 0.0
     conserved_sum = 0.0
-    for oid in sorted(ledger.objects):
-        obj = ledger.objects[oid]
+    for oid in objects[0]:
         residual = idle_residual(ledger, oid)
-        lifecycle = lifecycle_total(obj)
+        lifecycle = lifecycle_total(ledger.objects[oid])
         attributed = lifecycle - residual
-        objects.append(
-            {
-                "object_id": oid,
-                "lifecycle_kg_co2e": lifecycle,
-                "attributed_kg_co2e": attributed,
-                "idle_residual_kg_co2e": residual,
-            }
-        )
+        for column, value in zip(objects[1:], (lifecycle, attributed, residual)):
+            column.append(value)
         lifecycle_sum += lifecycle
         conserved_sum += attributed + residual
 
@@ -193,7 +196,7 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
     )
     return {
         "consumers": consumers,
-        "objects": objects,
+        "objects": Rows(objects, _OBJECT_KEYS, text=slice(1)),
         "total_attributed_kg_co2e": total_attributed,
         "conservation": {
             "lifecycle_total_kg_co2e": lifecycle_sum,
@@ -289,28 +292,36 @@ def build_report(
     }
 
 
-# json writes every byte of a report but its Rows numbers
+# json writes every byte of a report but its Rows numbers and ids; it keeps
+# ensure_ascii, so a Rows id is written as json's ASCII str encoder writes it
 _JSON = json.JSONEncoder(indent=2, default=list)
+_QUOTE = json.encoder.encode_basestring_ascii
 # rows, or json's pieces of a list, encoded per write: no full-size str ever exists
 _BLOCK = 4096
 
 
 def _row_template(rows: Rows, indent: str) -> str:
     """The '%'-template of a row of ``rows``, on a line indented by ``indent``:
-    json's text of a row of zeros, each value made ``%r``, which of a finite
-    int or float is what json writes. A key's text holds no raw newline, so
-    only a value ends a line in ``0`` or ``0,``."""
-    text = _JSON.encode(rows._row(repeat(0))).replace("%", "%%")
-    return text.replace("0\n", "%r\n").replace("0,\n", "%r,\n").replace("\n", indent)
+    json's text of a row of zeros and null ids, each zero made ``%r``, which
+    of a finite int or float is what json writes, and each null ``%s``, which
+    takes an id as json's str encoder writes it. A key's text holds no raw
+    newline, so only a value ends a line in ``0``, ``0,``, ``null`` or ``null,``."""
+    values = [0] * len(rows.columns)
+    values[rows.text] = [None] * len(values[rows.text])
+    text = _JSON.encode(rows._row(values)).replace("%", "%%")
+    for value, slot in (("0", "%r"), ("null", "%s")):
+        text = text.replace(value + "\n", slot + "\n").replace(value + ",\n", slot + ",\n")
+    return text.replace("\n", indent)
 
 
 class _Utf8Writer:
     """UTF-8 text for the binary ``sink``: small pieces wait in a list, each
     block of rows is written on its own, so no full-size str, bytes or piece
-    list of a report ever exists. ``len()`` is the number of bytes written."""
+    list of a report ever exists. ``len()`` is the number of bytes written.
+    ``templates`` keeps the JSON row templates made, by row shape and indent."""
 
     def __init__(self, sink: BinaryIO) -> None:
-        self.sink, self.pending, self.size = sink, [], 0
+        self.sink, self.pending, self.size, self.templates = sink, [], 0, {}
         self.write = self.pending.append  # csv.writer writes here too
 
     def __len__(self) -> int:
@@ -325,8 +336,8 @@ class _Utf8Writer:
 
 
 def _format_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], begin: int, end: int) -> None:
-    for start in range(begin, end, _BLOCK):
-        out.write("".join(map(format_row, rows.block(start, min(start + _BLOCK, end)))))
+    for start in range(begin, end, _BLOCK):  # ids as json writes them; CSV templates format no id
+        out.write("".join(map(format_row, rows.block(start, min(start + _BLOCK, end), _QUOTE))))
         out.flush()
 
 
@@ -371,15 +382,19 @@ def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str]
 def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
     """Write the text ``json.dumps(value, indent=2, default=list)`` gives for
     ``value``, which starts on a line indented by ``indent`` (a newline and
-    spaces). json writes all of it but the numbers of a Rows view: a str-keyed
-    dict is walked key by key, as a value may be a Rows, and json streams a
-    list, a block of its pieces a write, so no report-sized str is built. Each
-    json call on a value other than a str leaves a cycle, kept while the CLI
-    has the collector off, so a long list is one call, not one an item."""
+    spaces). json writes all of it but the numbers and ids of a Rows view: a
+    str-keyed dict is walked key by key, as a value may be a Rows, and so is a
+    list whose first item is a dict holding a Rows (``embodied.consumers``),
+    item by item; json streams any other list, a block of its pieces a write,
+    so no report-sized str is built. Each call of json's Python encoder (on a
+    value other than a str or number) leaves a cycle, kept while the CLI has
+    the collector off, so a long list json streams is one call, not one an
+    item, a scalar goes to json's C encoder and a row template is made once."""
     inner = indent + "  "
     if isinstance(value, Rows) and value:
-        template = _row_template(value, inner)
-        out.write("[" + inner + template % next(value.block(0, 1)))
+        shape = (value.keys, value.text.indices(len(value.columns)), inner)
+        template = out.templates.get(shape) or out.templates.setdefault(shape, _row_template(value, inner))
+        out.write("[" + inner + template % next(value.block(0, 1, _QUOTE)))
         _write_rows(out, value, ("," + inner + template).__mod__, first=1)
         out.write(indent + "]")
     elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
@@ -389,12 +404,22 @@ def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:
             separator = "," + inner
             _encode(item, out, inner)
         out.write(indent + "}")
+    elif isinstance(value, list) and value and isinstance(value[0], dict) and any(
+            isinstance(item, Rows) for item in value[0].values()):
+        separator = "[" + inner
+        for item in value:
+            out.write(separator)
+            separator = "," + inner
+            _encode(item, out, inner)
+        out.write(indent + "]")
     elif isinstance(value, list):
         pieces = _JSON.iterencode(value)
         while text := "".join(islice(pieces, _BLOCK)):
             out.write(text.replace("\n", indent))
             out.flush()
-    else:  # a scalar, an empty dict or Rows, a tuple or a dict with a key json coerces
+    elif isinstance(value, (str, int, float)) or value is None:  # json's C encoder, which leaves no cycle
+        out.write(json.dumps(value))
+    else:  # an empty dict or Rows, a tuple or a dict with a key json coerces
         out.write(_JSON.encode(value).replace("\n", indent))
 
 
@@ -427,13 +452,10 @@ def _write_csv(report: dict[str, Any], out: _Utf8Writer) -> None:
         section = report["embodied"]
         writer.writerow(["record_type", "consumer_id", "object_id", "kg_co2e"])
         for consumer in section["consumers"]:
-            for item in consumer["objects"]:
-                writer.writerow(
-                    ["attribution", consumer["consumer_id"], item["object_id"], item["kg_co2e"]]
-                )
-        for obj in section["objects"]:
-            writer.writerow(["idle_residual", "", obj["object_id"], obj["idle_residual_kg_co2e"]])
-            writer.writerow(["lifecycle_total", "", obj["object_id"], obj["lifecycle_kg_co2e"]])
+            writer.writerows(zip(repeat("attribution"), repeat(consumer["consumer_id"]), *consumer["objects"].columns))
+        for object_id, lifecycle, _, residual in zip(*section["objects"].columns):
+            writer.writerow(["idle_residual", "", object_id, residual])
+            writer.writerow(["lifecycle_total", "", object_id, lifecycle])
         writer.writerow(
             ["conservation", "", "", section["conservation"]["attributed_plus_residual_kg_co2e"]]
         )
@@ -442,14 +464,10 @@ def _write_csv(report: dict[str, Any], out: _Utf8Writer) -> None:
         _write_rows(out, report["energy"]["intervals"], _REPORT_ENERGY_ROWS)
         _write_rows(out, report["operational"]["segments"], _REPORT_OPERATIONAL_ROWS)
         for consumer in report["embodied"]["consumers"]:
-            for item in consumer["objects"]:
-                writer.writerow(
-                    ["embodied", f"{consumer['consumer_id']}/{item['object_id']}", "", "", "kg_co2e", item["kg_co2e"]]
-                )
-        for obj in report["embodied"]["objects"]:
-            writer.writerow(
-                ["embodied", obj["object_id"], "", "", "idle_residual_kg_co2e", obj["idle_residual_kg_co2e"]]
-            )
+            for object_id, kg in zip(*consumer["objects"].columns):
+                writer.writerow(["embodied", f"{consumer['consumer_id']}/{object_id}", "", "", "kg_co2e", kg])
+        for object_id, _, _, residual in zip(*report["embodied"]["objects"].columns):
+            writer.writerow(["embodied", object_id, "", "", "idle_residual_kg_co2e", residual])
         sci = report["sci"]
         for metric in ("operational_kg_co2e", "embodied_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit"):
             writer.writerow(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])

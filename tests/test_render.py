@@ -14,7 +14,17 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbondef import IntensityEntry, IntensitySeries, PueFactor, UsageTrace
+from carbondef import (
+    ConsumptionRecord,
+    EmbodiedObject,
+    IntensityEntry,
+    IntensitySeries,
+    Ledger,
+    ProfileStep,
+    PueFactor,
+    SharingProfile,
+    UsageTrace,
+)
 from carbondef import report as report_module
 from carbondef.errors import ValidationError
 from carbondef.grid import EmissionsReport
@@ -220,6 +230,91 @@ def test_rows_are_read_only_views(tmp_path):
     assert to_json_bytes(full) == rendered
 
 
+def test_equal_inputs_give_equal_reports(tmp_path):
+    # Rows views compare by value: equal to a view of the same rows and to the list of its row dicts
+    first, second = gen_reports(4, tmp_path), gen_reports(4, tmp_path)
+    assert [r["meta"]["report"] for r in first] == ["estimate", "emissions", "embodied", "report"]
+    for report, again in zip(first, second):
+        assert report == again and report == plain(again) and plain(report) == again
+    rows = first[3]["embodied"]["objects"]
+    assert type(rows) is Rows and rows and rows == list(rows) and list(rows) == rows
+    assert rows != rows[1:] and rows != tuple(rows)
+    assert gen_reports(5, tmp_path)[3] != first[3]
+
+
+T0 = 1_600_000_000
+# pieces of ids json and csv must escape or quote, and text a '%'-template must not take for a slot
+ID_PIECES = ['"', "\\", "%", "%r", "%%s", "\x00", "\x1f", "\r\n", ",", "/", "é", "日本", "\U0001f600", "\ud800",
+             "null", "0,", "id"]
+odd_ids = st.lists(st.sampled_from(ID_PIECES), max_size=4).map("".join)
+
+
+@st.composite
+def odd_ledgers(draw):
+    """A ledger of 0 to 4 objects and consumers with odd ids, each consumer using
+    some objects once, at most 1/consumers of each at a time."""
+    object_ids = draw(st.lists(odd_ids, max_size=4, unique=True))
+    consumer_ids = draw(st.lists(odd_ids, max_size=4, unique=True))
+    kg = st.floats(0.0, 1e6)
+    objects = [EmbodiedObject(oid, draw(kg), draw(kg), draw(kg), T0, 1000.0) for oid in object_ids]
+    records = [
+        ConsumptionRecord(cid, oid, SharingProfile((ProfileStep(T0, T0 + draw(st.integers(1, 1000)),
+                                                                draw(st.floats(0.0, 1 / len(consumer_ids)))),)))
+        for cid in consumer_ids
+        for oid in (draw(st.lists(st.sampled_from(object_ids), unique=True)) if object_ids else ())
+    ]
+    return Ledger.build(objects, records)
+
+
+def csv_outcome(render, report):
+    """The CSV bytes, or the error of an id UTF-8 cannot encode (a lone surrogate)."""
+    try:
+        return render(report)
+    except UnicodeEncodeError as error:
+        return type(error)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The config and a 6-sample trace of a full report."""
+    tmp_path = tmp_path_factory.mktemp("small")
+    rng = random.Random(11)
+    spec = gen_spec(rng, idle_max=50.0)
+    samples = [gen_usage(rng, spec, T0 + 3600 * index) for index in range(6)]
+    (tmp_path / "intensity.json").write_bytes(
+        serialize_intensity_feed(IntensitySeries(region="ZZ", entries=(IntensityEntry(T0, T0 + 86400, 0.3),)))
+    )
+    config = RunConfig(server=spec, pue=PueFactor(1.2), intensity=IntensitySource(file=tmp_path / "intensity.json"),
+                       functional_unit=FunctionalUnit("call", 3.0))
+    return config, UsageTrace(samples=tuple(samples))
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_ledgers(), st.one_of(st.none(), odd_ids))
+def test_embodied_rows_with_odd_ids_match_references(small_run, ledger, consumer_id):
+    # the embodied rows render through templates, ids through json's str encoder and csv.writer
+    config, trace = small_run
+    for report in (build_report("embodied", ledger=ledger, ledger_digest="l", consumer_id=consumer_id),
+                   build_report("report", config, trace, "t", ledger, "l", consumer_id)):
+        assert to_json_bytes(report) == stdlib_json(report)
+        assert csv_outcome(to_csv_bytes, report) == csv_outcome(naive_csv_bytes, plain(report))
+
+
+@pytest.mark.parametrize("ledger, consumer_id", [(Ledger.build([]), None), (Ledger.build([]), "nobody"),
+                                                 (gen_ledger(random.Random(3)), "nobody")])
+def test_empty_embodied_rows_render_as_empty_lists(ledger, consumer_id):
+    report = build_report("embodied", ledger=ledger, ledger_digest="l", consumer_id=consumer_id)
+    rendered = to_json_bytes(report)
+    assert rendered == stdlib_json(report)
+    assert to_csv_bytes(report) == naive_csv_bytes(plain(report))
+    section = plain(report)["embodied"]
+    if consumer_id is not None:
+        assert section["consumers"] == [{"consumer_id": "nobody", "kg_co2e": 0.0, "objects": []}]
+        assert b'"objects": []' in rendered
+    if not ledger.objects:
+        assert section["objects"] == [] and b'\n    "objects": [],\n' in rendered
+
+
 def test_uncovered_energy_is_checked_finite(tmp_path, monkeypatch):
     # uncovered kWh is in no report total, so the finiteness check sums it itself
     def overflowing(energy, intensity, pue, policy):
@@ -310,6 +405,30 @@ def test_long_plain_list_streams_in_blocks(tmp_path):
     assert gc.collect() < 1_000
     whole = b"".join(sink.chunks)
     assert whole == stdlib_json(report["diagnostics"])
+    assert len(sink.chunks) > 1
+    assert max(map(len, sink.chunks)) < len(whole) / 4
+
+
+def test_embodied_rows_stream_in_blocks():
+    # 50 consumers x 400 objects: each consumer's objects are one Rows, formatted a block a
+    # write; the consumers list is walked one consumer at a time, with no json call a row
+    consumers, objects = 50, 400
+    n = consumers * objects  # one single-step record a consumer-object pair
+    ledger = Ledger.build(
+        [EmbodiedObject(f"obj-{index}", 10.0, 1.0, 0.5, T0, 1000.0) for index in range(objects)],
+        columns=([f"svc-{index // objects}" for index in range(n)], [f"obj-{index % objects}" for index in range(n)],
+                 range(n + 1), [T0] * n, [T0 + 500] * n, [0.01] * n))
+    section = build_report("embodied", ledger=ledger, ledger_digest="l")["embodied"]
+    assert sum(map(len, (consumer["objects"] for consumer in section["consumers"]))) == n == 20_000
+    gc.collect()
+    gc.disable()  # as the CLI renders
+    try:
+        render_report(section, "json", sink := RecordingSink())
+    finally:
+        gc.enable()
+    assert gc.collect() < 1_000
+    whole = b"".join(sink.chunks)
+    assert whole == stdlib_json(section)
     assert len(sink.chunks) > 1
     assert max(map(len, sink.chunks)) < len(whole) / 4
 
