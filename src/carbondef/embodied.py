@@ -21,7 +21,6 @@ and ProfileStep are built on demand, and only by the records view.
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from math import inf
@@ -231,35 +230,28 @@ class Ledger:
 
 def _check_oversubscription(object_id: str, start: list[int], end: list[int], fraction: list[float]) -> None:
     """Sweep one object's steps, given as start, end and fraction columns in
-    ledger order; fractions may never sum past 1.
+    ledger order; fractions may never sum past the limit, 1 + tolerance.
 
-    The active steps are re-summed in ledger order at each edge, never kept as a
-    running total, so the reported total carries no drift from earlier edges.
-    That sweep is skipped when a running total over the edges, closings first at
-    each, peaks ``margin`` = 8 * n**2 * u or more below 1 + tolerance (n steps,
-    u = 2**-53). Summing at most 2n terms of magnitude <= 1, it is within about
-    4 * n**2 * u of the exact sum of the active fractions after each edge, and a
-    ledger-order re-sum of them within n**2 * u: no edge past 1 + tolerance is missed.
+    One stable sort of the events, closings first at an edge, is swept with each
+    fraction held as an int count of 2**-60 units, rounded, plus 512 of slack, so a
+    closing cancels its opening: after an edge, the total is the exact sum of its k
+    active fractions, within k/2 units, plus 512 * k. Where it tops the limit, they
+    are re-summed in ledger order as floats, giving the error's total; no edge past
+    the limit escapes, as that sum errs by at most 256 * k units while the exact one
+    is at most 2. Linear, plus an O(k log k) re-sum per edge within k * 4.4e-16 of it.
     """
-    margin = 4 * len(start) ** 2 * 2.0**-52
-    edges, changes = [*end, *start], [*map(neg, fraction), *fraction]  # a stable sort puts closings first
-    events = sorted(range(len(edges)), key=edges.__getitem__)
-    if max(accumulate(map(changes.__getitem__, events)), default=0.0) <= 1.0 + OVERSUBSCRIPTION_TOL - margin:
-        return
-    opening: dict[int, list[int]] = {}
-    closing: dict[int, list[int]] = {}
-    for position, (left, right) in enumerate(zip(start, end)):
-        opening.setdefault(left, []).append(position)
-        closing.setdefault(right, []).append(position)
-    active: list[int] = []
-    for edge in sorted(opening.keys() | closing.keys()):
-        for position in closing.get(edge, ()):
-            active.remove(position)
-        for position in opening.get(edge, ()):
-            insort(active, position)
-        total = sum(fraction[position] for position in active)
+    n, limit = len(start), round((1.0 + OVERSUBSCRIPTION_TOL) * 2**60)
+    edges, units = [*end, *start], [round(value * 2**60) + 512 for value in fraction]
+    events = sorted(range(2 * n), key=edges.__getitem__)  # a stable sort puts closings first
+    active, swept = set(), 0  # the steps open after events[:swept], brought up to date at a re-sum
+    for index in compress(count(1), map(limit.__lt__, accumulate(map([*map(neg, units), *units].__getitem__, events)))):
+        if index < 2 * n and edges[events[index]] == edges[events[index - 1]]:
+            continue  # the edge has events still to come
+        active.update(at - n for at in events[swept:index] if at >= n)
+        active.difference_update(at for at in events[swept:index] if at < n)
+        total, swept = sum(fraction[position] for position in sorted(active)), index
         if total > 1.0 + OVERSUBSCRIPTION_TOL:
-            raise OversubscriptionError(object_id, edge, total)
+            raise OversubscriptionError(object_id, edges[events[index - 1]], total)
 
 
 def _check_within_lifespan(obj: EmbodiedObject, record: ConsumptionRecord, prefix: str = "") -> None:

@@ -153,9 +153,17 @@ _cpu_count = partial(_integer, expected="an integer CPU count")
 
 
 def _string(value: Any, location: str, key: str) -> str:
+    _utf8(value, location, key)
+    return value
+
+
+def _utf8(value: Any, location: str, key: str) -> bytes:
     if not isinstance(value, str):
         raise ParseError(f"expected a string, got {value!r}", location=f"{location}.{key}")
-    return value
+    try:
+        return value.encode("utf-8")  # a lone surrogate, which a JSON escape can hold, has no UTF-8 form
+    except UnicodeEncodeError:
+        raise ParseError(f"expected Unicode text, got {value!r}", location=f"{location}.{key}") from None
 
 
 def _array(value: Any, location: str, key: str) -> list:
@@ -361,8 +369,8 @@ def parse_ledger(data: bytes) -> Ledger:
             list(map(itemgetter(key), raw_objects)) for key, _ in _OBJECT_FIELDS)
         consumer_ids, object_ids, profiles = (list(map(itemgetter(key), raw_records)) for key, _ in _RECORD_FIELDS)
         starts, ends, fractions = (list(map(itemgetter(key), chain.from_iterable(profiles))) for key, _ in _STEP_FIELDS)
-        # _string's, _array's, _integer's and _number's tests; a profile that is no array fails here or above
-        if (set(map(type, chain(ids, consumer_ids, object_ids))) - {str} or set(map(type, profiles)) - {list}
+        "".join(chain(ids, consumer_ids, object_ids)).encode("utf-8")  # _string's test: a TypeError or ValueError
+        if (set(map(type, profiles)) - {list}  # _array's, _integer's, _number's tests; a non-array may fail above
                 or _fails_kind((lifespan_start, starts, ends), {int}, EPOCH_LIMIT)
                 or _fails_kind((m_kg, r_kg, eol_kg, lifespan_s, fractions), {int, float}, sys.float_info.max)):
             raise ValueError("a value that fails its kind's test")
@@ -514,15 +522,14 @@ def _read_cache(path: Path, window: tuple[int, int], now: float) -> tuple[float,
     foreign, future-dated or unparsable entry is refetched and overwritten.
     """
     try:
-        raw_window, fetched_at, payload, checksum = _fields(
+        raw_window, fetched_at, data, checksum = _fields(
             _decode_json(path.read_bytes()), "$",
-            ("window", _present), ("fetched_at", _number), ("payload", _string), ("payload_sha256", _present),
+            ("window", _present), ("fetched_at", _number), ("payload", _utf8), ("payload_sha256", _present),
         )
         start, end = _fields(raw_window, "$.window", ("start", _integer), ("end", _integer))
-        data = payload.encode("utf-8")
         if start <= window[0] and window[1] <= end and fetched_at <= now and hashlib.sha256(data).hexdigest() == checksum:
             return fetched_at, parse_intensity_feed(data)
-    except (OSError, ParseError, UnicodeEncodeError):  # the encode fails on a lone surrogate
+    except (OSError, ParseError):
         pass
     return None
 

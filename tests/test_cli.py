@@ -188,6 +188,37 @@ class TestFiniteReports:
         self.assert_rejected(result, "sci.sci_kg_co2e_per_unit")
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+class TestLoneSurrogate:
+    """A lone surrogate, which a JSON escape can hold and UTF-8 cannot encode,
+    is a located input error in either format, never a report or a traceback."""
+
+    @staticmethod
+    def assert_located(result, location):
+        assert result.exit_code == 2
+        assert f"expected Unicode text, got 'a\\ud800' (at {location})" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout_bytes == b""
+
+    def test_ledger_object_id(self, tmp_path, output_format):
+        ledger = json.loads((CLI / "ledger.json").read_text())
+        ledger["objects"][0]["id"] = "a\ud800"
+        (path := tmp_path / "ledger.json").write_text(json.dumps(ledger))
+        result = invoke(["embodied", "--ledger", str(path), "--format", output_format])
+        self.assert_located(result, "objects[0].id")
+
+    def test_functional_unit_name(self, tmp_path, output_format):
+        config = json.loads((CLI / "config.json").read_text())
+        config["functional_unit"]["name"] = "a\ud800"
+        (path := tmp_path / "config.json").write_text(json.dumps(config))
+        shutil.copy(CLI / "intensity.json", tmp_path)
+        result = invoke([
+            "report", "--config", str(path), "--trace", str(CLI / "trace_full_load.csv"),
+            "--ledger", str(CLI / "ledger.json"), "--format", output_format,
+        ])
+        self.assert_located(result, "$.functional_unit.name")
+
+
 class TestEstimate:
     def test_full_load_hour_is_one_kwh(self, report_schema):
         result = invoke(

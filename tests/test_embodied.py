@@ -101,6 +101,25 @@ LIMIT = 1.0 + OVERSUBSCRIPTION_TOL
 AROUND_LIMIT = ((math.nextafter(LIMIT, 0), False), (LIMIT, False), (math.nextafter(LIMIT, 2), True))
 
 
+@st.composite
+def near_limit_steps(draw):
+    """20-200 one-step records on a 40 s grid, about half of them covering one
+    probe instant, whose fractions there sum in ledger order to within a few
+    ulps of the limit, on either side; the rest hold small fractions."""
+    count, ulps, rng = draw(st.integers(20, 200)), draw(st.integers(-4, 4)), random.Random(draw(st.integers(0, 10**9)))
+    probe, target = rng.randrange(1, 39), LIMIT + ulps * math.ulp(LIMIT)
+    spans = [(rng.randrange(probe + 1), rng.randrange(probe + 1, 41)) if rng.random() < 0.5
+             else tuple(sorted(rng.sample(range(41), 2))) for _ in range(count)]
+    covering = [index for index, (lo, hi) in enumerate(spans) if lo <= probe < hi]
+    weights = {index: rng.random() for index in covering}
+    total = sum(weights.values())
+    fractions = [min(1.0, target * weights[index] / total) if index in weights
+                 else rng.choice([0.0, 5e-324, 1e-9, rng.random() * 0.05]) for index in range(count)]
+    if covering:  # the last covering step in ledger order lands the sum on the target
+        fractions[covering[-1]] = min(1.0, max(0.0, target - sum(fractions[index] for index in covering[:-1])))
+    return [ProfileStep(T0 + lo, T0 + hi, fraction) for (lo, hi), fraction in zip(spans, fractions)]
+
+
 class TestEmbodiedObjectBounds:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["m", "r", "eol", "lifespan_s"])
@@ -327,6 +346,58 @@ class TestLedger:
         assert (expected is not None) == rejected
         assert oversubscription_outcome(lambda: sweep(steps)) == expected
         assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
+
+    @settings(max_examples=150)
+    @given(near_limit_steps())
+    def test_sweep_near_the_limit_matches_naive_oracle(self, steps):
+        records = [record([step], consumer=f"c{index}") for index, step in enumerate(steps)]
+        expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
+        assert oversubscription_outcome(lambda: sweep(steps)) == expected
+
+    @staticmethod
+    def sweep_work(monkeypatch, start, end, fraction):
+        """(column items read, terms re-summed, oversubscription_outcome) of a sweep of the columns."""
+        reads, terms = [0], [0]
+
+        class Column(list):
+            def __iter__(self):
+                for value in super().__iter__():
+                    reads[0] += 1
+                    yield value
+
+            def __getitem__(self, index):
+                reads[0] += 1
+                return super().__getitem__(index)
+
+        def counting_sum(values):
+            values = list(values)
+            terms[0] += len(values)
+            return sum(values)
+
+        monkeypatch.setattr(embodied, "sum", counting_sum, raising=False)
+        outcome = oversubscription_outcome(lambda: _check_oversubscription("rack-1", *map(Column, (start, end, fraction))))
+        monkeypatch.undo()
+        return reads[0], terms[0], outcome
+
+    @pytest.mark.parametrize("count", [2000, 8000])
+    def test_even_split_re_sums_no_term(self, monkeypatch, count):
+        # an array split evenly among k tenants: count steps k = count / 4 s long, starting 1 s apart, each at 1/k;
+        # their concurrent fractions sum to 1 within rounding, which the float running total cannot tell from 1 + 1e-9
+        tenants, start = count // 4, list(range(T0, T0 + count))
+        end, fraction = [time + tenants for time in start], [1 / tenants] * count
+        assert self.sweep_work(monkeypatch, start, end, fraction)[1:] == (0, None)
+        # a step of 2e-9 more tips one edge past the limit: its one re-sum counts every active step
+        middle = T0 + count // 2
+        _, terms, outcome = self.sweep_work(monkeypatch, [*start, middle], [*end, middle + 1], [*fraction, 2e-9])
+        assert terms == tenants + 1 and outcome[1] == middle
+
+    @pytest.mark.parametrize("count", [2000, 8000])
+    def test_every_edge_at_the_limit_costs_its_active_steps(self, monkeypatch, count):
+        # one step at 0.5 over the whole span and count back-to-back steps at LIMIT - 0.5: every edge sums to
+        # exactly the limit and is re-summed, reading its two active steps, never the whole object
+        start, end = [T0, *range(T0, T0 + count)], [T0 + count, *range(T0 + 1, T0 + count + 1)]
+        reads, terms, outcome = self.sweep_work(monkeypatch, start, end, [0.5, *[LIMIT - 0.5] * count])
+        assert outcome is None and terms == 2 * count and reads <= 8 * (count + 1)
 
     def test_first_oversubscribed_object_in_ledger_order_reported(self):
         first = dataclasses.replace(rack(), id="rack-a")
