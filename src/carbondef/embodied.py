@@ -35,7 +35,7 @@ from .errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
-from .power import EPOCH_LIMIT, _float_column, broken_bound, epoch_fault, shown
+from .power import EPOCH_LIMIT, _float_column, broken_bound, epoch_fault, fold_sum, shown
 
 OVERSUBSCRIPTION_TOL = 1e-9
 
@@ -97,7 +97,7 @@ class SharingProfile:
 
     def weighted_seconds(self) -> float:
         """Sum of fraction x duration over all steps."""
-        return sum(step.fraction * (step.end - step.start) for step in self.steps)
+        return fold_sum(step.fraction * (step.end - step.start) for step in self.steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +175,7 @@ class Ledger:
         # may skip, makes the sum NaN; a profile's span is its first start and last end; lifespans bound starts to ±2**53
         lifespans = {key: (obj.lifespan_start, obj.lifespan_end) for key, obj in objects.items()}
         if not (all(map(lt, start, end)) and 0.0 <= min(fractions, default=0.0) and max(fractions, default=0.0) <= 1.0
-                and sum(fractions) >= 0.0 and set(offsets).issuperset(compress(count(1), map(lt, start[1:], end)))
+                and fold_sum(fractions) >= 0.0 and set(offsets).issuperset(compress(count(1), map(lt, start[1:], end)))
                 and max(end, default=0) <= EPOCH_LIMIT and lifespans.keys() >= set(object_id) and all(
                     first == last or lifespans[key][0] <= start[first] and end[last - 1] <= lifespans[key][1]
                     for key, first, last in zip(object_id, offsets, offsets[1:]))):
@@ -198,7 +198,7 @@ class Ledger:
         weighted = list(map(mul, fractions, map(sub, end, start)))
         lifecycle = {key: (lifecycle_total(obj), obj.lifespan_s) for key, obj in objects.items()}
         self.kg = array("d", [lifecycle[key][0] * seconds / lifecycle[key][1]
-                              for key, seconds in zip(object_id, map(sum, map(weighted.__getitem__, spans)))])
+                              for key, seconds in zip(object_id, map(fold_sum, map(weighted.__getitem__, spans)))])
 
     @classmethod
     def build(cls, objects: Iterable[EmbodiedObject], records: Iterable[ConsumptionRecord] = (),
@@ -236,9 +236,9 @@ def _check_oversubscription(object_id: str, start: list[int], end: list[int], fr
     fraction held as an int count of 2**-60 units, rounded, plus 512 of slack, so a
     closing cancels its opening: after an edge, the total is the exact sum of its k
     active fractions, within k/2 units, plus 512 * k. Where it tops the limit, they
-    are re-summed in ledger order as floats, giving the error's total; no edge past
-    the limit escapes, as that sum errs by at most 256 * k units while the exact one
-    is at most 2. Linear, plus an O(k log k) re-sum per edge within k * 4.4e-16 of it.
+    are re-summed in ledger order by fold_sum, giving the error's total; no edge past
+    the limit escapes, as that left-to-right float sum errs by at most 256 * k units
+    while the exact one is at most 2. Linear, plus an O(k log k) re-sum per edge within k * 4.4e-16 of it.
     """
     n, limit = len(start), round((1.0 + OVERSUBSCRIPTION_TOL) * 2**60)
     edges, units = [*end, *start], [round(value * 2**60) + 512 for value in fraction]
@@ -249,7 +249,7 @@ def _check_oversubscription(object_id: str, start: list[int], end: list[int], fr
             continue  # the edge has events still to come
         active.update(at - n for at in events[swept:index] if at >= n)
         active.difference_update(at for at in events[swept:index] if at < n)
-        total, swept = sum(fraction[position] for position in sorted(active)), index
+        total, swept = fold_sum(fraction[position] for position in sorted(active)), index
         if total > 1.0 + OVERSUBSCRIPTION_TOL:
             raise OversubscriptionError(object_id, edges[events[index - 1]], total)
 
@@ -298,13 +298,11 @@ def consumer_embodied(ledger: Ledger, consumer_id: str) -> ConsumerAttribution:
 
     An unknown consumer yields zero, not an error.
     """
-    object_ids, kg = ledger.columns[1], ledger.kg
+    object_ids, kg, indices = ledger.columns[1], ledger.kg, ledger._by_consumer.get(consumer_id, ())
     by_object: dict[str, float] = {}
-    total = 0.0
-    for index in ledger._by_consumer.get(consumer_id, ()):
+    for index in indices:
         by_object[object_ids[index]] = by_object.get(object_ids[index], 0.0) + kg[index]
-        total += kg[index]
-    return ConsumerAttribution(consumer_id=consumer_id, total_kg=total, by_object=by_object)
+    return ConsumerAttribution(consumer_id, fold_sum(map(kg.__getitem__, indices)), by_object)
 
 
 def idle_residual(ledger: Ledger, object_id: str) -> float:
@@ -312,4 +310,4 @@ def idle_residual(ledger: Ledger, object_id: str) -> float:
     obj = ledger.objects.get(object_id)
     if obj is None:
         raise UnknownObject(f"unknown object {object_id!r}")
-    return lifecycle_total(obj) - sum(map(ledger.kg.__getitem__, ledger._by_object.get(object_id, ())))
+    return lifecycle_total(obj) - fold_sum(map(ledger.kg.__getitem__, ledger._by_object.get(object_id, ())))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import CoverageError
-from .power import EnergySeries, broken_bound, epoch_fault, shown
+from .power import EnergySeries, broken_bound, epoch_fault, fold_sum, shown
 
 #: exact joule content of one kilowatt-hour
 JOULES_PER_KWH = 3.6e6
@@ -113,10 +113,10 @@ class EmissionsReport:
         return tuple(map(UncoveredSpan, *self.uncovered_columns))
 
     def covered_joules(self) -> float:
-        return sum(self.segment_columns[2])
+        return fold_sum(self.segment_columns[2])
 
     def uncovered_joules(self) -> float:
-        return sum(self.uncovered_columns[2])
+        return fold_sum(self.uncovered_columns[2])
 
 
 def apply_pue(joules: float, pue: PueFactor) -> float:
@@ -207,11 +207,8 @@ def operational_emissions(
             f"({joules_share} J); {len(uncovered[0])} uncovered span(s) total"
         )
 
-    total_kg = 0.0
-    for kg_co2e in segments[4]:
-        total_kg += kg_co2e
     return EmissionsReport(
-        total_kg_co2e=total_kg,
+        total_kg_co2e=fold_sum(segments[4]),
         pue=pue.value,
         coverage_policy=coverage_policy,
         segment_columns=segments,

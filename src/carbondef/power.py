@@ -124,6 +124,14 @@ def broken_bound(value: float, low: float, strict: bool = False) -> str | None:
     return None if value <= float_info.max else "finite"
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, the one float sum: the same bits on every interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def epoch_fault(name: str, value: int) -> str | None:
     """Why the epoch ``value`` of the field ``name`` lies outside ±2**53 (NaN included), or None."""
     return None if -EPOCH_LIMIT <= value <= EPOCH_LIMIT else f"{name} must be within ±2**53, got {shown(value)}"
@@ -271,7 +279,7 @@ class EnergySeries:
         return len(self.columns[0])
 
     def total_joules(self) -> float:
-        return sum(self.columns[2])
+        return fold_sum(self.columns[2])
 
     def window(self) -> tuple[float, float] | None:
         """(start of first entry, end of last entry), or None when empty."""

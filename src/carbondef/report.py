@@ -26,16 +26,16 @@ import hashlib
 import json
 import math
 import os
-from collections.abc import Callable, Iterator, Sequence
-from itertools import islice, repeat
-from operator import truediv
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
+from operator import add, sub, truediv
 from typing import Any, BinaryIO
 
 from . import __version__
 from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
 from .grid import JOULES_PER_KWH, EmissionsReport, IntensitySeries, apply_pue, operational_emissions
 from .ingest import FunctionalUnit, RunConfig, fetch_intensity, parse_intensity_feed
-from .power import ENERGY_SOURCES, EnergySeries, UsageTrace, clamped_sample_indices, trace_to_energy_series
+from .power import ENERGY_SOURCES, EnergySeries, UsageTrace, clamped_sample_indices, fold_sum, trace_to_energy_series
 from .errors import SchemaError, ValidationError
 
 SCHEMA_VERSION = "2"
@@ -116,9 +116,9 @@ _ATTRIBUTION_KEYS = ("object_id", "kg_co2e")
 _OBJECT_KEYS = ("object_id", "lifecycle_kg_co2e", "attributed_kg_co2e", "idle_residual_kg_co2e")
 
 
-def _energy_section(series: EnergySeries) -> dict[str, Any]:
-    by_component = {source: sum(joules) / JOULES_PER_KWH for source, joules in zip(ENERGY_SOURCES, series.columns[3:])}
-    kwh_total = series.total_joules() / JOULES_PER_KWH
+def _energy_section(series: EnergySeries, joules: float) -> dict[str, Any]:
+    by_component = {source: fold_sum(column) / JOULES_PER_KWH for source, column in zip(ENERGY_SOURCES, series.columns[3:])}
+    kwh_total = joules / JOULES_PER_KWH
     _require_finite(
         {"energy.kwh_total": kwh_total,
          **{f"energy.kwh_by_component.{s}": kwh for s, kwh in by_component.items()}},
@@ -132,11 +132,8 @@ def _energy_section(series: EnergySeries) -> dict[str, Any]:
     }
 
 
-def _operational_section(
-    emissions: EmissionsReport, series: EnergySeries, config: RunConfig, region: str
-) -> dict[str, Any]:
-    # software energy is the pre-PUE total, idle included; overhead is what PUE adds
-    joules = series.total_joules()
+def _operational_section(emissions: EmissionsReport, joules: float, config: RunConfig, region: str) -> dict[str, Any]:
+    # software energy is ``joules``, the series' pre-PUE total, idle included; overhead is what PUE adds
     section = {
         "pue": emissions.pue,
         "coverage_policy": emissions.coverage_policy,
@@ -162,7 +159,6 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
         (consumer_id,) if consumer_id is not None else ledger.consumer_ids()
     )
     consumers = []
-    total_attributed = 0.0
     for cid in consumer_ids:
         attribution = consumer_embodied(ledger, cid)
         object_ids = sorted(attribution.by_object)
@@ -174,19 +170,13 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
                                 _ATTRIBUTION_KEYS, text=slice(1)),
             }
         )
-        total_attributed += attribution.total_kg
 
-    objects: tuple[list, ...] = (sorted(ledger.objects), [], [], [])  # id, lifecycle, attributed, idle residual
-    lifecycle_sum = 0.0
-    conserved_sum = 0.0
-    for oid in objects[0]:
-        residual = idle_residual(ledger, oid)
-        lifecycle = lifecycle_total(ledger.objects[oid])
-        attributed = lifecycle - residual
-        for column, value in zip(objects[1:], (lifecycle, attributed, residual)):
-            column.append(value)
-        lifecycle_sum += lifecycle
-        conserved_sum += attributed + residual
+    ids = sorted(ledger.objects)
+    lifecycle = [lifecycle_total(ledger.objects[oid]) for oid in ids]
+    residual = [idle_residual(ledger, oid) for oid in ids]
+    attributed = list(map(sub, lifecycle, residual))
+    total_attributed = fold_sum(consumer["kg_co2e"] for consumer in consumers)
+    lifecycle_sum, conserved_sum = fold_sum(lifecycle), fold_sum(map(add, attributed, residual))
 
     _require_finite(
         {"embodied.total_attributed_kg_co2e": total_attributed,
@@ -196,7 +186,7 @@ def _embodied_section(ledger: Ledger, consumer_id: str | None = None) -> dict[st
     )
     return {
         "consumers": consumers,
-        "objects": Rows(objects, _OBJECT_KEYS, text=slice(1)),
+        "objects": Rows((ids, lifecycle, attributed, residual), _OBJECT_KEYS, text=slice(1)),
         "total_attributed_kg_co2e": total_attributed,
         "conservation": {
             "lifecycle_total_kg_co2e": lifecycle_sum,
@@ -262,12 +252,12 @@ def build_report(
     window = None
     if trace is not None:
         series = trace_to_energy_series(config.server, trace, clamp=config.clamp_usage)
-        window = series.window()
-        sections["energy"] = _energy_section(series)
+        window, joules = series.window(), series.total_joules()
+        sections["energy"] = _energy_section(series, joules)
         if report_type != "estimate":
             intensity = resolve_intensity(config, window)
             emissions = operational_emissions(series, intensity, config.pue, config.coverage_policy)
-            sections["operational"] = _operational_section(emissions, series, config, intensity.region)
+            sections["operational"] = _operational_section(emissions, joules, config, intensity.region)
     if ledger is not None:
         sections["embodied"] = _embodied_section(ledger, consumer_id)
     if report_type == "report":
@@ -316,8 +306,9 @@ def _row_template(rows: Rows, indent: str) -> str:
 
 class _Utf8Writer:
     """UTF-8 text for the binary ``sink``: small pieces wait in a list, each
-    block of rows is written on its own, so no full-size str, bytes or piece
-    list of a report ever exists. ``len()`` is the number of bytes written.
+    block of rows, templated or csv.writer's, is written on its own, so no
+    full-size str, bytes or piece list of a report ever exists. ``len()`` is
+    the number of bytes written.
     ``templates`` keeps the JSON row templates made, by row shape and indent."""
 
     def __init__(self, sink: BinaryIO) -> None:
@@ -435,6 +426,14 @@ _REPORT_ENERGY_ROWS = _long_rows("energy", ("kwh_total", *(f"kwh_{s}" for s in E
 _REPORT_OPERATIONAL_ROWS = _long_rows("operational", _SEGMENT_KEYS[2:])
 
 
+def _write_csv_rows(out: _Utf8Writer, writer: Any, rows: Iterable[Sequence]) -> None:
+    """csv.writer ``rows`` into ``out``, which ``writer`` writes to, a block of rows a write."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK)):
+        writer.writerows(block)
+        out.flush()
+
+
 def _write_csv(report: dict[str, Any], out: _Utf8Writer) -> None:
     """Chart-friendly CSV rendering of a ``build_report`` report, one row
     per interval where possible. Rows go through '%'-templates (``%r`` of a
@@ -450,27 +449,25 @@ def _write_csv(report: dict[str, Any], out: _Utf8Writer) -> None:
         _write_rows(out, report["operational"]["segments"], _EMISSIONS_ROW.__mod__)
     elif report_type == "embodied":
         section = report["embodied"]
-        writer.writerow(["record_type", "consumer_id", "object_id", "kg_co2e"])
-        for consumer in section["consumers"]:
-            writer.writerows(zip(repeat("attribution"), repeat(consumer["consumer_id"]), *consumer["objects"].columns))
-        for object_id, lifecycle, _, residual in zip(*section["objects"].columns):
-            writer.writerow(["idle_residual", "", object_id, residual])
-            writer.writerow(["lifecycle_total", "", object_id, lifecycle])
-        writer.writerow(
-            ["conservation", "", "", section["conservation"]["attributed_plus_residual_kg_co2e"]]
-        )
+        _write_csv_rows(out, writer, chain(
+            [("record_type", "consumer_id", "object_id", "kg_co2e")],
+            *(zip(repeat("attribution"), repeat(consumer["consumer_id"]), *consumer["objects"].columns)
+              for consumer in section["consumers"]),
+            (row for object_id, lifecycle, _, residual in zip(*section["objects"].columns)
+             for row in (("idle_residual", "", object_id, residual), ("lifecycle_total", "", object_id, lifecycle))),
+            [("conservation", "", "", section["conservation"]["attributed_plus_residual_kg_co2e"])]))
     elif report_type == "report":
         writer.writerow(["section", "id", "start", "duration_s", "metric", "value"])
         _write_rows(out, report["energy"]["intervals"], _REPORT_ENERGY_ROWS)
         _write_rows(out, report["operational"]["segments"], _REPORT_OPERATIONAL_ROWS)
-        for consumer in report["embodied"]["consumers"]:
-            for object_id, kg in zip(*consumer["objects"].columns):
-                writer.writerow(["embodied", f"{consumer['consumer_id']}/{object_id}", "", "", "kg_co2e", kg])
-        for object_id, _, _, residual in zip(*report["embodied"]["objects"].columns):
-            writer.writerow(["embodied", object_id, "", "", "idle_residual_kg_co2e", residual])
-        sci = report["sci"]
-        for metric in ("operational_kg_co2e", "embodied_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit"):
-            writer.writerow(["sci", sci["functional_unit"]["name"], "", "", metric, sci[metric]])
+        embodied, sci = report["embodied"], report["sci"]
+        _write_csv_rows(out, writer, chain(
+            (("embodied", f"{consumer['consumer_id']}/{object_id}", "", "", "kg_co2e", kg)
+             for consumer in embodied["consumers"] for object_id, kg in zip(*consumer["objects"].columns)),
+            (("embodied", object_id, "", "", "idle_residual_kg_co2e", residual)
+             for object_id, _, _, residual in zip(*embodied["objects"].columns)),
+            (("sci", sci["functional_unit"]["name"], "", "", metric, sci[metric])
+             for metric in ("operational_kg_co2e", "embodied_kg_co2e", "total_kg_co2e", "sci_kg_co2e_per_unit"))))
     else:
         raise ValueError(f"unknown report type {report_type!r}")
 

@@ -407,28 +407,34 @@ def naive_attribution(objects, records) -> tuple[dict[str, tuple[float, dict[str
     kg})}, {object id: idle residual kg})``. A record's kg is its object's m + r + eol times the
     sum of ``fraction * (end - start)`` over its ConsumptionRecord's steps, in step order, over
     ``lifespan_s``; totals add up in ledger order, and a residual is the lifecycle total less
-    sum() of its object's record kg."""
+    its object's record kg added up in ledger order. Every sum adds left to right from 0.0."""
     by_id = {obj.id: obj for obj in objects}
     kg = []
     for record in records:
         obj = by_id[record.object_id]
-        seconds = sum(step.fraction * (step.end - step.start) for step in record.profile.steps)
+        seconds = 0.0
+        for step in record.profile.steps:
+            seconds += step.fraction * (step.end - step.start)
         kg.append((record, (obj.m_kg + obj.r_kg + obj.eol_kg) * seconds / obj.lifespan_s))
     consumers: dict[str, tuple[float, dict[str, float]]] = {}
     for record, value in kg:
         total, by_object = consumers.get(record.consumer_id, (0.0, {}))
         by_object[record.object_id] = by_object.get(record.object_id, 0.0) + value
         consumers[record.consumer_id] = (total + value, by_object)
-    residuals = {
-        object_id: obj.m_kg + obj.r_kg + obj.eol_kg - sum(value for record, value in kg if record.object_id == object_id)
-        for object_id, obj in by_id.items()
-    }
+    residuals = {}
+    for object_id, obj in by_id.items():
+        claimed = 0.0
+        for record, value in kg:
+            if record.object_id == object_id:
+                claimed += value
+        residuals[object_id] = obj.m_kg + obj.r_kg + obj.eol_kg - claimed
     return consumers, residuals
 
 
 def naive_check_oversubscription(object_id: str, records) -> None:
     """Reference oversubscription check: for every pair of adjacent step
-    boundaries of one object, sum the covering fractions in ledger order."""
+    boundaries of one object, add up the covering fractions left to right
+    in ledger order."""
     steps = [
         step
         for record in records
@@ -437,9 +443,10 @@ def naive_check_oversubscription(object_id: str, records) -> None:
     ]
     boundaries = sorted({edge for step in steps for edge in (step.start, step.end)})
     for left, right in zip(boundaries, boundaries[1:]):
-        total = sum(
-            step.fraction for step in steps if step.start <= left and step.end >= right
-        )
+        total = 0.0
+        for step in steps:
+            if step.start <= left and step.end >= right:
+                total += step.fraction
         if total > 1.0 + OVERSUBSCRIPTION_TOL:
             raise OversubscriptionError(object_id, left, total)
 

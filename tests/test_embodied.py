@@ -21,6 +21,7 @@ from carbondef import (
 )
 from carbondef import embodied
 from carbondef.embodied import OVERSUBSCRIPTION_TOL, RecordsView, _check_oversubscription
+from carbondef.power import fold_sum
 from carbondef.errors import (
     DurationError,
     FractionError,
@@ -372,9 +373,9 @@ class TestLedger:
         def counting_sum(values):
             values = list(values)
             terms[0] += len(values)
-            return sum(values)
+            return fold_sum(values)
 
-        monkeypatch.setattr(embodied, "sum", counting_sum, raising=False)
+        monkeypatch.setattr(embodied, "fold_sum", counting_sum)
         outcome = oversubscription_outcome(lambda: _check_oversubscription("rack-1", *map(Column, (start, end, fraction))))
         monkeypatch.undo()
         return reads[0], terms[0], outcome

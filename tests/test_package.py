@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: its modules import only the
-standard library and the package itself, and pyproject.toml lists none."""
+standard library and the package itself, and pyproject.toml lists none. Its
+floats are summed by one rule, power.fold_sum, never by the builtin sum()."""
 
 import ast
 import sys
@@ -31,6 +32,14 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_the_standard_library(path):
     assert imported_names(path) - sys.stdlib_module_names - {"carbondef"} == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_names_no_builtin_sum(path):
+    # sum() compensates its rounding since Python 3.12, so a report total summed by it would change bytes
+    # with the interpreter; power.fold_sum adds left to right on every interpreter
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    assert "sum" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_pyproject_lists_no_runtime_dependencies():

@@ -20,7 +20,7 @@ from carbondef import (
     trace_to_energy_series,
 )
 from carbondef.errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
-from carbondef.power import COMPONENTS, ENERGY_SOURCES, UnitTags, clamped_sample_indices
+from carbondef.power import COMPONENTS, ENERGY_SOURCES, UnitTags, clamped_sample_indices, fold_sum
 
 from support import (
     full_load_sample,
@@ -314,6 +314,21 @@ class TestEnergySeries:
     def test_six_joule_columns_one_value_a_sample(self, joules):
         with pytest.raises(ValueError, match="six joule columns, one value a sample"):
             EnergySeries(self.TRACE, joules)
+
+    def test_total_joules_adds_left_to_right(self):
+        # 1e16 J, then 1,000 samples of 0.9 J, each below half the ulp of 1e16 (2.0): every addition rounds
+        # back to 1e16, where a compensated sum (math.fsum, or the builtin sum() since Python 3.12) keeps 900 J
+        n = 1001
+        trace = UsageTrace(columns=(list(range(0, 60 * n, 60)), [60.0] * n, *[[0.0] * n] * 4))
+        joules = array("d", [1e16, *[0.9] * (n - 1)])
+        assert EnergySeries(trace, [joules] * 6).total_joules() == 1e16 < math.fsum(joules)
+
+
+class TestFoldSum:
+    def test_adds_left_to_right_from_zero(self):
+        # compensated summation gives 1.0: the rounding of 1e16 + 1.0 is not carried
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0 and math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert fold_sum([]) == 0.0 and type(fold_sum([])) is float
 
 
 class TestUsageSample:

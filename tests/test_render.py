@@ -409,16 +409,20 @@ def test_long_plain_list_streams_in_blocks(tmp_path):
     assert max(map(len, sink.chunks)) < len(whole) / 4
 
 
-def test_embodied_rows_stream_in_blocks():
-    # 50 consumers x 400 objects: each consumer's objects are one Rows, formatted a block a
-    # write; the consumers list is walked one consumer at a time, with no json call a row
-    consumers, objects = 50, 400
-    n = consumers * objects  # one single-step record a consumer-object pair
-    ledger = Ledger.build(
+def wide_ledger(consumers=50, objects=400):
+    """Each of ``consumers`` claims each of ``objects`` through one single-step record."""
+    n = consumers * objects
+    return Ledger.build(
         [EmbodiedObject(f"obj-{index}", 10.0, 1.0, 0.5, T0, 1000.0) for index in range(objects)],
         columns=([f"svc-{index // objects}" for index in range(n)], [f"obj-{index % objects}" for index in range(n)],
                  range(n + 1), [T0] * n, [T0 + 500] * n, [0.01] * n))
-    section = build_report("embodied", ledger=ledger, ledger_digest="l")["embodied"]
+
+
+def test_embodied_rows_stream_in_blocks():
+    # 50 consumers x 400 objects: each consumer's objects are one Rows, formatted a block a
+    # write; the consumers list is walked one consumer at a time, with no json call a row
+    n = 50 * 400
+    section = build_report("embodied", ledger=wide_ledger(), ledger_digest="l")["embodied"]
     assert sum(map(len, (consumer["objects"] for consumer in section["consumers"]))) == n == 20_000
     gc.collect()
     gc.disable()  # as the CLI renders
@@ -429,6 +433,17 @@ def test_embodied_rows_stream_in_blocks():
     assert gc.collect() < 1_000
     whole = b"".join(sink.chunks)
     assert whole == stdlib_json(section)
+    assert len(sink.chunks) > 1
+    assert max(map(len, sink.chunks)) < len(whole) / 4
+
+
+def test_embodied_csv_rows_stream_in_blocks():
+    # the same 20,000 attribution rows as CSV, with 400 idle-residual and 400 lifecycle rows:
+    # csv.writer's rows are written a block at a time, never the section in one piece
+    report = build_report("embodied", ledger=wide_ledger(), ledger_digest="l")
+    render_report(report, "csv", sink := RecordingSink())
+    whole = b"".join(sink.chunks)
+    assert whole == naive_csv_bytes(report)
     assert len(sink.chunks) > 1
     assert max(map(len, sink.chunks)) < len(whole) / 4
 
