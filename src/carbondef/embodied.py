@@ -11,8 +11,11 @@ A Ledger holds its records as columns: a consumer and an object id a record,
 per-record step offsets, and the steps' start and end ints and fraction
 array('d'). Its checks (fraction range, start < end, step order within a
 profile, known objects, lifespan containment) are bulk passes over the
-columns; only a fault walks the records, to name the first. The
-oversubscription sweep reads each object's slices of the step columns. Each
+columns; only a fault walks the records, to name the first. A record's steps
+never overlap, so its peak fraction bounds its share of any instant: an
+object whose records' peaks sum within the limit, in the sweep's exact int
+units, cannot be oversubscribed, and only the others are swept, each from
+its slices of the step columns. Each
 record is attributed once, into a kg column that consumer_embodied and
 idle_residual read through index lists. ConsumptionRecord, SharingProfile
 and ProfileStep are built on demand, and only by the records view.
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import accumulate, compress, count
 from math import inf
-from operator import le, lt, mul, neg, sub
+from operator import add, iadd, le, lt, mul, neg, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,6 +42,17 @@ from .errors import (
 from .power import EPOCH_LIMIT, _float_column, broken_bound, epoch_fault, fold_sum, shown
 
 OVERSUBSCRIPTION_TOL = 1e-9
+
+
+_SCALE = 2.0**60  # the oversubscription sweep counts fractions in units of 2**-60
+_UNIT_LIMIT = round((1.0 + OVERSUBSCRIPTION_TOL) * _SCALE)  # 1 + tolerance, in those units
+_NO_STEP = -512 / _SCALE  # max()'s default for a record with no steps, which _units makes 0
+
+
+def _units(fractions: Iterable[float]) -> list[int]:
+    """Fractions in the sweep's units: each an int count of 2**-60, rounded, plus 512 of slack
+    (float.__round__ is round() without its method lookup)."""
+    return [float.__round__(value * _SCALE) + 512 for value in fractions]
 
 
 @dataclass(frozen=True)
@@ -189,16 +204,25 @@ class Ledger:
         for index, (consumer, key) in enumerate(zip(consumer_id, object_id)):
             self._by_object.setdefault(key, []).append(index)
             self._by_consumer.setdefault(consumer, []).append(index)
+        # each record's peak fraction in the sweep's units, which bound its part of any total the sweep keeps:
+        # an object whose peaks sum within the limit cannot be oversubscribed; max() of a record with no steps raises
+        try:
+            peaks = _units(map(max, map(fractions.__getitem__, spans)))
+        except ValueError:
+            peaks = _units(map(partial(max, default=_NO_STEP), map(fractions.__getitem__, spans)))
         for key in objects:  # an object's steps, in ledger order
-            object_spans = [spans[index] for index in self._by_object.get(key, ())]
-            _check_oversubscription(key, *([value for span in object_spans for value in column[span]]
-                                            for column in (start, end, fractions)))
+            if reduce(add, map(peaks.__getitem__, indices := self._by_object.get(key, ())), 0) > _UNIT_LIMIT:
+                object_spans = [spans[index] for index in indices]
+                _check_oversubscription(key, *(reduce(iadd, map(column.__getitem__, object_spans), [])
+                                                for column in (start, end, fractions)))
 
         # lifecycle * weighted seconds / lifespan_s, the seconds summed in step order as weighted_seconds does
         weighted = list(map(mul, fractions, map(sub, end, start)))
-        lifecycle = {key: (lifecycle_total(obj), obj.lifespan_s) for key, obj in objects.items()}
-        self.kg = array("d", [lifecycle[key][0] * seconds / lifecycle[key][1]
-                              for key, seconds in zip(object_id, map(fold_sum, map(weighted.__getitem__, spans)))])
+        lifecycle = {key: lifecycle_total(obj) for key, obj in objects.items()}
+        lifespan = {key: obj.lifespan_s for key, obj in objects.items()}
+        seconds = map(fold_sum, map(weighted.__getitem__, spans))
+        self.kg = array("d", map(truediv, map(mul, map(lifecycle.__getitem__, object_id), seconds),
+                                 map(lifespan.__getitem__, object_id)))
 
     @classmethod
     def build(cls, objects: Iterable[EmbodiedObject], records: Iterable[ConsumptionRecord] = (),
@@ -239,12 +263,15 @@ def _check_oversubscription(object_id: str, start: list[int], end: list[int], fr
     are re-summed in ledger order by fold_sum, giving the error's total; no edge past
     the limit escapes, as that left-to-right float sum errs by at most 256 * k units
     while the exact one is at most 2. Linear, plus an O(k log k) re-sum per edge within k * 4.4e-16 of it.
+
+    A ledger sweeps only an object whose records' peak fractions, in these units,
+    sum past the limit: a record's steps never overlap, so at most one of them is
+    active after any event, and no running total can top that sum.
     """
-    n, limit = len(start), round((1.0 + OVERSUBSCRIPTION_TOL) * 2**60)
-    edges, units = [*end, *start], [round(value * 2**60) + 512 for value in fraction]
+    n, edges, units = len(start), [*end, *start], _units(fraction)
     events = sorted(range(2 * n), key=edges.__getitem__)  # a stable sort puts closings first
     active, swept = set(), 0  # the steps open after events[:swept], brought up to date at a re-sum
-    for index in compress(count(1), map(limit.__lt__, accumulate(map([*map(neg, units), *units].__getitem__, events)))):
+    for index in compress(count(1), map(_UNIT_LIMIT.__lt__, accumulate(map([*map(neg, units), *units].__getitem__, events)))):
         if index < 2 * n and edges[events[index]] == edges[events[index - 1]]:
             continue  # the edge has events still to come
         active.update(at - n for at in events[swept:index] if at >= n)

@@ -6,8 +6,9 @@ embodied section's per-consumer objects and object table) are read-only
 ``Rows`` views over columns, rendered from column slices through one
 '%'-template a view without building a dict per row. Of a view past two
 blocks of rows (8,192), a forked child formats the second half into an
-unnamed temporary file, copied to the sink after the first; with no child, or
-a failed one, this process formats it, so the bytes never change. json's own
+unnamed temporary file, copied to the sink after the first; with another
+thread running (a child could inherit a lock it holds), no child, or a failed
+one, this process formats it, so the bytes never change. json's own
 encoder writes every byte of a JSON report but the numbers and ids of those
 rows; an id is escaped by ``json.encoder.encode_basestring_ascii``, as json
 writes a str, and CSV quotes ids through csv.writer. Every report total is
@@ -26,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 from operator import add, sub, truediv
@@ -333,10 +335,10 @@ def _format_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str
 
 
 def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
-    """Format rows ``first`` on into ``out``. Past two blocks, a forked child
-    formats the second half into a spill file, copied after the first half."""
-    end, middle = len(rows), (first + len(rows)) // 2
-    if end - first <= 2 * _BLOCK or not hasattr(os, "fork"):
+    """Format rows ``first`` on into ``out``. Past two blocks, and with no other thread
+    running, a forked child formats the second half into a spill file, copied after the first half."""
+    end, middle, threading = len(rows), (first + len(rows)) // 2, sys.modules.get("threading")
+    if end - first <= 2 * _BLOCK or not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return _format_rows(out, rows, format_row, first, end)
     import tempfile  # here, not at module level: every run's cold start would pay for it
     try:

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import random
 from array import array
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from carbondef import (
     lifecycle_total,
 )
 from carbondef import embodied
-from carbondef.embodied import OVERSUBSCRIPTION_TOL, RecordsView, _check_oversubscription
+from carbondef.embodied import OVERSUBSCRIPTION_TOL, RecordsView, _UNIT_LIMIT, _check_oversubscription, _units
 from carbondef.power import fold_sum
 from carbondef.errors import (
     DurationError,
@@ -119,6 +121,38 @@ def near_limit_steps(draw):
     if covering:  # the last covering step in ledger order lands the sum on the target
         fractions[covering[-1]] = min(1.0, max(0.0, target - sum(fractions[index] for index in covering[:-1])))
     return [ProfileStep(T0 + lo, T0 + hi, fraction) for (lo, hi), fraction in zip(spans, fractions)]
+
+
+@st.composite
+def peak_bounded_ledgers(draw):
+    """1-3 objects of 2-6 records of 1-4 steps each, in a drawn ledger order. Each
+    object's records' peak fractions sum in the sweep's units to just below, at or
+    just above its limit, or a few thousand units either side, or to within 1.5 ulps
+    of 1 of the limit in exact terms (512 units of slack a record, 256 units an ulp
+    of 1). With ``overlap`` drawn, every record's peak step covers one probe instant;
+    without, the peaks never meet. The other steps take at most their record's peak."""
+    objects, records = [], []
+    for index in range(draw(st.integers(1, 3))):
+        objects.append(dataclasses.replace(rack(), id=f"rack-{index}"))
+        count, overlap = draw(st.integers(2, 6)), draw(st.booleans())
+        offset = draw(st.sampled_from([-1, 0, 1]) | st.integers(-4096, 4096)
+                      | st.integers(-384, 384).map(lambda shift: 512 * count + shift))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=count - 1, max_size=count - 1))
+        rest = draw(st.floats(2**-9, 2**-8))  # the last peak: an int count of units below 2**53, so exact
+        peaks = [(1.0 - rest) * weight / fold_sum(weights) for weight in weights]
+        peaks.append((_UNIT_LIMIT + offset - reduce(add, _units(peaks)) - 512) / 2**60)
+        assert reduce(add, _units(peaks)) == _UNIT_LIMIT + offset
+        for position, peak in enumerate(peaks):
+            lo, hi = (50 - draw(st.integers(1, 9)), 51 + draw(st.integers(0, 9))) if overlap else \
+                (100 + 20 * position, 101 + 20 * position + draw(st.integers(0, 18)))
+            before = sorted(draw(st.lists(st.integers(0, lo), max_size=4, unique=True)))
+            after = sorted(draw(st.lists(st.integers(hi, 240), max_size=4, unique=True)))
+            spans = [*zip(before, before[1:]), (lo, hi), *zip(after, after[1:])]
+            steps = [ProfileStep(T0 + start, T0 + end, peak if (start, end) == (lo, hi) else
+                                 peak * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+                     for start, end in spans]
+            records.append(record(steps, consumer=f"c{position}", object_id=objects[-1].id))
+    return objects, draw(st.permutations(records))
 
 
 class TestEmbodiedObjectBounds:
@@ -330,7 +364,7 @@ class TestLedger:
         assert oversubscription_outcome(lambda: sweep(steps)) == expected
         assert oversubscription_outcome(lambda: Ledger.build([rack()], records)) == expected
 
-    # sums on each side of the tolerance: the prefilter may pass only what the exact sweep passes,
+    # sums on each side of the tolerance: the peak bound may clear only what the exact sweep passes,
     # and a rejection reports the sweep's edge and bit-identical total
     @pytest.mark.parametrize("steps, rejected", [
         ([ProfileStep(T0, T0 + 10, 0.1)] * 10, False),  # sums to 0.9999999999999999
@@ -354,6 +388,62 @@ class TestLedger:
         records = [record([step], consumer=f"c{index}") for index, step in enumerate(steps)]
         expected = oversubscription_outcome(lambda: naive_check_oversubscription("rack-1", records))
         assert oversubscription_outcome(lambda: sweep(steps)) == expected
+
+    @settings(max_examples=200)
+    @given(peak_bounded_ledgers())
+    def test_peak_bound_matches_naive_oracle(self, ledger):
+        # whether or not the bound clears an object, the build raises what the naive check raises first
+        # (any error but an OversubscriptionError propagates and fails the test)
+        objects, records = ledger
+
+        def naive():
+            for obj in objects:
+                naive_check_oversubscription(obj.id, records)
+
+        assert oversubscription_outcome(lambda: Ledger.build(objects, records)) == oversubscription_outcome(naive)
+
+    @staticmethod
+    def swept_objects(monkeypatch, objects, records):
+        """The object ids Ledger.build hands to the sweep, in order, and the build's oversubscription_outcome."""
+        swept, real = [], embodied._check_oversubscription
+        monkeypatch.setattr(embodied, "_check_oversubscription",
+                            lambda object_id, *columns: swept.append(object_id) or real(object_id, *columns))
+        return swept, oversubscription_outcome(lambda: Ledger.build(objects, records))
+
+    def test_objects_whose_peaks_fit_are_not_swept(self, monkeypatch):
+        # peaks 0.5 and just under 0.5 sum to the limit exactly in units, and a record with no steps adds none;
+        # ten records of three steps up to 0.09, as the benchmark's ledgers hold, sum to at most 0.9
+        below_half = (_UNIT_LIMIT - 2**59 - 1024) / 2**60
+        assert reduce(add, _units([0.5, below_half])) == _UNIT_LIMIT
+        objects = [dataclasses.replace(rack(), id=key) for key in ("rack-a", "rack-b")]
+        records = [record([ProfileStep(T0, T0 + 10, 0.5)], consumer="x", object_id="rack-a"),
+                   record([ProfileStep(T0 + 5, T0 + 10, below_half)], consumer="y", object_id="rack-a"),
+                   record([], consumer="z", object_id="rack-a"),
+                   *(record([ProfileStep(T0 + 30 * part + 10 * index, T0 + 30 * part + 10 * index + 5,
+                                         0.01 + 0.08 * part / 2)
+                             for part in range(3)], consumer=f"c{index}", object_id="rack-b")
+                     for index in range(10))]
+        assert self.swept_objects(monkeypatch, objects, records) == ([], None)
+
+    def test_each_object_whose_peaks_pass_the_limit_is_swept_once(self, monkeypatch):
+        # rack-b and rack-d hold peaks summing past 1 that never meet, and rack-c's two peaks, which meet, pass
+        # the limit by 128 units (the next float up from the last test's) but not in exact terms; rack-a fits
+        above_half = (_UNIT_LIMIT - 2**59 - 1024 + 128) / 2**60
+        assert reduce(add, _units([0.5, above_half])) == _UNIT_LIMIT + 128
+        objects = [dataclasses.replace(rack(), id=f"rack-{key}") for key in "abcde"]
+        records = [record([ProfileStep(T0, T0 + 10, fraction)], consumer=consumer, object_id=f"rack-{key}")
+                   for key, consumer, fraction in [("a", "x", 0.4), ("b", "x", 0.6), ("c", "x", 0.5), ("d", "x", 0.9),
+                                                   ("a", "y", 0.6), ("c", "y", above_half)]]
+        records += [record([ProfileStep(T0 + 10, T0 + 20, 0.4), ProfileStep(T0 + 20, T0 + 30, 0.6)],
+                           consumer="y", object_id="rack-b"),
+                    record([ProfileStep(T0 + 20, T0 + 30, 0.2)], consumer="y", object_id="rack-d")]
+        assert self.swept_objects(monkeypatch, objects[:4], records) == (["rack-b", "rack-c", "rack-d"], None)
+        monkeypatch.undo()
+        # rack-e is oversubscribed: its sweep raises, with the instant and total it always gave
+        records += [record([ProfileStep(T0, T0 + 10, 0.6)], consumer=consumer, object_id="rack-e")
+                    for consumer in "xy"]
+        assert self.swept_objects(monkeypatch, objects, records) == (
+            ["rack-b", "rack-c", "rack-d", "rack-e"], ("rack-e", T0, 1.2))
 
     @staticmethod
     def sweep_work(monkeypatch, start, end, fraction):

@@ -10,6 +10,7 @@ import os
 import random
 import signal
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -489,6 +490,25 @@ def test_rows_split_between_processes_give_the_serial_bytes(count, tmp_path, mon
     assert len(forks) == (count > 2 * SMALL_BLOCK)
     rendered(reports[0], "json")
     assert len(forks) == (count > 2 * SMALL_BLOCK) + (count - 1 > 2 * SMALL_BLOCK)
+
+
+def test_rows_render_in_process_beside_another_thread(tmp_path, monkeypatch, forks):
+    # a child forked beside a running thread could inherit a lock that thread holds: this process formats every row
+    monkeypatch.setattr(report_module, "_BLOCK", SMALL_BLOCK)
+    reports = gen_reports(3, tmp_path, 9 * SMALL_BLOCK + 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    try:
+        for report in reports:
+            assert rendered(report, "csv") == naive_csv_bytes(plain(report))
+            assert rendered(report, "json") == stdlib_json(report)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    rendered(reports[0], "csv")  # with the thread gone, the same view is split again
+    assert len(forks) == 1
 
 
 def _refused(*args, **kwargs):
