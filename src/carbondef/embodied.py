@@ -39,7 +39,7 @@ from .errors import (
     ProfileOutOfLifespan,
     UnknownObject,
 )
-from .power import EPOCH_LIMIT, _float_column, broken_bound, epoch_fault, fold_sum, shown
+from .power import EPOCH_LIMIT, ColumnRows, _float_column, broken_bound, epoch_fault, fold_sum, shown
 
 OVERSUBSCRIPTION_TOL = 1e-9
 
@@ -131,32 +131,17 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
     )
 
 
-class RecordsView:
-    """A ledger's records in ledger order, read-only: indexing and iteration build each
-    ConsumptionRecord, its SharingProfile and ProfileSteps, on demand, and a slice is a tuple of
-    them; ``len()`` reads one column. It equals a view of equal columns or the tuple of its records."""
+class RecordsView(ColumnRows):
+    """A ledger's records in ledger order over its columns: each ConsumptionRecord is built
+    with its SharingProfile and ProfileSteps on demand."""
 
-    __slots__ = ("columns",)
+    __slots__ = ()
 
-    def __init__(self, columns: tuple):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, index):  # the IndexError past the end ends iteration
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
+    def _row(self, index: int) -> ConsumptionRecord:
         consumer_id, object_id, offsets, start, end, fraction = self.columns
-        index = range(len(self))[index]
         steps = slice(offsets[index], offsets[index + 1])
         profile = SharingProfile(tuple(map(ProfileStep, start[steps], end[steps], fraction[steps])))
         return ConsumptionRecord(consumer_id[index], object_id[index], profile)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RecordsView):
-            return self.columns == other.columns
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
 
 class Ledger:

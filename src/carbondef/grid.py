@@ -13,17 +13,22 @@ energy, idle baseline included.
 Segments and uncovered spans are held as columns, one per row field:
 starts, durations and intensities as lists of the values met (an int stays
 an int), joules and kg CO2e as array('d'), about 70 bytes a segment.
-``segments`` and ``uncovered`` rows are built on demand.
+``segments`` and ``uncovered`` rows are built on demand. So is an intensity
+series held: lists of entry starts, ends and intensities, checked once in
+bulk, its ``entries`` a view whose rows are built on demand.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import compress, count, islice
+from operator import lt, ne
+from sys import float_info
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CoverageError
-from .power import EnergySeries, broken_bound, epoch_fault, fold_sum, shown
+from .power import EPOCH_LIMIT, ColumnRows, EnergySeries, broken_bound, epoch_fault, fold_sum, shown
 
 #: exact joule content of one kilowatt-hour
 JOULES_PER_KWH = 3.6e6
@@ -48,20 +53,45 @@ class IntensityEntry:
             raise ValueError(fault)
 
 
-@dataclass(frozen=True)
+class EntriesView(ColumnRows):
+    """A series' entries in start order over its columns, each IntensityEntry built on demand."""
+
+    __slots__ = ()
+
+    def _row(self, index: int) -> IntensityEntry:
+        return IntensityEntry(*(column[index] for column in self.columns))
+
+
 class IntensitySeries:
-    """Piecewise-constant intensity for one region: entries sorted by start,
-    none overlapping the previous one; gaps are allowed."""
+    """Piecewise-constant intensity for one region: lists of entry starts, ends and intensities,
+    sorted by start, none starting before the previous one's end (gaps are allowed), built from
+    entries or in bulk (``columns=``, a list kept, not copied). Construction checks the columns in
+    bulk against IntensityEntry's condition, walking entries only to raise one's ValueError, then the order."""
 
-    region: str
-    entries: tuple[IntensityEntry, ...]
+    __slots__ = ("region", "columns")
 
-    def __post_init__(self):
-        previous_end = None
-        for entry in self.entries:
-            if previous_end is not None and entry.start < previous_end:
-                raise ValueError(f"entry [{entry.start}, {entry.end}) overlaps the previous one")
-            previous_end = entry.end
+    def __init__(self, region: str, entries: Iterable[IntensityEntry] = (), *, columns: Sequence[Sequence] | None = None):
+        rows = ((entry.start, entry.end, entry.intensity_kg_per_kwh) for entry in entries)
+        columns = ([list(column) for column in zip(*rows)] or ([], [], [])) if columns is None else columns
+        if len(columns) != 3 or len(set(map(len, columns))) > 1:
+            raise ValueError("a series is three columns of one length")
+        self.region, self.columns = region, tuple(column if type(column) is list else list(column) for column in columns)
+        start, end, intensity = self.columns
+        # each end lies past its start, so the least start and greatest end bound every epoch; max() may skip a NaN
+        if not (all(map(lt, start, end)) and -EPOCH_LIMIT <= min(start, default=0) and max(end, default=0) <= EPOCH_LIMIT
+                and 0 <= min(intensity, default=0) and max(intensity, default=0) <= float_info.max
+                and not any(map(ne, intensity, intensity))):
+            for row in zip(start, end, intensity):
+                IntensityEntry(*row)  # the first faulty entry raises its ValueError
+        if (later := next(compress(count(1), map(lt, islice(start, 1, None), end)), None)) is not None:
+            raise ValueError(f"entry [{start[later]}, {end[later]}) overlaps the previous one")
+
+    @property
+    def entries(self) -> EntriesView:
+        return EntriesView(self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntensitySeries) and self.region == other.region and self.columns == other.columns
 
 
 @dataclass(frozen=True)
@@ -145,34 +175,34 @@ def align_segments(
     uncovered = ([], [], array("d"))
     add_start, add_length, add_joules, add_intensity, add_kg = (column.append for column in segments)
     add_gap_start, add_gap_length, add_gap_joules = (column.append for column in uncovered)
-    entries = intensity.entries
-    n_entries, first = len(entries), 0
+    starts, ends, intensities = intensity.columns
+    n_entries, first = len(starts), 0
 
     for start, duration, joules_total in zip(*energy.columns[:3]):
         interval_end = start + duration
         duration = interval_end - start  # the span the segments partition: start + duration may round
         rate = joules_total / duration
         cursor = start
-        while first < n_entries and entries[first].end <= cursor:
+        while first < n_entries and ends[first] <= cursor:
             first += 1
 
         index = first
-        while index < n_entries and entries[index].start < interval_end:
-            entry = entries[index]
+        while index < n_entries and (entry_start := starts[index]) < interval_end:
+            entry_end, value = ends[index], intensities[index]
             # the conditionals pick what max() and min() would, ties included
-            overlap_start = entry.start if entry.start > cursor else cursor
+            overlap_start = entry_start if entry_start > cursor else cursor
             if overlap_start > cursor:
                 add_gap_start(cursor)
                 add_gap_length(overlap_start - cursor)
                 add_gap_joules(rate * (overlap_start - cursor))
-            overlap_end = entry.end if entry.end < interval_end else interval_end
+            overlap_end = entry_end if entry_end < interval_end else interval_end
             length = overlap_end - overlap_start
             joules = joules_total * (length / duration)
             add_start(overlap_start)
             add_length(length)
             add_joules(joules)
-            add_intensity(entry.intensity_kg_per_kwh)
-            add_kg(pue.value * (entry.intensity_kg_per_kwh * joules / JOULES_PER_KWH))
+            add_intensity(value)
+            add_kg(pue.value * (value * joules / JOULES_PER_KWH))
             cursor = overlap_end
             index += 1
         if cursor < interval_end:

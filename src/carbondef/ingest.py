@@ -18,7 +18,10 @@ Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
 fault in its check order. Every JSON key, required or optional, is read by
-one field reader, ``_fields``. ``serialize_intensity_feed`` emits the canonical
+one field reader, ``_fields``; every JSON entry list (samples, feed entries,
+ledger objects, records, steps) by one bulk reader, ``_columns``, a column a
+key checked by its kind's bulk test, whose fault path ``_locate`` reads entry
+by entry through ``_fields``. ``serialize_intensity_feed`` emits the canonical
 form the cache stores, which round-trips byte-identically through its parser.
 
 The intensity fetcher keeps a content-addressed file cache (one entry per
@@ -39,13 +42,12 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
 from .errors import (
     FractionError,
-    LedgerReferenceError,
     NegativeIntensityError,
     NetworkError,
     OverlapError,
@@ -133,12 +135,21 @@ def _present(value: Any, location: str, key: str) -> Any:
     return value
 
 
+def _fails_kind(types: set, limit: float, column: list) -> bool:
+    """Whether a value in ``column`` has a type outside ``types`` (so a bool is no int) or
+    an ``abs`` past ``limit``. A NaN that max() skips passes: the value types reject it."""
+    return bool(set(map(type, column)) - types) or not max(map(abs, column), default=0) <= limit
+
+
 def _number(value: Any, location: str, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", location=f"{location}.{key}")
     if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int beyond the float range
         raise ParseError(f"expected a finite number, got {value!r}", location=f"{location}.{key}")
     return float(value)
+
+
+_number.fails = partial(_fails_kind, {int, float}, sys.float_info.max)
 
 
 def _integer(value: Any, location: str, key: str, expected: str = "integer epoch seconds") -> int:
@@ -149,12 +160,18 @@ def _integer(value: Any, location: str, key: str, expected: str = "integer epoch
     return value
 
 
+_integer.fails = partial(_fails_kind, {int}, EPOCH_LIMIT)
+
 _cpu_count = partial(_integer, expected="an integer CPU count")
 
 
 def _string(value: Any, location: str, key: str) -> str:
     _utf8(value, location, key)
     return value
+
+
+# never true: a value that is no str raises a TypeError, a lone surrogate a UnicodeEncodeError (a ValueError)
+_string.fails = lambda column: "".join(column).encode("utf-8") is None
 
 
 def _utf8(value: Any, location: str, key: str) -> bytes:
@@ -196,18 +213,39 @@ def _choice(choices: tuple, expected: str | None = None) -> Callable[[Any, str, 
     return _optional(choice, choices[0])
 
 
-def _fails_kind(columns: tuple, types: set, limit: float) -> bool:
-    """Whether a value in ``columns`` has a type outside ``types`` (so a bool is no int) or
-    an ``abs`` past ``limit``. A NaN that max() skips passes: the value types reject it."""
-    return any(set(map(type, column)) - types or not max(map(abs, column), default=0) <= limit for column in columns)
-
-
-def _located(build: Callable[..., Any], location: str, *args: Any) -> Any:
-    """``build(*args)``, its ValueError raised as a ParseError at ``location``."""
+def _located(build: Callable[..., Any], location: str, *args: Any, error: type = ParseError) -> Any:
+    """``build(*args)``, its ValueError raised as an ``error`` (ParseError) at ``location``."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ParseError(str(exc), location=location) from exc
+        raise error(str(exc), location=location) from exc
+
+
+def _columns(raw_entries: list, location: str | None, fields: tuple, build: Callable[..., Any] | None = None,
+             entry: Callable[..., Any] | None = None) -> Any:
+    """``build(*columns)``, or the columns: a list a ``(key, kind)`` field of ``raw_entries``, each checked by
+    ``kind.fails``, true or raising for a value the kind rejects. On a KeyError, TypeError or ValueError,
+    ``build``'s too, :func:`_locate` raises the first fault under ``location``; the error is raised again
+    if it finds none, or with no ``location`` (the caller's own loop locates it)."""
+    try:
+        columns = [list(map(itemgetter(key), raw_entries)) for key, _ in fields]
+        if any(kind.fails(column) for (_, kind), column in zip(fields, columns)):
+            raise ValueError("a value that fails its kind's test")
+        return build(*columns) if build else columns
+    except (KeyError, TypeError, ValueError):
+        if location is not None:
+            _locate(raw_entries, location, fields, entry)
+        raise
+
+
+def _locate(raw_entries: list, location: str, fields: tuple, entry: Callable[..., Any] | None = None) -> list:
+    """Read entry i through :func:`_fields` at ``location[i]``, then ``entry(location[i], *values)``, one by one,
+    so the first fault raises: each entry's values, or what ``entry`` returns."""
+    read = []
+    for index, raw in enumerate(raw_entries):
+        values = _fields(raw, at := f"{location}[{index}]", *fields)
+        read.append(entry(at, *values) if entry else values)
+    return read
 
 
 # --- usage traces ---
@@ -279,108 +317,100 @@ def _locate_csv_fault(data: bytes) -> None:
         _located(UsageSample, location, start, *values)
 
 
+_SAMPLE_FIELDS = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[1:]))
+
+
 def _parse_trace_json(data: bytes) -> UsageTrace:
     (raw_samples,) = _fields(_decode_json(data), "$", ("samples", _array))
-
-    # the whole array key by key; any fault leaves its location to the sample loop
-    try:
-        start, *values = [[raw[key] for raw in raw_samples] for key in TRACE_FIELDS]
-        if set(map(type, start)) - {int}:
-            raise ValueError("a start that is no integer")
-        if _fails_kind(values, {int, float}, sys.float_info.max):  # _number's test
-            raise ValueError("a value that is no finite number")
-        return UsageTrace(columns=(start, *(array("d", column) for column in values)))  # an int converts as float() does
-    except (KeyError, TypeError, ValueError):
-        _locate_json_fault(raw_samples)
-        raise
-
-
-def _locate_json_fault(raw_samples: list) -> None:
-    """Raise the error of the first faulty sample, as a sample-by-sample parse would."""
-    sample_fields = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[1:]))
-    for index, raw in enumerate(raw_samples):
-        location = f"samples[{index}]"
-        _located(UsageSample, location, *_fields(raw, location, *sample_fields))
+    return _columns(raw_samples, "samples", _SAMPLE_FIELDS,  # an int converts to array('d') as float() does
+                    lambda start, *values: UsageTrace(columns=(start, *(array("d", column) for column in values))),
+                    partial(_located, UsageSample))
 
 
 # --- intensity feeds ---
 
+_ENTRY_FIELDS = (("start", _integer), ("end", _integer), ("intensity_kg_per_kwh", _number))
+
+
 def parse_intensity_feed(data: bytes) -> IntensitySeries:
-    """Parse and sort an intensity feed.
+    """Parse an intensity feed into a series, its columns sorted once by start (stably).
 
     Raises NegativeIntensityError / OverlapError / ParseError, each with
     the offending entry's position in the input.
     """
     region, raw_entries = _fields(_decode_json(data), "$", ("region", _string), ("entries", _array))
+    order: list[int] = []  # the input index of each entry in start order
 
-    entries: list[IntensityEntry] = []
-    for index, raw in enumerate(raw_entries):
-        location = f"entries[{index}]"
-        start, end, intensity = _fields(
-            raw, location, ("start", _integer), ("end", _integer), ("intensity_kg_per_kwh", _number)
-        )
-        try:
-            entries.append(IntensityEntry(start, end, intensity))
-        except ValueError as exc:
-            error = NegativeIntensityError if intensity < 0 else ParseError
-            raise error(str(exc), location=location) from exc
+    def sorted_series(start: list, end: list, intensity: list) -> IntensitySeries:
+        order.extend(sorted(range(len(start)), key=start.__getitem__))
+        columns = (start, end, list(map(float, intensity)))  # an int converts as _number's float() does
+        return IntensitySeries(region, columns=[list(map(column.__getitem__, order)) for column in columns])
 
-    ordered = sorted(entries, key=attrgetter("start"))
     try:
-        return IntensitySeries(region=region, entries=tuple(ordered))
-    except ValueError as exc:  # locate the first entry starting before its predecessor's end
-        later = next(entry for entry, previous in zip(ordered[1:], ordered) if entry.start < previous.end)
-        index = next(index for index, entry in enumerate(entries) if entry is later)
-        raise OverlapError(str(exc), location=f"entries[{index}]") from exc
+        return _columns(raw_entries, "entries", _ENTRY_FIELDS, sorted_series, _intensity_entry)
+    except ValueError as exc:  # every entry is sound: the later of the first overlapping pair, by its input index
+        start, end, _ = _columns(raw_entries, "entries", _ENTRY_FIELDS)
+        later = next(k for k in range(1, len(order)) if start[order[k]] < end[order[k - 1]])
+        raise OverlapError(str(exc), location=f"entries[{order[later]}]") from exc
+
+
+def _intensity_entry(location: str, start: int, end: int, intensity: float) -> None:
+    error = NegativeIntensityError if intensity < 0 else ParseError  # IntensityEntry's first check
+    _located(IntensityEntry, location, start, end, intensity, error=error)
 
 
 def serialize_intensity_feed(series: IntensitySeries) -> bytes:
-    entries = [
-        {"start": entry.start, "end": entry.end, "intensity_kg_per_kwh": entry.intensity_kg_per_kwh}
-        for entry in series.entries
-    ]
+    keys = [key for key, _ in _ENTRY_FIELDS]
+    entries = [dict(zip(keys, row)) for row in zip(*series.columns)]
     return canonical_json({"region": series.region, "entries": entries})
 
 
 # --- embodied ledgers ---
 
+def _profile(value: Any, location: str, key: str) -> SharingProfile:
+    """A record's profile: its steps read and built by :func:`_locate` at ``location.key[j]``,
+    then their SharingProfile at ``location.key``."""
+    steps = _locate(_array(value, location, key), f"{location}.{key}", _STEP_FIELDS, _profile_step)
+    return _located(SharingProfile, f"{location}.{key}", tuple(steps))
+
+
+_profile.fails = lambda column: set(map(type, column)) - {list}  # _array's test; the steps have their own
+
+
+def _profile_step(location: str, *values: Any) -> ProfileStep:
+    try:
+        return _located(ProfileStep, location, *values)
+    except FractionError as exc:  # no ValueError, so _located leaves it unlocated
+        raise FractionError(f"{location}: {exc}") from exc
+
+
 _OBJECT_FIELDS = (("id", _string), ("m_kg", _number), ("r_kg", _number), ("eol_kg", _number),
                   ("lifespan_start", _integer), ("lifespan_s", _number))
-_RECORD_FIELDS = (("consumer_id", _string), ("object_id", _string), ("profile", _array))
+_RECORD_FIELDS = (("consumer_id", _string), ("object_id", _string), ("profile", _profile))
 _STEP_FIELDS = (("start", _integer), ("end", _integer), ("fraction", _number))
 
 
 def parse_ledger(data: bytes) -> Ledger:
     """Parse a ledger and run the full cross-reference validation.
 
-    Objects, records and their flattened steps are read key by key into columns,
-    checked in bulk, and the step columns go to Ledger.build with per-record offsets,
-    after the parsed JSON is freed. On a KeyError, TypeError, ValueError or FractionError
-    (caught by name: it is no ValueError), :func:`_locate_ledger_fault` runs the
-    entry-by-entry loop over the document decoded again, to name the first fault.
+    Objects, records and their flattened steps are read by :func:`_columns`, and the step
+    columns go to Ledger.build with per-record offsets, after the parsed JSON is freed. A
+    fault in the records or steps, or a ValueError or FractionError (caught by name: it is
+    no ValueError) from Ledger.build, is named by the record loop, whose ``profile`` kind
+    reads each step; after Ledger.build it runs over the document decoded again.
 
     Raises ParseError for malformed values, FractionError for fractions
     outside [0, 1], LedgerReferenceError for dangling object ids, and
     OversubscriptionError when instantaneous shares exceed capacity.
     """
     raw_objects, raw_records = _ledger_entries(data)
+    objects = _columns(raw_objects, "objects", _OBJECT_FIELDS, _embodied_objects, partial(_located, EmbodiedObject))
+    columns = _columns(raw_records, "records", _RECORD_FIELDS, _record_columns)
+    del raw_objects, raw_records  # free the parsed JSON before Ledger.build checks and indexes
     try:
-        ids, m_kg, r_kg, eol_kg, lifespan_start, lifespan_s = (
-            list(map(itemgetter(key), raw_objects)) for key, _ in _OBJECT_FIELDS)
-        consumer_ids, object_ids, profiles = (list(map(itemgetter(key), raw_records)) for key, _ in _RECORD_FIELDS)
-        starts, ends, fractions = (list(map(itemgetter(key), chain.from_iterable(profiles))) for key, _ in _STEP_FIELDS)
-        "".join(chain(ids, consumer_ids, object_ids)).encode("utf-8")  # _string's test: a TypeError or ValueError
-        if (set(map(type, profiles)) - {list}  # _array's, _integer's, _number's tests; a non-array may fail above
-                or _fails_kind((lifespan_start, starts, ends), {int}, EPOCH_LIMIT)
-                or _fails_kind((m_kg, r_kg, eol_kg, lifespan_s, fractions), {int, float}, sys.float_info.max)):
-            raise ValueError("a value that fails its kind's test")
-        objects = list(map(EmbodiedObject, ids, *(map(float, column) for column in (m_kg, r_kg, eol_kg)),
-                           lifespan_start, map(float, lifespan_s)))
-        offsets = [0, *accumulate(map(len, profiles))]
-        del raw_objects, raw_records, profiles  # free the parsed JSON before Ledger.build checks and indexes
-        return Ledger.build(objects, columns=(consumer_ids, object_ids, offsets, starts, ends, fractions))
-    except (KeyError, TypeError, ValueError, FractionError) as exc:
-        _locate_ledger_fault(*_ledger_entries(data))
+        return Ledger.build(objects, columns=columns)
+    except (ValueError, FractionError) as exc:
+        _locate(_ledger_entries(data)[1], "records", _RECORD_FIELDS)
         raise ParseError(str(exc), location="$.objects") from exc  # no entry is at fault: a duplicate object id
 
 
@@ -390,26 +420,15 @@ def _ledger_entries(data: bytes) -> tuple[list, list]:
     return _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
 
 
-def _locate_ledger_fault(raw_objects: list, raw_records: list) -> None:
-    """Raise the error of the first faulty object or record, as an entry-by-entry parse would."""
-    for index, raw in enumerate(raw_objects):
-        location = f"objects[{index}]"
-        _located(EmbodiedObject, location, *_fields(raw, location, *_OBJECT_FIELDS))
+def _embodied_objects(ids: list, m_kg: list, r_kg: list, eol_kg: list, lifespan_start: list, lifespan_s: list) -> list:
+    kg = (map(float, column) for column in (m_kg, r_kg, eol_kg))
+    return list(map(EmbodiedObject, ids, *kg, lifespan_start, map(float, lifespan_s)))
 
-    for index, raw in enumerate(raw_records):
-        location = f"records[{index}]"
-        *_, raw_profile = _fields(raw, location, *_RECORD_FIELDS)
-        steps: list[ProfileStep] = []
-        for step_index, raw_step in enumerate(raw_profile):
-            step_location = f"{location}.profile[{step_index}]"
-            start, end, fraction = _fields(raw_step, step_location, *_STEP_FIELDS)
-            try:
-                steps.append(ProfileStep(start, end, fraction))
-            except FractionError as exc:
-                raise FractionError(f"{step_location}: {exc}") from exc
-            except ValueError as exc:
-                raise ParseError(str(exc), location=step_location) from exc
-        _located(SharingProfile, f"{location}.profile", tuple(steps))
+
+def _record_columns(consumer_ids: list, object_ids: list, profiles: list) -> tuple:
+    """Ledger.build's columns; a fault in the steps is left to the record loop, which names it."""
+    offsets = [0, *accumulate(map(len, profiles))]
+    return consumer_ids, object_ids, offsets, *_columns(list(chain.from_iterable(profiles)), None, _STEP_FIELDS)
 
 
 # --- run configuration ---

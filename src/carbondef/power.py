@@ -184,6 +184,29 @@ def _float_column(column: Sequence[float]) -> array | list:
         return list(column)
 
 
+class ColumnRows:
+    """Read-only rows over ``columns``, each built on demand by ``_row(index)``, a slice a tuple of them;
+    ``len()`` reads the first column. A view equals one of its class over equal columns, or its rows' tuple."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):  # the IndexError past the end ends iteration
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        return self._row(range(len(self))[index])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+
 class UsageTrace:
     """Sorted, non-overlapping usage samples as six read-only ``columns``, one per UsageSample
     field: a list of starts and five array('d'), the layout the parsers build. Built from samples

@@ -721,6 +721,34 @@ def naive_parse_trace(data: bytes, format: str = "csv") -> UsageTrace:
     return UsageTrace(samples, rows)
 
 
+
+def naive_parse_feed(data: bytes) -> IntensitySeries:
+    """Reference for ``parse_intensity_feed``: one IntensityEntry per entry, each read
+    through ``_fields`` and checked as it is read, then one sort of the entries by start
+    and one walk naming the first that starts before its predecessor's end, located by
+    the identity of its entry in the input."""
+    from carbondef.ingest import _array, _decode_json, _fields, _integer, _number, _string
+
+    region, raw_entries = _fields(_decode_json(data), "$", ("region", _string), ("entries", _array))
+    entries: list[IntensityEntry] = []
+    for index, raw in enumerate(raw_entries):
+        location = f"entries[{index}]"
+        start, end, intensity = _fields(
+            raw, location, ("start", _integer), ("end", _integer), ("intensity_kg_per_kwh", _number)
+        )
+        try:
+            entries.append(IntensityEntry(start, end, intensity))
+        except ValueError as exc:
+            error = NegativeIntensityError if intensity < 0 else ParseError
+            raise error(str(exc), location=location) from None
+
+    ordered = sorted(entries, key=lambda entry: entry.start)
+    for entry, previous in zip(ordered[1:], ordered):
+        if entry.start < previous.end:
+            index = next(index for index, raw in enumerate(entries) if raw is entry)
+            raise OverlapError(f"entry [{entry.start}, {entry.end}) overlaps the previous one", location=f"entries[{index}]")
+    return IntensitySeries(region=region, entries=tuple(ordered))
+
 # (fixture file, parser kind, expected error class, location marker in str(exc))
 MALFORMED = [
     ("trace_bad_header.csv", "trace_csv", SchemaError, "row 1"),

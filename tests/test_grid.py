@@ -400,6 +400,29 @@ class TestIntensitySeries:
                 entries=(IntensityEntry(0, 100, 0.4), IntensityEntry(50, 150, 0.2)),
             )
 
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 100], [100, 200], [0.4, -0.1]), "intensity_kg_per_kwh must be >= 0, got -0.1"),
+        (([0, 100], [100, 200], [0.4, math.nan]), "intensity_kg_per_kwh must be finite, got nan"),  # max() skips it
+        (([0, 100], [100, 200], [10**400, 0.4]), "intensity_kg_per_kwh must be finite, got 1000"),
+        (([0, 100], [100, 100], [0.4, 0.4]), "end 100 must be > start 100"),
+        (([0, 2**53], [100, 2**53 + 1], [0.4, 0.4]), "end must be within ±2**53, got 9007199254740993"),
+        (([0, 50], [100, 150], [0.4, 0.2]), "entry [50, 150) overlaps the previous one"),
+        (([0], [100, 200], [0.4]), "a series is three columns of one length"),
+    ])
+    def test_bulk_columns_checked_as_entries(self, columns, message):
+        # the columns are checked in bulk; a fault raises the error its entry would raise
+        with pytest.raises(ValueError) as exc_info:
+            IntensitySeries("ZZ", columns=columns)
+        assert str(exc_info.value).startswith(message)
+
+    def test_bulk_columns_equal_the_series_of_entries(self):
+        start, end, intensity = [0, 100], [100, 250], [0.4, 1]
+        series = IntensitySeries("ZZ", columns=(start, end, intensity))
+        assert series.columns[0] is start  # a list column is kept, not copied
+        assert series == IntensitySeries("ZZ", (IntensityEntry(0, 100, 0.4), IntensityEntry(100, 250, 1)))
+        assert series.entries == (IntensityEntry(0, 100, 0.4), IntensityEntry(100, 250, 1)) and len(series.entries) == 2
+        assert series != IntensitySeries("NL", series.entries)
+
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
             IntensityEntry(0, 100, -0.4)

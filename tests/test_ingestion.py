@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbondef import ingest
+from carbondef import grid, ingest
 from carbondef.embodied import ConsumptionRecord, ProfileStep, SharingProfile
 from carbondef.errors import (
     FractionError, NegativeIntensityError, NetworkError, OverlapError, ParseError, SchemaError, ValidationError,
@@ -33,7 +33,8 @@ from carbondef.power import UnitTags, UsageTrace
 from carbondef.report import build_report
 
 from support import (
-    FIXTURES, MALFORMED, naive_parse_trace, parse_malformed, serialize_ledger, serialize_usage_trace, to_json_bytes,
+    FIXTURES, MALFORMED, naive_parse_feed, naive_parse_trace, parse_malformed, serialize_ledger, serialize_usage_trace,
+    to_json_bytes,
 )
 
 CANONICAL = FIXTURES / "canonical"
@@ -300,6 +301,99 @@ class TestIntensityParsing:
         with pytest.raises(error) as exc_info:
             parse_intensity_feed(json.dumps(doc).encode())
         assert type(exc_info.value) is error and str(exc_info.value) == message
+
+
+
+# one fault of a feed entry: the key it touches (None: the whole entry) and the JSON value it gets
+FEED_MUTATIONS = {
+    "negative": ("intensity_kg_per_kwh", -0.25), "bool": (None, True), "huge": (None, 10**400),
+    "nan": (None, math.nan), "inf": (None, math.inf), "-inf": (None, -math.inf),
+    "float start": ("start", None), "past 2**53": ("start", None), "empty window": ("end", None),
+    "missing key": (None, None), "not an object": (None, None),
+}
+
+
+@st.composite
+def mutated_feeds(draw):
+    """The bytes of a valid feed, or of one with a single fault: a mutated entry, a lone-surrogate region or
+    two overlapping entries, in a drawn input order (out of order is no fault: the parser sorts)."""
+    region, entries, start = "NL", [], draw(st.integers(-(10**6), 2 * 10**9))
+    for _ in range(draw(st.integers(0, 7))):
+        width = draw(st.sampled_from([1, 60, 1800, 3600]))
+        value = draw(st.one_of(st.floats(0.0, 2.0), st.integers(0, 3), st.just(-0.0)))
+        entries.append({"start": start, "end": start + width, "intensity_kg_per_kwh": value})
+        start += width + draw(st.sampled_from([0, 0, 900]))
+    fault = draw(st.sampled_from([None, "surrogate region", "overlap", "tied start", *FEED_MUTATIONS]))
+    index = draw(st.integers(0, max(len(entries) - 1, 0)))
+    key = draw(st.sampled_from(["start", "end", "intensity_kg_per_kwh"]))
+    if fault == "surrogate region":
+        region = "\ud800"
+    elif entries and fault in ("overlap", "tied start") and index > 0:
+        previous = entries[index - 1]
+        entries[index]["start"] = previous["start"] if fault == "tied start" else previous["end"] - 1
+        entries[index]["end"] = max(entries[index]["end"], entries[index]["start"] + 1)
+    elif entries and fault in FEED_MUTATIONS:
+        entry = entries[index]
+        fixed_key, value = FEED_MUTATIONS[fault]
+        key = fixed_key or key
+        if fault == "float start":
+            value = entry["start"] + draw(st.sampled_from([0.0, 0.5]))
+        elif fault == "past 2**53":
+            entry["end"], value = 2**53 + 120, 2**53 + 60
+        elif fault == "empty window":
+            value = entry["start"]
+        if fault == "missing key":
+            del entry[key]
+        elif fault == "not an object":
+            entries[index] = draw(st.sampled_from([[], "entry", 7, None]))
+        else:
+            entry[key] = value
+    entries = draw(st.permutations(entries))
+    return json.dumps({"region": region, "entries": entries}).encode()
+
+
+def feed_outcome(parse, data):
+    try:
+        series = parse(data)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "location", None)
+    return series.region, repr(series.columns)
+
+
+class TestFeedAgainstReference:
+    """The columnar feed parser against the entry-by-entry reference in support.py: the same
+    series, value for value, or the same error class, message and location."""
+
+    @settings(max_examples=300)
+    @given(mutated_feeds())
+    def test_same_series_or_same_error(self, data):
+        assert feed_outcome(parse_intensity_feed, data) == feed_outcome(naive_parse_feed, data)
+
+    @pytest.mark.parametrize("filename", [row[0] for row in MALFORMED if row[1] == "intensity"])
+    def test_malformed_feeds_match_reference(self, filename):
+        data = (FIXTURES / "malformed" / filename).read_bytes()
+        assert feed_outcome(parse_intensity_feed, data) == feed_outcome(naive_parse_feed, data)
+
+    def test_entries_view_builds_no_row_for_its_length(self, monkeypatch):
+        built = []
+
+        class CountedEntry(grid.IntensityEntry):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(grid, "IntensityEntry", CountedEntry)
+        doc = {"region": "NL", "entries": [
+            {"start": 1800 * i, "end": 1800 * (i + 1), "intensity_kg_per_kwh": (i % 7) / 10} for i in range(5000)]}
+        series = parse_intensity_feed(json.dumps(doc).encode())
+        assert len(series.entries) == 5000 and built == []
+        # indexing, slicing and iteration still give IntensityEntry rows, each built on access
+        assert series.entries[-1] == grid.IntensityEntry(1800 * 4999, 1800 * 5000, 0.1) and len(built) == 2
+        assert series.entries[1:3] == (grid.IntensityEntry(1800, 3600, 0.1), grid.IntensityEntry(3600, 5400, 0.2))
+        rows = list(series.entries)
+        assert len(rows) == 5000 and all(type(row) is CountedEntry for row in rows)
+        assert tuple(rows) == series.entries
+        assert parse_intensity_feed(b'{"region": "NL", "entries": []}').entries == ()
 
 
 class TestLedgerParsing:

@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: its modules import only the
 standard library and the package itself, and pyproject.toml lists none. Its
-floats are summed by one rule, power.fold_sum, never by the builtin sum()."""
+floats are summed by one rule, power.fold_sum, never by the builtin sum(), and
+every JSON entry list is read into columns by one reader, ingest._columns."""
 
 import ast
 import sys
@@ -41,6 +42,38 @@ def test_module_names_no_builtin_sum(path):
     tree = ast.parse(path.read_text("utf-8"), str(path))
     assert "sum" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
+
+
+def column_readers(tree: ast.AST) -> set[str]:
+    """The function (``""`` at module level) around each column read of an entry list: an
+    ``itemgetter``, or a comprehension whose element subscripts one of its own loop variables."""
+    readers = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", function)
+        if isinstance(node, ast.Name) and node.id == "itemgetter" or isinstance(node, ast.alias) and (
+                node.name.rpartition(".")[2] == "itemgetter" and node.asname is not None):
+            readers.add(function)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            targets = {name.id for generator in node.generators for name in ast.walk(generator.target)
+                       if isinstance(name, ast.Name)}
+            if isinstance(node.elt, ast.Subscript) and isinstance(node.elt.value, ast.Name) and node.elt.value.id in targets:
+                readers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return readers
+
+
+def test_one_bulk_reader_reads_every_entry_list():
+    # the trace, feed and ledger parsers all read their entry lists through ingest._columns, whose fault
+    # path names the first faulty entry; a parser with its own bulk read would need its own locator too
+    tree = ast.parse((ROOT / "src" / "carbondef" / "ingest.py").read_text("utf-8"))
+    assert column_readers(tree) == {"_columns"}
+    assert column_readers(ast.parse("rows = [raw[key] for raw in entries]")) == {""}
+    assert column_readers(ast.parse("def f(e):\n    return list(map(itemgetter('k'), e))")) == {"f"}
 
 def test_pyproject_lists_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11
