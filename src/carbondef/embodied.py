@@ -18,7 +18,7 @@ units, cannot be oversubscribed, and only the others are swept, each from
 its slices of the step columns. Each
 record is attributed once, into a kg column that consumer_embodied and
 idle_residual read through index lists. ConsumptionRecord, SharingProfile
-and ProfileStep are built on demand, and only by the records view.
+and ProfileStep are built on demand, and only by the ColumnRows ``records``.
 """
 
 from __future__ import annotations
@@ -131,17 +131,11 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
     )
 
 
-class RecordsView(ColumnRows):
-    """A ledger's records in ledger order over its columns: each ConsumptionRecord is built
-    with its SharingProfile and ProfileSteps on demand."""
-
-    __slots__ = ()
-
-    def _row(self, index: int) -> ConsumptionRecord:
-        consumer_id, object_id, offsets, start, end, fraction = self.columns
-        steps = slice(offsets[index], offsets[index + 1])
-        profile = SharingProfile(tuple(map(ProfileStep, start[steps], end[steps], fraction[steps])))
-        return ConsumptionRecord(consumer_id[index], object_id[index], profile)
+def _record(start: Sequence[int], end: Sequence[int], fraction: Sequence[float],
+            consumer_id: str, object_id: str, first: int, last: int) -> ConsumptionRecord:
+    """The record of ``consumer_id`` on ``object_id`` over steps ``first`` to ``last`` of the step columns."""
+    profile = SharingProfile(tuple(map(ProfileStep, start[first:last], end[first:last], fraction[first:last])))
+    return ConsumptionRecord(consumer_id, object_id, profile)
 
 
 class Ledger:
@@ -221,8 +215,8 @@ class Ledger:
         return cls(by_id, records, columns=columns)
 
     @property
-    def records(self) -> RecordsView:
-        return RecordsView(self.columns)
+    def records(self) -> ColumnRows:
+        return ColumnRows((*self.columns[:3], self.columns[2][1:]), partial(_record, *self.columns[3:]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ledger) and self.objects == other.objects and self.columns == other.columns

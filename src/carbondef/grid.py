@@ -12,10 +12,10 @@ energy, idle baseline included.
 
 Segments and uncovered spans are held as columns, one per row field:
 starts, durations and intensities as lists of the values met (an int stays
-an int), joules and kg CO2e as array('d'), about 70 bytes a segment.
-``segments`` and ``uncovered`` rows are built on demand. So is an intensity
-series held: lists of entry starts, ends and intensities, checked once in
-bulk, its ``entries`` a view whose rows are built on demand.
+an int), joules and kg CO2e as array('d'), about 70 bytes a segment. So is
+an intensity series held: lists of entry starts, ends and intensities,
+checked once in bulk. ``segments``, ``uncovered`` and ``entries`` are each
+a power.ColumnRows view, whose rows are built on demand.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class IntensityEntry:
             raise ValueError(fault)
 
 
-class EntriesView(ColumnRows):
-    """A series' entries in start order over its columns, each IntensityEntry built on demand."""
-
-    __slots__ = ()
-
-    def _row(self, index: int) -> IntensityEntry:
-        return IntensityEntry(*(column[index] for column in self.columns))
-
-
 class IntensitySeries:
     """Piecewise-constant intensity for one region: lists of entry starts, ends and intensities,
     sorted by start, none starting before the previous one's end (gaps are allowed), built from
@@ -87,8 +78,8 @@ class IntensitySeries:
             raise ValueError(f"entry [{start[later]}, {end[later]}) overlaps the previous one")
 
     @property
-    def entries(self) -> EntriesView:
-        return EntriesView(self.columns)
+    def entries(self) -> ColumnRows:
+        return ColumnRows(self.columns, IntensityEntry)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntensitySeries) and self.region == other.region and self.columns == other.columns
@@ -135,12 +126,12 @@ class EmissionsReport:
     uncovered_columns: tuple[Sequence, ...]
 
     @property
-    def segments(self) -> tuple[EmissionsSegment, ...]:
-        return tuple(map(EmissionsSegment, *self.segment_columns))
+    def segments(self) -> ColumnRows:
+        return ColumnRows(self.segment_columns, EmissionsSegment)
 
     @property
-    def uncovered(self) -> tuple[UncoveredSpan, ...]:
-        return tuple(map(UncoveredSpan, *self.uncovered_columns))
+    def uncovered(self) -> ColumnRows:
+        return ColumnRows(self.uncovered_columns, UncoveredSpan)
 
     def covered_joules(self) -> float:
         return fold_sum(self.segment_columns[2])

@@ -84,9 +84,8 @@ def _decode_utf8(data: bytes) -> str:
 
 
 # whole JSON strings and numbers, so digits inside either never pass for an integer literal
-_JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
-# whole JSON strings, so brackets inside one are not counted as nesting;
-# compiled on the error path only
+_JSON_TOKEN = rb'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?'
+# whole JSON strings, so brackets inside one are not counted as nesting; both compile on their error paths only
 _JSON_NESTING = rb'"(?:[^"\\]|\\.)*"|[\[\]{}]'
 _NESTING_STEP = {b"[": 1, b"{": 1, b"]": -1, b"}": -1}
 
@@ -105,7 +104,7 @@ def _decode_json(data: bytes) -> Any:
         raise ParseError(f"invalid JSON: nested {deepest} levels deep", location=f"byte {where}") from exc
     except ValueError as exc:  # an integer literal past Python's int conversion limit
         limit = sys.get_int_max_str_digits()
-        location = next((f"byte {token.start()}" for token in _JSON_TOKEN.finditer(data)
+        location = next((f"byte {token.start()}" for token in re.finditer(_JSON_TOKEN, data, re.S)
                          if len(token[1] or b"") > limit and token[2] is token[3] is None), "$")
         raise ParseError(f"invalid JSON: integer literal over {limit} digits", location=location) from exc
 
@@ -322,8 +321,7 @@ _SAMPLE_FIELDS = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[
 
 def _parse_trace_json(data: bytes) -> UsageTrace:
     (raw_samples,) = _fields(_decode_json(data), "$", ("samples", _array))
-    return _columns(raw_samples, "samples", _SAMPLE_FIELDS,  # an int converts to array('d') as float() does
-                    lambda start, *values: UsageTrace(columns=(start, *(array("d", column) for column in values))),
+    return _columns(raw_samples, "samples", _SAMPLE_FIELDS, lambda *columns: UsageTrace(columns=columns),
                     partial(_located, UsageSample))
 
 

@@ -10,7 +10,8 @@ All power figures are watts; energy is joules over half-open intervals
 [start, start + duration). A trace is a list of int starts and five
 array('d'), however it is built. The energy series is built on its trace:
 it shares the trace's start and duration columns and adds six array('d')
-joule columns, 48 bytes a sample, computed in bulk; rows are built on demand.
+joule columns, 48 bytes a sample, computed in bulk. ColumnRows, the one
+typed row view of the package, builds rows on demand.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import add, gt, itemgetter, le, lt, mul, ne, not_, truediv
 from sys import float_info
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
 
@@ -185,26 +186,27 @@ def _float_column(column: Sequence[float]) -> array | list:
 
 
 class ColumnRows:
-    """Read-only rows over ``columns``, each built on demand by ``_row(index)``, a slice a tuple of them;
-    ``len()`` reads the first column. A view equals one of its class over equal columns, or its rows' tuple."""
+    """Read-only rows over ``columns``, row i ``row(*values at i)``, built on demand, a slice a tuple of them;
+    ``len()`` reads the first column. A view equals a view or tuple that holds equal rows."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "row")
 
-    def __init__(self, columns: tuple):
-        self.columns = columns
+    def __init__(self, columns: Sequence[Sequence], row: Callable[..., object]):
+        self.columns, self.row = columns, row
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, index):  # the IndexError past the end ends iteration
+    def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        return self._row(range(len(self))[index])
+        return self.row(*map(itemgetter(range(len(self))[index]), self.columns))
+
+    def __iter__(self) -> Iterator:
+        return map(self.row, *self.columns)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self.columns == other.columns
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        return tuple(self) == tuple(other) if isinstance(other, (ColumnRows, tuple)) else NotImplemented
 
 
 class UsageTrace:
@@ -247,8 +249,8 @@ class UsageTrace:
                     raise TraceOrderError(f"{at(index + 1)} starts at {start[index + 1]}, before previous sample end {end}")
 
     @property
-    def samples(self) -> tuple[UsageSample, ...]:
-        return tuple(self)
+    def samples(self) -> ColumnRows:
+        return ColumnRows(self.columns, UsageSample)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -294,9 +296,8 @@ class EnergySeries:
         self.columns = (*trace.columns[:2], *joules)
 
     @property
-    def entries(self) -> tuple[EnergyEntry, ...]:
-        start, duration_s, total, *joules = self.columns
-        return tuple(map(EnergyEntry, start, duration_s, total, zip(*joules)))
+    def entries(self) -> ColumnRows:
+        return ColumnRows(self.columns, lambda start, duration_s, total, *joules: EnergyEntry(start, duration_s, total, joules))
 
     def __len__(self) -> int:
         return len(self.columns[0])

@@ -22,7 +22,7 @@ from carbondef import (
     lifecycle_total,
 )
 from carbondef import embodied
-from carbondef.embodied import OVERSUBSCRIPTION_TOL, RecordsView, _UNIT_LIMIT, _check_oversubscription, _units
+from carbondef.embodied import OVERSUBSCRIPTION_TOL, _UNIT_LIMIT, _check_oversubscription, _units
 from carbondef.power import fold_sum
 from carbondef.errors import (
     DurationError,
@@ -644,7 +644,7 @@ class TestColumnarLedger:
     def test_attribution_reads_the_kg_column_and_builds_no_record(self, monkeypatch):
         ledger = gen_ledger(random.Random(3))
         expected = build_report("embodied", ledger=ledger, ledger_digest="sha")
-        monkeypatch.setattr(RecordsView, "__getitem__", None)
+        monkeypatch.setattr(embodied, "ConsumptionRecord", None)  # any record built now raises a TypeError
         assert build_report("embodied", ledger=ledger, ledger_digest="sha") == expected
 
     def test_bulk_columns_equal_the_ledger_of_records(self):

@@ -1,7 +1,8 @@
 """The package has no runtime dependencies: its modules import only the
 standard library and the package itself, and pyproject.toml lists none. Its
-floats are summed by one rule, power.fold_sum, never by the builtin sum(), and
-every JSON entry list is read into columns by one reader, ingest._columns."""
+floats are summed by one rule, power.fold_sum, never by the builtin sum();
+every JSON entry list is read into columns by one reader, ingest._columns; and
+every typed row list is one view, power.ColumnRows (report.Rows renders the report's)."""
 
 import ast
 import sys
@@ -74,6 +75,31 @@ def test_one_bulk_reader_reads_every_entry_list():
     assert column_readers(tree) == {"_columns"}
     assert column_readers(ast.parse("rows = [raw[key] for raw in entries]")) == {""}
     assert column_readers(ast.parse("def f(e):\n    return list(map(itemgetter('k'), e))")) == {"f"}
+
+
+def row_views(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The classes that define ``__getitem__`` (a def or an assignment), and those based on ``ColumnRows``."""
+    indexed, based = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if any(getattr(item, "name", None) == "__getitem__" or isinstance(item, ast.Name) and item.id == "__getitem__"
+                   and isinstance(item.ctx, ast.Store) for statement in node.body for item in ast.walk(statement)):
+                indexed.add(node.name)
+            if any(getattr(base, "id", getattr(base, "attr", None)) == "ColumnRows" for base in node.bases):
+                based.add(node.name)
+    return indexed, based
+
+
+def test_one_row_view_serves_every_typed_row_list():
+    # every typed row list is a power.ColumnRows and report.Rows renders the report's; another indexed class,
+    # or one based on ColumnRows, would be a second view whose len() could build its rows
+    found = [row_views(ast.parse(path.read_text("utf-8"), str(path))) for path in MODULES]
+    indexed = {(path.name, name) for path, (names, _) in zip(MODULES, found) for name in names}
+    assert indexed == {("power.py", "ColumnRows"), ("report.py", "Rows")}
+    assert set().union(*(based for _, based in found)) == set()
+    assert row_views(ast.parse("class A(power.ColumnRows):\n    __getitem__ = list.__getitem__\n"
+                               "class B(ColumnRows):\n    def __getitem__(self, i): ...")) == ({"A", "B"}, {"A", "B"})
+
 
 def test_pyproject_lists_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11

@@ -19,11 +19,16 @@ from carbondef import (
     marginal_power,
     trace_to_energy_series,
 )
+from carbondef import embodied, grid, power
+from carbondef.embodied import ProfileStep, SharingProfile
 from carbondef.errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
-from carbondef.power import COMPONENTS, ENERGY_SOURCES, UnitTags, clamped_sample_indices, fold_sum
+from carbondef.grid import PueFactor, operational_emissions
+from carbondef.power import COMPONENTS, ENERGY_SOURCES, ColumnRows, UnitTags, clamped_sample_indices, fold_sum
 
 from support import (
     full_load_sample,
+    gen_aligned_trace,
+    gen_ledger,
     gen_spec,
     gen_usage,
     naive_clamped_indices,
@@ -492,3 +497,59 @@ class TestKernelAgainstReference:
             )
             entry = energy_over_interval(spec, sample, clamp=True)
             assert repr(tuple(entry)) == repr(naive_energy_rows(spec, [sample], clamp=True)[0])
+
+
+def row_view_parents() -> dict[str, object]:
+    """A trace, its energy series and feed, their skip_uncovered report, and a ledger, each of 3 rows or more a view."""
+    trace, feed = gen_aligned_trace(random.Random(14))
+    energy = trace_to_energy_series(spec_with_alpha(0.4, 0.3, 0.2, 0.1), trace)
+    report = operational_emissions(energy, feed, PueFactor(1.2), "skip_uncovered")
+    return {"UsageTrace": trace, "EnergySeries": energy, "IntensitySeries": feed, "EmissionsReport": report,
+            "Ledger": gen_ledger(random.Random(3))}
+
+
+def ledger_profiles(ledger) -> list[SharingProfile]:
+    _, _, offsets, start, end, fraction = ledger.columns
+    return [SharingProfile(tuple(map(ProfileStep, start[first:last], end[first:last], fraction[first:last])))
+            for first, last in zip(offsets, offsets[1:])]
+
+
+# each typed row list: the module and name of its row type, and its parent's columns as that type's fields,
+# from which the test builds the tuple of the rows
+ROW_VIEWS = {
+    "UsageTrace.samples": (power, "UsageSample", lambda trace: trace.columns),
+    "EnergySeries.entries": (power, "EnergyEntry", lambda energy: (*energy.columns[:3], list(zip(*energy.columns[3:])))),
+    "IntensitySeries.entries": (grid, "IntensityEntry", lambda series: series.columns),
+    "EmissionsReport.segments": (grid, "EmissionsSegment", lambda report: report.segment_columns),
+    "EmissionsReport.uncovered": (grid, "UncoveredSpan", lambda report: report.uncovered_columns),
+    "Ledger.records": (embodied, "ConsumptionRecord", lambda ledger: (*ledger.columns[:2], ledger_profiles(ledger))),
+}
+
+
+@pytest.mark.parametrize("name", ROW_VIEWS)
+class TestColumnRows:
+    def parts(self, name):
+        module, row_type, columns = ROW_VIEWS[name]
+        parent_type, _, attribute = name.partition(".")
+        parent = row_view_parents()[parent_type]
+        return module, row_type, parent, attribute, tuple(map(getattr(module, row_type), *columns(parent)))
+
+    def test_view_is_sized_without_building_a_row(self, monkeypatch, name):
+        module, row_type, parent, attribute, rows = self.parts(name)
+        monkeypatch.setattr(module, row_type, None)  # any row built now raises a TypeError
+        view = getattr(parent, attribute)
+        assert type(view) is ColumnRows and len(view) == len(rows) >= 3
+        with pytest.raises(TypeError):
+            view[0]
+
+    def test_view_indexes_slices_iterates_and_compares_by_value(self, name):
+        _, _, parent, attribute, rows = self.parts(name)
+        view = getattr(parent, attribute)
+        assert view[0] == rows[0] and view[-1] == rows[-1] and view[-len(rows)] == rows[0] and view[2] == rows[2]
+        assert view[1:] == rows[1:] and view[::-2] == rows[::-2] and view[5:2] == () and type(view[:2]) is tuple
+        assert tuple(view) == rows
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        assert view == rows and rows == view and view == getattr(parent, attribute)
+        assert view != rows[1:] and view != list(rows) and view != ColumnRows(view.columns, lambda *values: None)
