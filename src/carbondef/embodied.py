@@ -131,9 +131,10 @@ def full_use_profile(obj: EmbodiedObject) -> SharingProfile:
     )
 
 
-def _record(start: Sequence[int], end: Sequence[int], fraction: Sequence[float],
-            consumer_id: str, object_id: str, first: int, last: int) -> ConsumptionRecord:
-    """The record of ``consumer_id`` on ``object_id`` over steps ``first`` to ``last`` of the step columns."""
+def _record(offsets: Sequence[int], start: Sequence[int], end: Sequence[int], fraction: Sequence[float],
+            consumer_id: str, object_id: str, index: int) -> ConsumptionRecord:
+    """Record ``index``, of ``consumer_id`` on ``object_id``, over its steps in the step columns."""
+    first, last = offsets[index], offsets[index + 1]
     profile = SharingProfile(tuple(map(ProfileStep, start[first:last], end[first:last], fraction[first:last])))
     return ConsumptionRecord(consumer_id, object_id, profile)
 
@@ -216,7 +217,7 @@ class Ledger:
 
     @property
     def records(self) -> ColumnRows:
-        return ColumnRows((*self.columns[:3], self.columns[2][1:]), partial(_record, *self.columns[3:]))
+        return ColumnRows((*self.columns[:2], range(len(self.columns[0]))), partial(_record, *self.columns[2:]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ledger) and self.objects == other.objects and self.columns == other.columns

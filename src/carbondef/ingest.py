@@ -13,7 +13,9 @@ Formats (all timestamps are integer UTC epoch seconds):
 
 A trace parses into a list of int starts and five array('d'); the CSV body
 is read in ~512 KB byte blocks cut after a newline (never inside a UTF-8
-sequence), and only a faulty trace is decoded whole, to locate its fault.
+sequence); a forked child (power.in_two) reads the second half of a body past
+two blocks, cut at the newline after its midpoint. Only a faulty trace is
+decoded whole, to locate its fault.
 Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
@@ -56,7 +58,8 @@ from .errors import (
 )
 from .embodied import EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
-from .power import COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, broken_bound, shown
+from .power import (COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, broken_bound,
+                    columns_in_two, shown)
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -264,28 +267,34 @@ def parse_usage_trace(data: bytes, format: str = "csv") -> UsageTrace:
 
 
 def _parse_trace_csv(data: bytes) -> UsageTrace:
-    # the body in byte blocks cut after a newline (never inside a UTF-8 sequence), into a start list and
-    # five array('d'), so no whole-text str or line list exists; a header-only trace may lack its newline
+    # a header-only trace may lack its newline; a body past two blocks is cut at the newline after its midpoint
     try:
-        begin = len(TRACE_CSV_HEADER) + 1
+        begin, end = len(TRACE_CSV_HEADER) + 1, len(data)
         if data[:begin] != f"{TRACE_CSV_HEADER}\n".encode() and data != TRACE_CSV_HEADER.encode():
             raise ValueError("a header that is not TRACE_CSV_HEADER")
-        columns = ([], *(array("d") for _ in TRACE_FIELDS[1:]))
-        while begin < len(data):
-            end = data.find(b"\n", begin + _CSV_BLOCK) + 1 or len(data)
-            lines = data[begin:end].decode().split("\n")  # a UnicodeDecodeError is a ValueError
-            if not lines[-1]:
-                del lines[-1]
-            if set(map(str.count, lines, repeat(","))) - {5}:
-                raise ValueError("a row without 6 fields")
-            fields = ",".join(lines).split(",")
-            for k, column in enumerate(columns):
-                column.extend(map(float if k else int, fields[k::6]))
-            begin = end
+        middle, rows = data.find(b"\n", (begin + end) // 2) + 1 or end, partial(_csv_columns, data)
+        columns = columns_in_two(rows, begin, middle, end) if end - begin > 2 * _CSV_BLOCK else rows(begin, end)
         return UsageTrace(columns=columns, source_rows=range(2, len(columns[0]) + 2))
     except ValueError:
         _locate_csv_fault(data)
         raise
+
+
+def _csv_columns(data: bytes, begin: int, end: int) -> list:
+    """The start list and five array('d') of the rows in bytes ``begin`` to ``end``, by blocks: no whole-text str."""
+    columns = [[], *(array("d") for _ in TRACE_FIELDS[1:])]
+    while begin < end:
+        cut = data.find(b"\n", begin + _CSV_BLOCK, end) + 1 or end
+        lines = data[begin:cut].decode().split("\n")  # a cut after a newline splits no UTF-8 sequence; a bad one is a ValueError
+        if not lines[-1]:
+            del lines[-1]
+        if set(map(str.count, lines, repeat(","))) - {5}:
+            raise ValueError("a row without 6 fields")
+        fields = ",".join(lines).split(",")
+        for k, column in enumerate(columns):
+            column.extend(map(float if k else int, fields[k::6]))
+        begin = cut
+    return columns
 
 
 def _locate_csv_fault(data: bytes) -> None:

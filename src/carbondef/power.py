@@ -11,17 +11,22 @@ All power figures are watts; energy is joules over half-open intervals
 array('d'), however it is built. The energy series is built on its trace:
 it shares the trace's start and duration columns and adds six array('d')
 joule columns, 48 bytes a sample, computed in bulk. ColumnRows, the one
-typed row view of the package, builds rows on demand.
+typed row view of the package, builds rows on demand. in_two, the one fork
+site, runs the second half of the CSV parse, joules and large views in a child.
 """
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import add, gt, itemgetter, le, lt, mul, ne, not_, truediv
 from sys import float_info
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllocationError, SpecError, TraceOrderError, UsageOutOfRange
 
@@ -131,6 +136,70 @@ def fold_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+SPLIT_ROWS = 1 << 14  # rows past which _joule_columns computes its second half through columns_in_two
+
+
+def in_two(first: Callable, second: Callable, load: Callable, serial: Callable) -> object:
+    """``first()``, while a forked child runs ``second(spill)`` to write the second half into an unnamed temporary file
+    that ``load(first(), spill)`` reads. Beside another thread (the child could inherit a lock it holds), with no fork
+    or spill, or after a failed child, ``serial(first())`` does it here. If ``first()`` raises, the child is killed first."""
+    pid = spill = None
+    try:
+        if hasattr(os, "fork") and not ("threading" in sys.modules and sys.modules["threading"].active_count() > 1):
+            import tempfile  # here, not at module level: every run's cold start would pay for it
+            spill = tempfile.TemporaryFile()
+            pid = os.fork()
+    except OSError:  # no spill file or no process to spare
+        pass
+    if pid == 0:  # os._exit flushes no buffer shared with this process and runs no atexit hook
+        try:
+            gc.disable()  # a collection could finalize, and so flush, a file object of the parent's
+            second(spill)
+            spill.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)  # the second half raised
+    try:
+        mine = first()
+        status, pid = os.waitpid(pid, 0)[1] if pid else 1, None  # reaped: nothing left to kill
+        if status == 0:
+            spill.seek(0)
+            load(mine, spill)
+        else:
+            serial(mine)
+        return mine
+    except BaseException:  # an error or an interrupt while the child runs: no child outlives this call
+        if pid:
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every run's cold start
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        if spill is not None:
+            spill.close()
+
+
+def _dump_columns(columns: Sequence[Sequence], spill: BinaryIO) -> None:
+    for column in columns:  # each after its length: an array('d') by tofile, a list (ints and floats) by marshal
+        data = column if type(column) is array else marshal.dumps(column)
+        spill.write(len(data).to_bytes(8, "little"))
+        column.tofile(spill) if data is column else spill.write(data)
+
+
+def _load_columns(columns: Sequence, spill: BinaryIO) -> None:
+    for column in columns:  # a column at a time, read into the first half's column of the same type
+        size = int.from_bytes(spill.read(8), "little")
+        column.fromfile(spill, size) if type(column) is array else column.extend(marshal.loads(spill.read(size)))
+
+
+def columns_in_two(compute: Callable[[int, int], list], begin: int, middle: int, end: int) -> list:
+    """``compute(begin, end)``, for a ``compute`` giving a row range's columns (lists, array('d')): those of
+    ``compute(begin, middle)``, each extended by those of ``compute(middle, end)``, through :func:`in_two`."""
+    def extend(columns: list) -> None:
+        for column, more in zip(columns, compute(middle, end)):
+            column.extend(more)
+    return in_two(lambda: compute(begin, middle), lambda spill: _dump_columns(compute(middle, end), spill), _load_columns, extend)
 
 
 def epoch_fault(name: str, value: int) -> str | None:
@@ -311,30 +380,30 @@ class EnergySeries:
         return (start[0], start[-1] + duration_s[-1]) if start else None
 
 
-def _joule_columns(spec: ServerSpec, duration: Sequence[float], usages: list[Sequence[float]], clamp: bool) -> list[array]:
+def _joule_columns(spec: ServerSpec, duration: Sequence[float], usages: Sequence[Sequence[float]], clamp: bool) -> list[array]:
     """Array('d') of the total joules of each sample of a ``duration`` and four
     ``usages`` columns, then one per ENERGY_SOURCES entry: ``u / u_max * share
     * anchor * duration``, the share relative to the cpu's (for the cpu 1.0, and
     ``x * 1.0 == x``), and ``idle_watts * duration``, summed in that order. A
     usage above its maximum raises UsageOutOfRange for the first such sample,
-    or with ``clamp`` counts as the maximum."""
-    anchor, alpha = float(spec.tdp_watts) * spec.n_cpu, spec.alpha  # past the float range: inf, not OverflowError
+    or with ``clamp`` counts as the maximum; past SPLIT_ROWS rows, in halves."""
+    anchor, alpha, rows = float(spec.tdp_watts) * spec.n_cpu, spec.alpha, len(duration)  # inf past the float range
     limits = [spec.u_max.get(component) for component in COMPONENTS]
-    for position, (usage, limit) in enumerate(zip(usages, limits)):
-        if max(usage, default=0) > limit:
-            if not clamp:
-                row = next(row for row in zip(*usages) if any(map(gt, row, limits)))
-                component, usage, limit = next(fault for fault in zip(COMPONENTS, row, limits) if fault[1] > fault[2])
-                raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
-            usages[position] = map(min, usage, repeat(limit))
+    over = [max(usage, default=0) > limit for usage, limit in zip(usages, limits)]
+    if any(over) and not clamp:
+        row = next(row for row in zip(*usages) if any(map(gt, row, limits)))
+        component, usage, limit = next(fault for fault in zip(COMPONENTS, row, limits) if fault[1] > fault[2])
+        raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
     shares = [alpha.get(component) / alpha.cpu for component in COMPONENTS]
-    joules = [
-        array("d", map(mul, map(mul, map(mul, map(truediv, usage, repeat(limit)), repeat(share)), repeat(anchor)), duration))
-        for usage, limit, share in zip(usages, limits, shares)
-    ]
-    joules.append(array("d", map(mul, repeat(spec.idle_watts), duration)))
-    cpu, mem, io, net, idle = joules
-    return [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules]
+    def joule_rows(begin: int, end: int) -> list[array]:
+        span, joules = duration[begin:end], []
+        for usage, limit, share, clamped in zip(usages, limits, shares, over):
+            usage = map(min, usage[begin:end], repeat(limit)) if clamped else usage[begin:end]  # an iterator a half
+            joules.append(array("d", map(mul, map(mul, map(mul, map(truediv, usage, repeat(limit)), repeat(share)), repeat(anchor)), span)))
+        joules.append(array("d", map(mul, repeat(spec.idle_watts), span)))
+        cpu, mem, io, net, idle = joules
+        return [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules]
+    return columns_in_two(joule_rows, 0, rows // 2, rows) if rows > SPLIT_ROWS else joule_rows(0, rows)
 
 
 def _usage_columns(sample: UsageSample) -> list[list[float]]:
@@ -382,7 +451,7 @@ def trace_to_energy_series(spec: ServerSpec, trace: UsageTrace, clamp: bool = Fa
     is False; the message names the first such sample's index.
     """
     try:
-        joules = _joule_columns(spec, trace.columns[1], list(trace.columns[2:]), clamp)
+        joules = _joule_columns(spec, trace.columns[1], trace.columns[2:], clamp)
     except UsageOutOfRange as exc:
         # raised for the first sample over a limit
         raise UsageOutOfRange(f"sample {clamped_sample_indices(spec, trace)[0]}: {exc}") from exc
@@ -392,5 +461,6 @@ def trace_to_energy_series(spec: ServerSpec, trace: UsageTrace, clamp: bool = Fa
 def clamped_sample_indices(spec: ServerSpec, trace: UsageTrace) -> list[int]:
     """Indices of samples with any usage above its maximum (diagnostics)."""
     limits = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
-    over = (compress(count(), map(gt, usage, repeat(limit))) for usage, limit in zip(trace.columns[2:], limits))
+    over = (compress(count(), map(gt, usage, repeat(limit))) for usage, limit in zip(trace.columns[2:], limits)
+            if max(usage, default=0) > limit)  # a trace holds no NaN: a column within its limit has no row over it
     return sorted(set().union(*over))

@@ -4,11 +4,8 @@ Reports are dicts with a fixed section order, rendered block by block into a
 binary sink; their row lists (intervals, segments, uncovered spans, and the
 embodied section's per-consumer objects and object table) are read-only
 ``Rows`` views over columns, rendered from column slices through one
-'%'-template a view without building a dict per row. Of a view past two
-blocks of rows (8,192), a forked child formats the second half into an
-unnamed temporary file, copied to the sink after the first; with another
-thread running (a child could inherit a lock it holds), no child, or a failed
-one, this process formats it, so the bytes never change. json's own
+'%'-template a view without building a dict per row, and the second half of
+a view past 8,192 rows in a forked child (power.in_two). json's own
 encoder writes every byte of a JSON report but the numbers and ids of those
 rows; an id is escaped by ``json.encoder.encode_basestring_ascii``, as json
 writes a str, and CSV quotes ids through csv.writer. Every report total is
@@ -22,12 +19,9 @@ time, so identical inputs produce byte-identical bytes.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import json
 import math
-import os
-import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 from operator import add, sub, truediv
@@ -37,7 +31,7 @@ from . import __version__
 from .embodied import Ledger, consumer_embodied, idle_residual, lifecycle_total
 from .grid import JOULES_PER_KWH, EmissionsReport, IntensitySeries, apply_pue, operational_emissions
 from .ingest import FunctionalUnit, RunConfig, fetch_intensity, parse_intensity_feed
-from .power import ENERGY_SOURCES, EnergySeries, UsageTrace, clamped_sample_indices, fold_sum, trace_to_energy_series
+from .power import ENERGY_SOURCES, EnergySeries, UsageTrace, clamped_sample_indices, fold_sum, in_two, trace_to_energy_series
 from .errors import SchemaError, ValidationError
 
 SCHEMA_VERSION = "2"
@@ -335,41 +329,17 @@ def _format_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str
 
 
 def _write_rows(out: _Utf8Writer, rows: Rows, format_row: Callable[[tuple], str], first: int = 0) -> None:
-    """Format rows ``first`` on into ``out``. Past two blocks, and with no other thread
-    running, a forked child formats the second half into a spill file, copied after the first half."""
-    end, middle, threading = len(rows), (first + len(rows)) // 2, sys.modules.get("threading")
-    if end - first <= 2 * _BLOCK or not hasattr(os, "fork") or threading and threading.active_count() > 1:
+    """Format rows ``first`` on into ``out``. Past two blocks, power.in_two formats the second half in a
+    forked child, into a spill file copied after the first half, or in this process."""
+    end, middle = len(rows), (first + len(rows)) // 2
+    if end - first <= 2 * _BLOCK:
         return _format_rows(out, rows, format_row, first, end)
-    import tempfile  # here, not at module level: every run's cold start would pay for it
-    try:
-        spill = tempfile.TemporaryFile(buffering=0)
-    except OSError:
-        return _format_rows(out, rows, format_row, first, end)
-    with spill:
-        try:
-            pid = os.fork()
-        except OSError:
-            return _format_rows(out, rows, format_row, first, end)
-        if pid == 0:  # os._exit flushes no buffer shared with this process and runs no atexit hook
-            try:
-                gc.disable()  # a collection could finalize, and so flush, a file object of the parent's
-                _format_rows(_Utf8Writer(spill), rows, format_row, middle, end)
-                os._exit(0)
-            finally:
-                os._exit(1)  # formatting raised
-        try:
-            _format_rows(out, rows, format_row, first, middle)
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:  # a sink error or an interrupt: no child outlives the render
-            os.kill(pid, 9)  # SIGKILL; importing signal would cost every run's cold start
-            os.waitpid(pid, 0)
-            raise
-        if status == 0:
-            spill.seek(0)
-            while data := spill.read(1 << 20):
-                out.flush(data)
-            return
-    _format_rows(out, rows, format_row, middle, end)
+    def copy(_: None, spill: BinaryIO) -> None:
+        while data := spill.read(1 << 20):
+            out.flush(data)
+    in_two(lambda: _format_rows(out, rows, format_row, first, middle),
+           lambda spill: _format_rows(_Utf8Writer(spill), rows, format_row, middle, end), copy,
+           lambda _: _format_rows(out, rows, format_row, middle, end))
 
 
 def _encode(value: Any, out: _Utf8Writer, indent: str) -> None:

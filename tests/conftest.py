@@ -12,7 +12,7 @@ from carbondef import PerComponent, ServerSpec
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every test reaps each child process it starts: the renderer's forked
+    """Every test reaps each child process it starts: power.in_two's forked
     children included, on success and on every failure."""
     yield
     try:
@@ -20,6 +20,21 @@ def no_child_left():
     except ChildProcessError:  # no child left, running or exited
         return
     pytest.fail(f"the test left a child process unreaped ({'running' if pid == 0 else f'pid {pid} exited'})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.fixture

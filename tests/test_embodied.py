@@ -616,6 +616,14 @@ class TestColumnarLedger:
         with pytest.raises(IndexError):
             ledger.records[len(records)]
 
+    def test_records_view_copies_no_column(self):
+        # the view runs over the ledger's id columns themselves and a range of record indices, so a len() copies nothing
+        ledger = gen_ledger(random.Random(3))
+        view = ledger.records
+        assert view.columns[0] is ledger.columns[0] and view.columns[1] is ledger.columns[1]
+        assert view.columns[2] == range(len(ledger.columns[0]))
+        assert ledger.records_for_object(ledger.columns[1][-1])[-1] == view[-1]
+
     def test_records_view_slices_and_compares_by_value(self):
         ledger = gen_ledger(random.Random(3))
         records = tuple(ledger.records)

@@ -1,8 +1,9 @@
 """The package has no runtime dependencies: its modules import only the
 standard library and the package itself, and pyproject.toml lists none. Its
 floats are summed by one rule, power.fold_sum, never by the builtin sum();
-every JSON entry list is read into columns by one reader, ingest._columns; and
-every typed row list is one view, power.ColumnRows (report.Rows renders the report's)."""
+every JSON entry list is read into columns by one reader, ingest._columns;
+every typed row list is one view, power.ColumnRows (report.Rows renders the report's);
+and one function, power.in_two, forks."""
 
 import ast
 import sys
@@ -99,6 +100,36 @@ def test_one_row_view_serves_every_typed_row_list():
     assert set().union(*(based for _, based in found)) == set()
     assert row_views(ast.parse("class A(power.ColumnRows):\n    __getitem__ = list.__getitem__\n"
                                "class B(ColumnRows):\n    def __getitem__(self, i): ...")) == ({"A", "B"}, {"A", "B"})
+
+
+def fork_sites(tree: ast.AST) -> set[str]:
+    """The function (``""`` at module level) around each use of os.fork, os._exit, os.waitpid
+    or os.kill: an attribute of a name ``os``, or a name imported from os."""
+    sites = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", function)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os" and (
+                node.attr in PROCESS_CALLS) or isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in PROCESS_CALLS for alias in node.names):
+            sites.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return sites
+
+
+PROCESS_CALLS = {"fork", "_exit", "waitpid", "kill"}
+
+
+def test_one_fork_site():
+    # power.in_two is the one place that forks, reaps and kills a child: its thread rule, spill,
+    # collector, exit and fallback hold for every split stage; the renderer and the bulk stages call it
+    found = {(path.name, site) for path in MODULES for site in fork_sites(ast.parse(path.read_text("utf-8"), str(path)))}
+    assert found == {("power.py", "in_two")}
+    assert fork_sites(ast.parse("def f():\n    os.waitpid(pid, 0)\nfrom os import kill")) == {"f", ""}
 
 
 def test_pyproject_lists_no_runtime_dependencies():

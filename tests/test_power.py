@@ -3,6 +3,7 @@ import math
 import operator
 import random
 from array import array
+from itertools import compress, count, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,31 @@ class TestTraceToSeries:
             UsageSample(60, 60.0, 9.0, 0, 0, 0),
         ]
         assert clamped_sample_indices(example_spec, UsageTrace(samples)) == [1]
+
+    @staticmethod
+    def scanned_indices(spec, trace):
+        """clamped_sample_indices as it was before it tested each column's maximum: a scan of all four columns."""
+        limits = spec.u_max.cpu, spec.u_max.mem, spec.u_max.io, spec.u_max.net
+        over = (compress(count(), map(operator.gt, usage, repeat(limit))) for usage, limit in zip(trace.columns[2:], limits))
+        return sorted(set().union(*over))
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_clamped_indices_equal_a_scan_of_every_column(self, seed, clamped):
+        # a column whose maximum is within its limit is not scanned; a trace with no row over a limit
+        # (unclamped) has none scanned, one with rows over (clamped) scans only those columns
+        rng = random.Random(seed)
+        spec = gen_spec(rng)
+        limits = [spec.u_max.get(component) for component in COMPONENTS]
+        samples = []
+        for index in range(rng.randrange(0 if not clamped else 1, 30)):
+            usages = [rng.choice([rng.uniform(0.0, limit), limit, 0, math.nextafter(limit, 0)]) for limit in limits]
+            if clamped and rng.random() < 0.3:
+                component = rng.randrange(4)
+                usages[component] = rng.choice([math.nextafter(limits[component], math.inf), 2 * limits[component]])
+            samples.append(UsageSample(60 * index, 60.0, *usages))
+        trace = UsageTrace(samples)
+        assert clamped_sample_indices(spec, trace) == self.scanned_indices(spec, trace) == naive_clamped_indices(spec, samples)
 
 
 class TestEnergySeries:

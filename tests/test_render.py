@@ -454,21 +454,6 @@ def test_embodied_csv_rows_stream_in_blocks():
 SMALL_BLOCK = 3
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts in this process."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def rendered(report: dict, output: str) -> bytes:
     """The report's bytes, after checking that ``len()`` of the writer counts them all."""
     written = render_report(report, output, sink := io.BytesIO())
