@@ -13,9 +13,11 @@ Formats (all timestamps are integer UTC epoch seconds):
 
 A trace parses into a list of int starts and five array('d'); the CSV body
 is read in ~512 KB byte blocks cut after a newline (never inside a UTF-8
-sequence); a forked child (power.in_two) reads the second half of a body past
-two blocks, cut at the newline after its midpoint. Only a faulty trace is
-decoded whole, to locate its fault.
+sequence), a JSON document in blocks cut after a sample boundary's ``}``, each
+cut checked by the block's decode; a forked child (power.in_two) reads the
+second half of an input past two blocks, cut at the newline or sample boundary
+after its midpoint. Only a faulty trace, or a JSON document whose cut check
+fails, is decoded whole, to locate its fault or read it.
 Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
@@ -67,7 +69,7 @@ TRACE_FIELDS = ("start", "duration_s", "u_cpu_cores", "u_mem_bytes", "u_io_bytes
 
 OUTPUT_FORMATS = ("json", "csv")
 
-_CSV_BLOCK = 1 << 19  # CSV trace body bytes decoded and split at once: a whole trace's text and lines outweigh its columns
+_CSV_BLOCK = 1 << 19  # trace bytes, CSV or JSON, decoded at once: a whole trace's text and lines or dicts outweigh its columns
 
 DEFAULT_FRESHNESS_S = 1800.0
 
@@ -328,10 +330,50 @@ def _locate_csv_fault(data: bytes) -> None:
 _SAMPLE_FIELDS = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[1:]))
 
 
+# a sample boundary, where a block is cut after its "}": the "{" that ends the match starts the next sample
+_SAMPLE_CUT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
 def _parse_trace_json(data: bytes) -> UsageTrace:
+    # past two blocks, by blocks, the half after the sample cut past its midpoint in a forked child; any fault, or a cut
+    # whose check fails (inside a string or a nested list, or past the samples), leaves the document to the parse below
+    if len(data) > 2 * _CSV_BLOCK:
+        try:
+            middle = _SAMPLE_CUT.search(data, len(data) // 2).start() + 1
+            return UsageTrace(columns=columns_in_two(partial(_json_columns, data), 0, middle, len(data)))
+        except Exception:
+            pass
     (raw_samples,) = _fields(_decode_json(data), "$", ("samples", _array))
     return _columns(raw_samples, "samples", _SAMPLE_FIELDS, lambda *columns: UsageTrace(columns=columns),
                     partial(_located, UsageSample))
+
+
+def _json_columns(data: bytes, begin: int, end: int) -> list:
+    """The start list and five array('d') of the samples in bytes ``begin`` (0 or a cut) to ``end`` (a cut or the
+    document's end), by blocks cut at a sample boundary: no whole-text str and no dict a sample. A cut is checked, never
+    assumed: the first block must close as a document by ``,NaN]}``, whose NaN ends its ``samples``, a middle block must
+    be a list's items, and the last must close a list followed by nothing but its document's ``}``; else ValueError."""
+    columns = [[], *(array("d") for _ in TRACE_FIELDS[1:])]
+    while begin < end:
+        cut = (found := _SAMPLE_CUT.search(data, begin + _CSV_BLOCK, end)) and found.start() + 1 or end
+        start = begin and data.index(b"{", begin)  # a later block starts at its first sample's "{"
+        head, tail = ("", ",NaN]}") if not begin else ("[", "]" if cut < len(data) else "")
+        text = f"{head}{str(memoryview(data)[start:cut], 'utf-8')}{tail}"  # one str, no copy of the block's bytes
+        if not begin:
+            marks = []  # a new object for each NaN or Infinity, so only the appended NaN is the last one made
+            samples = json.loads(text, parse_constant=lambda name: marks.append(object()) or marks[-1])["samples"]
+            if samples.pop() is not marks[-1]:
+                raise ValueError("a first block that does not end inside the samples")
+        elif tail:
+            samples = json.loads(text)
+        else:
+            samples, at = json.JSONDecoder().raw_decode(text)
+            if text[at:].strip(" \t\n\r") != "}":
+                raise ValueError("a last block followed by more than its document's end")
+        for column, values in zip(columns, _columns(samples, None, _SAMPLE_FIELDS)):
+            column.extend(values)
+        begin = cut
+    return columns
 
 
 # --- intensity feeds ---

@@ -12,7 +12,8 @@ array('d'), however it is built. The energy series is built on its trace:
 it shares the trace's start and duration columns and adds six array('d')
 joule columns, 48 bytes a sample, computed in bulk. ColumnRows, the one
 typed row view of the package, builds rows on demand. in_two, the one fork
-site, runs the second half of the CSV parse, joules and large views in a child.
+site, runs the second half of the CSV and JSON trace parses, joules and large
+views in a child.
 """
 
 from __future__ import annotations

@@ -1,22 +1,27 @@
 """The bulk stages that power.in_two splits between two processes: the CSV trace
-parse (a body past two _CSV_BLOCKs, cut at the newline after its midpoint) and the
-joule columns (past power.SPLIT_ROWS rows, cut at the middle row). Each gives the
-serial columns, and the serial error, whether a forked child computes the second
-half or this process does: beside another thread, with no fork or spill, or after
-the child fails. conftest checks that no child is left."""
+parse (a body past two _CSV_BLOCKs, cut at the newline after its midpoint), the JSON
+trace parse (a document past two _CSV_BLOCKs, cut at the sample boundary after its
+midpoint) and the joule columns (past power.SPLIT_ROWS rows, cut at the middle row).
+Each gives the serial columns, and the serial error, whether a forked child computes
+the second half or this process does: beside another thread, with no fork or spill,
+or after the child fails. conftest checks that no child is left."""
 
+import json
 import math
 import os
 import random
 import signal
 import tempfile
 import threading
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbondef import PerComponent, ServerSpec, UsageSample, UsageTrace, ingest, power
 from carbondef.errors import ValidationError
-from carbondef.ingest import TRACE_CSV_HEADER, parse_usage_trace
+from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, parse_usage_trace
 from carbondef.power import trace_to_energy_series
 
 from support import naive_energy_rows, naive_parse_trace, serialize_usage_trace
@@ -44,8 +49,12 @@ def csv_trace(seed: int) -> bytes:
     return serialize_usage_trace(UsageTrace(gen_samples(random.Random(seed))), "csv")
 
 
-def parse(data: bytes):
-    trace = parse_usage_trace(data, "csv")
+def json_trace(seed: int) -> bytes:
+    return serialize_usage_trace(UsageTrace(gen_samples(random.Random(seed))), "json")
+
+
+def parse(data: bytes, format: str = "csv"):
+    trace = parse_usage_trace(data, format)
     return repr(trace.columns), trace.source_rows
 
 
@@ -78,11 +87,12 @@ def small_split(monkeypatch):
 def sites(seed: int) -> dict:
     """Each split site's stage and arguments."""
     samples = gen_samples(random.Random(seed), over={3, 4, 30, 31})
-    return {"csv": (parse, csv_trace(seed)), "joules": (joules, samples, True)}
+    return {"csv": (parse, csv_trace(seed)), "json": (parse, json_trace(seed), "json"),
+            "joules": (joules, samples, True)}
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("site", ["csv", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules"])
 def test_split_site_gives_the_serial_result(site, seed, monkeypatch, small_split, forks):
     stage, *args = sites(seed)[site]
     expected = serial(monkeypatch, stage, *args)
@@ -118,7 +128,7 @@ def test_split_joules_clamp_each_half(clamp, over, monkeypatch, forks):
 
 
 @pytest.mark.usefixtures("small_split")
-@pytest.mark.parametrize("site", ["csv", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules"])
 def test_split_site_runs_in_process_beside_another_thread(site, monkeypatch, forks):
     # a child forked beside a running thread could inherit a lock that thread holds: this process computes both halves
     stage, *args = sites(2)[site]
@@ -160,7 +170,7 @@ def _raise():
 
 @pytest.mark.usefixtures("small_split")
 @pytest.mark.parametrize("failure", ["fork", "spill", "exit", "killed", "raises"])
-@pytest.mark.parametrize("site", ["csv", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules"])
 def test_failed_child_gives_the_serial_columns(site, failure, monkeypatch, forks):
     # the failure modes of test_render.py::test_failed_child_gives_the_serial_bytes: this process computes the half
     stage, *args = sites(3)[site]
@@ -205,3 +215,86 @@ def test_split_parse_locates_the_serial_fault(fault, where, monkeypatch, forks):
     assert expected == outcome(naive_parse_trace, bad, "csv")
     if fault != "starts-early":
         assert expected[2] == f"row {index + 1}"
+
+
+LAYOUTS = {"compact": {"separators": (",", ":")}, "indent": {"indent": 2}, "newlines": {"separators": ("\n,\n", "\n:\n")}}
+
+
+def sample_objects(seed: int) -> list[dict]:
+    return [dict(zip(TRACE_FIELDS, astuple(sample))) for sample in gen_samples(random.Random(seed))]
+
+
+def json_document(pairs: list, layout: str) -> bytes:
+    """An object of the ``(key, value)`` pairs in order, a key possibly twice, in one of LAYOUTS."""
+    return ("{" + ",".join(json.dumps({key: value}, **LAYOUTS[layout])[1:-1] for key, value in pairs) + "}").encode()
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_split_json_parse_reads_no_whole_text(layout, monkeypatch, forks):
+    # a sound document is read a block at a time in both halves: the whole-text parse, the fallback, never runs
+    data = json_document([("samples", sample_objects(5))], layout)
+    reference = naive_parse_trace(data, "json")
+
+    def whole_text(data):
+        raise AssertionError("the whole text was decoded")
+
+    monkeypatch.setattr(ingest, "_decode_json", whole_text)
+    assert parse(data, "json") == (repr(reference.columns), None)
+    assert len(forks) == 1
+
+
+BOUNDARY_TEXT = {"string": "}, {", "objects": [{"a": 1}, {"b": [2, {"c": "}, {"}]}]}  # a sample's extra key
+JSON_FAULTS = ("missing-key", "bool", "order-at-cut", "non-object", "utf8", "long-int", "non-finite")
+
+
+@st.composite
+def json_traces(draw) -> bytes:
+    """A JSON trace of ROWS samples, or of one, in one of LAYOUTS, where a sample may hold an extra key with a sample
+    boundary's text or a NaN or Infinity, the document another key before or after ``samples`` (a second ``samples``,
+    or a list of ROWS sample objects, among them), and a sample in either half, or the one after the middle cut, one
+    fault. A single sample before a long key ends inside the first block."""
+    samples = sample_objects(draw(st.integers(0, 99)))
+    previous, samples = [dict(sample) for sample in samples], samples[:draw(st.sampled_from([ROWS, ROWS, 1]))]
+    for index in draw(st.sets(st.integers(0, len(samples) - 1), max_size=6)):
+        key = draw(st.sampled_from([*BOUNDARY_TEXT, "level"]))
+        samples[index][key] = BOUNDARY_TEXT.get(key) or draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    other = st.sampled_from([("meta", [{"x": 1}, {"y": "}, {"}, math.nan]), ("samples", [{"x": 1}, {"y": 2}]),
+                             ("samples", []), ("previous", previous)])
+    before, after = draw(st.lists(other, max_size=1)), draw(st.lists(other, max_size=1))
+    layout, fault = draw(st.sampled_from(list(LAYOUTS))), draw(st.sampled_from([None, *JSON_FAULTS]))
+    index = draw(st.sampled_from([draw(st.integers(1, ROWS // 2 - 4)), draw(st.integers(ROWS // 2 + 4, ROWS - 1))]))
+    if fault == "order-at-cut":  # the first sample after the cut starts where the one before it does: as long a value
+        data = json_document([*before, ("samples", samples), *after], layout)
+        found = ingest._SAMPLE_CUT.search(data, len(data) // 2)
+        cut = found.start() if found else len(data)
+        index = data[:cut].count(b'"start"') - json_document(before, layout).count(b'"start"')
+    index = min(max(index, 0), len(samples) - 1)  # a cut outside the samples, or one sample, moves nothing
+    if fault == "order-at-cut":
+        samples[index]["start"] = samples[index - 1]["start"]
+    elif fault == "missing-key":
+        del samples[index][draw(st.sampled_from(TRACE_FIELDS))]
+    elif fault == "bool":
+        samples[index][draw(st.sampled_from(TRACE_FIELDS))] = True
+    elif fault == "non-finite":
+        samples[index][draw(st.sampled_from(TRACE_FIELDS))] = draw(st.sampled_from([math.nan, math.inf]))
+    elif fault == "non-object":
+        samples[index] = draw(st.sampled_from([[1, 2], "}, {", None, 3, math.nan]))
+    elif fault in ("utf8", "long-int"):
+        samples[index][draw(st.sampled_from(["extra", *TRACE_FIELDS]))] = fault
+    data = json_document([*before, ("samples", samples), *after], layout)
+    return data.replace(b'"utf8"', b'"\xff"').replace(b'"long-int"', b"7" * 5000)
+
+
+def parse_reference(data: bytes):
+    return repr(naive_parse_trace(data, "json").columns), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_traces())
+def test_split_json_parse_gives_the_reference_outcome(data):
+    # the columns, or the error's class, message and location, of the whole-text reference: a cut inside a string,
+    # a nested list or past the samples, and every fault, leave the whole-text parse to read the document
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CSV_BLOCK", CSV_BLOCK)
+        assert outcome(parse, data, "json") == outcome(parse_reference, data)
