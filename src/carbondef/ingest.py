@@ -11,13 +11,12 @@ Formats (all timestamps are integer UTC epoch seconds):
 * ledger JSON: ``{"objects": [...], "records": [...]}``;
 * run config JSON, see :class:`RunConfig`.
 
-A trace parses into a list of int starts and five array('d'); the CSV body
-is read in ~512 KB byte blocks cut after a newline (never inside a UTF-8
-sequence), a JSON document in blocks cut after a sample boundary's ``}``, each
-cut checked by the block's decode; a forked child (power.in_two) reads the
-second half of an input past two blocks, cut at the newline or sample boundary
-after its midpoint. Only a faulty trace, or a JSON document whose cut check
-fails, is decoded whole, to locate its fault or read it.
+A trace parses into a list of int starts and five array('d'). A CSV body is read in
+~512 KB byte blocks cut after a newline (never inside a UTF-8 sequence), a JSON trace
+or ledger in ~256 KB blocks cut after a sample's or record's ``}``, each cut checked by
+its block's decode; a forked child (power.in_two) reads the half past the cut after
+the midpoint of an input past two 512 KB blocks. Only a faulty input, or a JSON
+document whose cut check fails, is decoded whole, to locate its fault or read it.
 Every parse error names its location: ``row N`` (a CSV line), ``byte N``
 (bad UTF-8 or JSON syntax), or a field path such as ``$.key``,
 ``objects[i].key`` or ``records[i].profile[j]``; a parser reports the first
@@ -43,6 +42,7 @@ import sys
 import time
 import urllib.parse
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
@@ -61,7 +61,7 @@ from .errors import (
 from .embodied import EmbodiedObject, Ledger, ProfileStep, SharingProfile
 from .grid import COVERAGE_POLICIES, IntensityEntry, IntensitySeries, PueFactor
 from .power import (COMPONENTS, EPOCH_LIMIT, PerComponent, ServerSpec, UnitTags, UsageSample, UsageTrace, broken_bound,
-                    columns_in_two, shown)
+                    columns_in_two, extend_columns, shown)
 
 TRACE_CSV_HEADER = "timestamp_utc,duration_s,u_cpu_cores,u_mem_bytes,u_io_bytes,u_net_bytes"
 
@@ -282,9 +282,9 @@ def _parse_trace_csv(data: bytes) -> UsageTrace:
         raise
 
 
-def _csv_columns(data: bytes, begin: int, end: int) -> list:
-    """The start list and five array('d') of the rows in bytes ``begin`` to ``end``, by blocks: no whole-text str."""
-    columns = [[], *(array("d") for _ in TRACE_FIELDS[1:])]
+def _csv_columns(data: bytes, begin: int, end: int, columns: list | None = None) -> list:
+    """The start list and five array('d') (or ``columns``, extended) of the rows in bytes ``begin`` to ``end``, by blocks."""
+    columns = columns or [[], *(array("d") for _ in TRACE_FIELDS[1:])]
     while begin < end:
         cut = data.find(b"\n", begin + _CSV_BLOCK, end) + 1 or end
         lines = data[begin:cut].decode().split("\n")  # a cut after a newline splits no UTF-8 sequence; a bad one is a ValueError
@@ -330,49 +330,58 @@ def _locate_csv_fault(data: bytes) -> None:
 _SAMPLE_FIELDS = (("start", _integer), *((key, _number) for key in TRACE_FIELDS[1:]))
 
 
-# a sample boundary, where a block is cut after its "}": the "{" that ends the match starts the next sample
-_SAMPLE_CUT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
+# a block is cut after a sample's "}", or a record's last step's "]" and its "}", before the next entry's "{"
+_SAMPLE_CUT = re.compile(rb"\}(?=[ \t\n\r]*,[ \t\n\r]*\{)")
+_RECORD_CUT = re.compile(rb"\][ \t\n\r]*\}(?=[ \t\n\r]*,[ \t\n\r]*\{)")
+_LIST_END = re.compile(rb"\][ \t\n\r]*\}[ \t\n\r]*\Z")  # a document's last "]", followed by nothing but its "}"
 
 
 def _parse_trace_json(data: bytes) -> UsageTrace:
-    # past two blocks, by blocks, the half after the sample cut past its midpoint in a forked child; any fault, or a cut
-    # whose check fails (inside a string or a nested list, or past the samples), leaves the document to the parse below
-    if len(data) > 2 * _CSV_BLOCK:
-        try:
-            middle = _SAMPLE_CUT.search(data, len(data) // 2).start() + 1
-            return UsageTrace(columns=columns_in_two(partial(_json_columns, data), 0, middle, len(data)))
-        except Exception:
-            pass
+    if trace := _json_in_two(data, "samples", _SAMPLE_CUT, _sample_columns, lambda columns: UsageTrace(columns=columns)):
+        return trace
     (raw_samples,) = _fields(_decode_json(data), "$", ("samples", _array))
     return _columns(raw_samples, "samples", _SAMPLE_FIELDS, lambda *columns: UsageTrace(columns=columns),
                     partial(_located, UsageSample))
 
 
-def _json_columns(data: bytes, begin: int, end: int) -> list:
-    """The start list and five array('d') of the samples in bytes ``begin`` (0 or a cut) to ``end`` (a cut or the
-    document's end), by blocks cut at a sample boundary: no whole-text str and no dict a sample. A cut is checked, never
-    assumed: the first block must close as a document by ``,NaN]}``, whose NaN ends its ``samples``, a middle block must
-    be a list's items, and the last must close a list followed by nothing but its document's ``}``; else ValueError."""
-    columns = [[], *(array("d") for _ in TRACE_FIELDS[1:])]
+def _sample_columns(samples: list, document: dict | None) -> list:
+    return _columns(samples, None, _SAMPLE_FIELDS, lambda start, *floats: [start, *map(partial(array, "d"), floats)])
+
+
+def _json_in_two(data: bytes, key: str, cut: re.Pattern, read: Callable, build: Callable[[list], Any]) -> Any:
+    """``build`` of the :func:`_json_columns` of a document past two blocks that ends as _LIST_END, those past the first
+    ``cut`` after its midpoint read in a forked child (power.columns_in_two). None for any other, and on any fault or
+    failed cut check (inside a string or a nested list, or outside the list): the caller decodes the document whole."""
+    if len(data) > 2 * _CSV_BLOCK and _LIST_END.match(data, data.rfind(b"]")):
+        with suppress(Exception):
+            middle = cut.search(data, len(data) // 2).end()
+            return build(columns_in_two(partial(_json_columns, key, cut, read, data), 0, middle, len(data)))
+
+
+def _json_columns(key: str, cut: re.Pattern, read: Callable, data: bytes, begin: int, end: int, columns: list | None = None) -> list:
+    """``columns`` (None: the first block's) extended (power.extend_columns) by ``read(entries, document)`` of each block
+    of the ``key`` list's entries in bytes ``begin`` (0 or a cut) to ``end`` (a cut or the document's end), ``document``
+    the first block's decode, else None. A block ends after the first ``cut`` past half a _CSV_BLOCK, as its text and
+    dicts take several times its bytes. Each cut is checked: the first block must close as a document by ``,NaN]}``, whose
+    NaN ends the list, a middle block must be a list's items, and the last must close a list, then the document."""
     while begin < end:
-        cut = (found := _SAMPLE_CUT.search(data, begin + _CSV_BLOCK, end)) and found.start() + 1 or end
-        start = begin and data.index(b"{", begin)  # a later block starts at its first sample's "{"
-        head, tail = ("", ",NaN]}") if not begin else ("[", "]" if cut < len(data) else "")
-        text = f"{head}{str(memoryview(data)[start:cut], 'utf-8')}{tail}"  # one str, no copy of the block's bytes
+        cut_at = (found := cut.search(data, begin + _CSV_BLOCK // 2, end)) and found.end() or end
+        start = begin and data.index(b"{", begin)  # a later block starts at its first entry's "{"
+        head, tail = ("", ",NaN]}") if not begin else ("[", "]" if cut_at < len(data) else "")
+        text, document = f"{head}{str(memoryview(data)[start:cut_at], 'utf-8')}{tail}", None  # no copy of the bytes
         if not begin:
             marks = []  # a new object for each NaN or Infinity, so only the appended NaN is the last one made
-            samples = json.loads(text, parse_constant=lambda name: marks.append(object()) or marks[-1])["samples"]
-            if samples.pop() is not marks[-1]:
-                raise ValueError("a first block that does not end inside the samples")
+            document = json.loads(text, parse_constant=lambda name: marks.append(object()) or marks[-1])
+            if (entries := document[key]).pop() is not marks[-1]:
+                raise ValueError("a first block that does not end inside its entry list")
         elif tail:
-            samples = json.loads(text)
+            entries = json.loads(text)
         else:
-            samples, at = json.JSONDecoder().raw_decode(text)
+            entries, at = json.JSONDecoder().raw_decode(text)
             if text[at:].strip(" \t\n\r") != "}":
                 raise ValueError("a last block followed by more than its document's end")
-        for column, values in zip(columns, _columns(samples, None, _SAMPLE_FIELDS)):
-            column.extend(values)
-        begin = cut
+        columns, begin = extend_columns(columns, read(entries, document)), cut_at
+        del text, entries, document  # before the next block is decoded
     return columns
 
 
@@ -442,22 +451,24 @@ _STEP_FIELDS = (("start", _integer), ("end", _integer), ("fraction", _number))
 def parse_ledger(data: bytes) -> Ledger:
     """Parse a ledger and run the full cross-reference validation.
 
-    Objects, records and their flattened steps are read by :func:`_columns`, and the step
-    columns go to Ledger.build with per-record offsets, after the parsed JSON is freed. A
-    fault in the records or steps, or a ValueError or FractionError (caught by name: it is
-    no ValueError) from Ledger.build, is named by the record loop, whose ``profile`` kind
-    reads each step; after Ledger.build it runs over the document decoded again.
+    Objects, records and their flattened steps are read by :func:`_columns` into Ledger.build's columns, a
+    step count a record: past two blocks a block of records at a time, the objects from the first (see
+    :func:`_json_in_two`), else from the whole decoded document, freed before Ledger.build. A fault in the
+    records or steps, or a ValueError or FractionError (caught by name: it is no ValueError) from Ledger.build,
+    is named by the record loop over the document decoded whole, whose ``profile`` kind reads each step.
 
     Raises ParseError for malformed values, FractionError for fractions
     outside [0, 1], LedgerReferenceError for dangling object ids, and
     OversubscriptionError when instantaneous shares exceed capacity.
     """
-    raw_objects, raw_records = _ledger_entries(data)
-    objects = _columns(raw_objects, "objects", _OBJECT_FIELDS, _embodied_objects, partial(_located, EmbodiedObject))
-    columns = _columns(raw_records, "records", _RECORD_FIELDS, _record_columns)
-    del raw_objects, raw_records  # free the parsed JSON before Ledger.build checks and indexes
+    if not (columns := _json_in_two(data, "records", _RECORD_CUT, _record_block, list)):
+        raw_objects, raw_records = _ledger_entries(data)
+        columns = [_columns(raw_objects, "objects", _OBJECT_FIELDS, _embodied_objects, partial(_located, EmbodiedObject)),
+                   *_columns(raw_records, "records", _RECORD_FIELDS, _record_columns)]
+        del raw_objects, raw_records  # free the parsed JSON before Ledger.build checks and indexes
+    objects, consumer_ids, object_ids, counts, *steps = columns
     try:
-        return Ledger.build(objects, columns=columns)
+        return Ledger.build(objects, columns=(consumer_ids, object_ids, [0, *accumulate(counts)], *steps))
     except (ValueError, FractionError) as exc:
         _locate(_ledger_entries(data)[1], "records", _RECORD_FIELDS)
         raise ParseError(str(exc), location="$.objects") from exc  # no entry is at fault: a duplicate object id
@@ -469,15 +480,21 @@ def _ledger_entries(data: bytes) -> tuple[list, list]:
     return _array(raw_objects, "$", "objects"), _array(raw_records, "$", "records")
 
 
+def _record_block(records: list, document: dict | None) -> list:
+    """A block's objects, those of the first block's document or none, then its record columns; no fault is located."""
+    objects = document and _columns(_array(document["objects"], "$", "objects"), None, _OBJECT_FIELDS, _embodied_objects)
+    return [objects or [], *_columns(records, None, _RECORD_FIELDS, _record_columns)]
+
+
 def _embodied_objects(ids: list, m_kg: list, r_kg: list, eol_kg: list, lifespan_start: list, lifespan_s: list) -> list:
     kg = (map(float, column) for column in (m_kg, r_kg, eol_kg))
     return list(map(EmbodiedObject, ids, *kg, lifespan_start, map(float, lifespan_s)))
 
 
-def _record_columns(consumer_ids: list, object_ids: list, profiles: list) -> tuple:
-    """Ledger.build's columns; a fault in the steps is left to the record loop, which names it."""
-    offsets = [0, *accumulate(map(len, profiles))]
-    return consumer_ids, object_ids, offsets, *_columns(list(chain.from_iterable(profiles)), None, _STEP_FIELDS)
+def _record_columns(consumer_ids: list, object_ids: list, profiles: list) -> list:
+    """Ledger.build's columns, a step count a record in place of offsets; a fault in the steps is left to the record loop."""
+    steps = _columns(list(chain.from_iterable(profiles)), None, _STEP_FIELDS)
+    return [consumer_ids, object_ids, list(map(len, profiles)), *steps]
 
 
 # --- run configuration ---

@@ -194,13 +194,18 @@ def _load_columns(columns: Sequence, spill: BinaryIO) -> None:
         column.fromfile(spill, size) if type(column) is array else column.extend(marshal.loads(spill.read(size)))
 
 
-def columns_in_two(compute: Callable[[int, int], list], begin: int, middle: int, end: int) -> list:
-    """``compute(begin, end)``, for a ``compute`` giving a row range's columns (lists, array('d')): those of
-    ``compute(begin, middle)``, each extended by those of ``compute(middle, end)``, through :func:`in_two`."""
-    def extend(columns: list) -> None:
-        for column, more in zip(columns, compute(middle, end)):
-            column.extend(more)
-    return in_two(lambda: compute(begin, middle), lambda spill: _dump_columns(compute(middle, end), spill), _load_columns, extend)
+def extend_columns(columns: list | None, more: list) -> list:
+    """``columns``, each extended by ``more``'s column of the same position, or ``more`` itself if ``columns`` is None."""
+    for column, values in zip(columns or (), more):
+        column.extend(values)
+    return more if columns is None else columns
+
+
+def columns_in_two(compute: Callable[..., list], begin: int, middle: int, end: int) -> list:
+    """``compute(begin, end)``, for a ``compute(begin, end, columns=None)`` giving a row range's columns (lists, array('d')),
+    appended to ``columns`` if given: ``compute(begin, middle)``'s, which :func:`in_two` extends by the rest in place."""
+    return in_two(lambda: compute(begin, middle), lambda spill: _dump_columns(compute(middle, end), spill), _load_columns,
+                  lambda columns: compute(middle, end, columns))
 
 
 def epoch_fault(name: str, value: int) -> str | None:
@@ -301,17 +306,20 @@ class UsageTrace:
         if rows is not None and len(rows) != len(columns[0]):
             raise ValueError(f"a trace of {len(columns[0])} samples has {len(rows)} source rows")
         at = (lambda index: f"sample {index}") if rows is None else (lambda index: f"sample {index} (row {rows[index]})")
-        # NaN is the one value unequal to itself; without one, the rows of column minima and maxima bound every row
-        lows, highs = zip(*((min(column, default=1), max(column, default=1)) for column in columns))
-        if _sample_fault(*lows) or _sample_fault(*highs) or any(map(ne, chain(*columns), chain(*columns))):
+        def check_fields() -> None:  # the first sample that breaks the field condition raises
             for index, values in enumerate(zip(*columns)):
                 if (fault := _sample_fault(*values)) is not None:
                     raise ValueError(f"{at(index)}: {fault}")
+        # without a NaN (unequal to itself; a NaN start fails the order check), column minima and maxima bound every row
         start, *floats = columns
+        lows, highs = zip(*((min(column, default=1), max(column, default=1)) for column in columns))
+        if _sample_fault(*lows) or _sample_fault(*highs) or any(map(ne, chain(*floats), chain(*floats))):
+            check_fields()
         self.columns = start, duration_s, *_ = (start if type(start) is list else list(start), *map(_float_column, floats))
-        # each end lies past its own start and by the next start
+        # each end lies past its own start and by the next start; a field fault is named first, as above
         unended = _first_unended(start, duration_s)
         if unended is not None or not all(map(le, map(add, start, duration_s), islice(start, 1, None))):
+            check_fields()
             for index, (begin, end) in enumerate(zip(start, map(add, start, duration_s))):
                 if index == unended:
                     raise TraceOrderError(f"{at(index)} ends where it starts: {begin} + {duration_s[index]} rounds to {end}")
@@ -396,14 +404,14 @@ def _joule_columns(spec: ServerSpec, duration: Sequence[float], usages: Sequence
         component, usage, limit = next(fault for fault in zip(COMPONENTS, row, limits) if fault[1] > fault[2])
         raise UsageOutOfRange(f"u_{component}={usage} exceeds u_max.{component}={limit}")
     shares = [alpha.get(component) / alpha.cpu for component in COMPONENTS]
-    def joule_rows(begin: int, end: int) -> list[array]:
+    def joule_rows(begin: int, end: int, columns: list | None = None) -> list[array]:
         span, joules = duration[begin:end], []
         for usage, limit, share, clamped in zip(usages, limits, shares, over):
             usage = map(min, usage[begin:end], repeat(limit)) if clamped else usage[begin:end]  # an iterator a half
             joules.append(array("d", map(mul, map(mul, map(mul, map(truediv, usage, repeat(limit)), repeat(share)), repeat(anchor)), span)))
         joules.append(array("d", map(mul, repeat(spec.idle_watts), span)))
         cpu, mem, io, net, idle = joules
-        return [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules]
+        return extend_columns(columns, [array("d", map(add, map(add, map(add, map(add, cpu, mem), io), net), idle)), *joules])
     return columns_in_two(joule_rows, 0, rows // 2, rows) if rows > SPLIT_ROWS else joule_rows(0, rows)
 
 

@@ -255,10 +255,66 @@ def test_json_parse_holds_under_160_bytes_a_sample():
     assert peak / n < 160
 
 
+def test_json_parse_without_a_fork_holds_under_110_bytes_a_sample(monkeypatch):
+    # with the fork refused, this process reads the second half's blocks straight into the first half's columns: the
+    # columns (about 82 bytes a sample) and one ~256 KB block's text and sample dicts peaked at 99 bytes a sample on
+    # CPython 3.11; the second half's columns built apart, then joined, took 133
+    rng = random.Random(5)
+    n = 50_000
+    samples = [dict(zip(TRACE_FIELDS, (1_700_000_000 + 15 * i, 15.0, rng.uniform(0, 64), rng.uniform(1e9, 9e9),
+                                       rng.uniform(0, 5e8), rng.uniform(0, 5e8)))) for i in range(n)]
+    data = json.dumps({"samples": samples}).encode()
+    del samples
+
+    def refused():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    tracemalloc.start()
+    try:
+        trace = parse_usage_trace(data, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak / n < 110
+
+
+def test_split_ledger_parse_holds_under_1100_bytes_a_record():
+    # 10,000 records of 3 steps, read a block of records at a time, both halves in this process beside a live thread:
+    # the decoded whole text, a dict a record and a step, peaked at about 1,565 bytes a record, the blocks at 970
+    rng = random.Random(7)
+    objects = [{"id": f"obj-{index:05d}", "m_kg": rng.uniform(100.0, 2000.0), "r_kg": rng.uniform(0.0, 300.0),
+                "eol_kg": rng.uniform(10.0, 100.0), "lifespan_start": 1_600_000_000, "lifespan_s": 4 * 365 * 86400}
+               for index in range(1_000)]
+    records = []
+    for index in range(10 * len(objects)):
+        starts = (1_600_000_000 + day * 86400 for day in sorted(rng.sample(range(4 * 365 - 1), 3)))
+        profile = [{"start": start, "end": start + 43200, "fraction": rng.uniform(0.01, 0.09)} for start in starts]
+        records.append({"consumer_id": f"svc-{rng.randrange(50):03d}", "object_id": f"obj-{index // 10:05d}",
+                        "profile": profile})
+    data = json.dumps({"objects": objects, "records": records}).encode()
+    del objects, records
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    tracemalloc.start()
+    try:
+        ledger = parse_ledger(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        release.set()
+        thread.join()
+    assert len(ledger.records) == 10_000 and len(data) > 2 * ingest._CSV_BLOCK
+    assert peak / 10_000 < 1_100
+
+
 def test_ledger_parse_holds_no_object_a_step():
-    # 4,000 records of 3 steps each. The parse's peak is json.loads' own: the columns cost less than
-    # json's transient state and the document is freed before Ledger.build. Measured on CPython
-    # 3.10-3.13, the parse peaked under 1 byte a step above json.loads alone, and the ledger keeps
+    # 4,000 records of 3 steps each, 1.2 MB: past two blocks, so read a block of records at a time and
+    # peaking below json.loads of the whole document. Before that, the parse's peak was json.loads' own:
+    # the columns cost less than json's transient state and the document is freed before Ledger.build.
+    # Measured on CPython 3.10-3.13, the parse peaked under 1 byte a step above json.loads alone, and the ledger keeps
     # 179-187 bytes a step (int starts and ends, an array('d') of fractions, ids, offsets and the kg
     # column). Building a ProfileStep a step and a SharingProfile and ConsumptionRecord a record while
     # the document lived peaked 51-55 bytes a step above json.loads and kept 256-267.

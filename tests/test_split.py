@@ -1,7 +1,8 @@
 """The bulk stages that power.in_two splits between two processes: the CSV trace
 parse (a body past two _CSV_BLOCKs, cut at the newline after its midpoint), the JSON
-trace parse (a document past two _CSV_BLOCKs, cut at the sample boundary after its
-midpoint) and the joule columns (past power.SPLIT_ROWS rows, cut at the middle row).
+trace parse and the ledger parse (a document past two _CSV_BLOCKs, cut at the sample
+or record boundary after its midpoint) and the joule columns (past power.SPLIT_ROWS
+rows, cut at the middle row).
 Each gives the serial columns, and the serial error, whether a forked child computes
 the second half or this process does: beside another thread, with no fork or spill,
 or after the child fails. conftest checks that no child is left."""
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from carbondef import PerComponent, ServerSpec, UsageSample, UsageTrace, ingest, power
 from carbondef.errors import ValidationError
-from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, parse_usage_trace
+from carbondef.ingest import TRACE_CSV_HEADER, TRACE_FIELDS, parse_ledger, parse_usage_trace
 from carbondef.power import trace_to_energy_series
 
 from support import naive_energy_rows, naive_parse_trace, serialize_usage_trace
@@ -58,6 +59,36 @@ def parse(data: bytes, format: str = "csv"):
     return repr(trace.columns), trace.source_rows
 
 
+def ledger_objects(seed: int) -> list[dict]:
+    """4 objects sharing one lifespan."""
+    rng = random.Random(seed)
+    start = rng.randrange(10**9)
+    return [{"id": f"obj-{k}", "m_kg": rng.uniform(1.0, 2000.0), "r_kg": rng.choice([0, rng.uniform(0.0, 300.0)]),
+             "eol_kg": rng.uniform(0.0, 100.0), "lifespan_start": start, "lifespan_s": 10**7} for k in range(4)]
+
+
+def ledger_records(seed: int) -> list[dict]:
+    """ROWS records of ledger_objects(seed), each of 1 to 3 steps with fractions under 0.09, so the at most 11 records
+    of an object never oversubscribe it; record i is consumer ``svc-i``'s."""
+    rng, start = random.Random(seed), ledger_objects(seed)[0]["lifespan_start"]
+    records = []
+    for index in range(ROWS):
+        bounds = sorted(rng.sample(range(start, start + 10**7), rng.randint(2, 4)))
+        profile = [{"start": a, "end": b, "fraction": rng.choice([0, rng.uniform(0.0, 0.09)])}
+                   for a, b in zip(bounds, bounds[1:])]
+        records.append({"consumer_id": f"svc-{index:03d}", "object_id": f"obj-{index % 4}", "profile": profile})
+    return records
+
+
+def ledger_json(seed: int, layout: str = "indent") -> bytes:
+    return json_document([("objects", ledger_objects(seed)), ("records", ledger_records(seed))], layout)
+
+
+def ledger(data: bytes):
+    parsed = parse_ledger(data)
+    return repr((parsed.objects, parsed.columns, parsed.kg))
+
+
 def joules(samples, clamp):
     return repr(trace_to_energy_series(SPEC, UsageTrace(samples), clamp=clamp).columns)
 
@@ -88,11 +119,11 @@ def sites(seed: int) -> dict:
     """Each split site's stage and arguments."""
     samples = gen_samples(random.Random(seed), over={3, 4, 30, 31})
     return {"csv": (parse, csv_trace(seed)), "json": (parse, json_trace(seed), "json"),
-            "joules": (joules, samples, True)}
+            "joules": (joules, samples, True), "ledger": (ledger, ledger_json(seed))}
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("site", ["csv", "json", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules", "ledger"])
 def test_split_site_gives_the_serial_result(site, seed, monkeypatch, small_split, forks):
     stage, *args = sites(seed)[site]
     expected = serial(monkeypatch, stage, *args)
@@ -128,7 +159,7 @@ def test_split_joules_clamp_each_half(clamp, over, monkeypatch, forks):
 
 
 @pytest.mark.usefixtures("small_split")
-@pytest.mark.parametrize("site", ["csv", "json", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules", "ledger"])
 def test_split_site_runs_in_process_beside_another_thread(site, monkeypatch, forks):
     # a child forked beside a running thread could inherit a lock that thread holds: this process computes both halves
     stage, *args = sites(2)[site]
@@ -170,7 +201,7 @@ def _raise():
 
 @pytest.mark.usefixtures("small_split")
 @pytest.mark.parametrize("failure", ["fork", "spill", "exit", "killed", "raises"])
-@pytest.mark.parametrize("site", ["csv", "json", "joules"])
+@pytest.mark.parametrize("site", ["csv", "json", "joules", "ledger"])
 def test_failed_child_gives_the_serial_columns(site, failure, monkeypatch, forks):
     # the failure modes of test_render.py::test_failed_child_gives_the_serial_bytes: this process computes the half
     stage, *args = sites(3)[site]
@@ -186,6 +217,27 @@ def test_failed_child_gives_the_serial_columns(site, failure, monkeypatch, forks
         monkeypatch.setattr(power, "_dump_columns", _dies_in_child(action))
     assert outcome(stage, *args) == expected
     assert bool(forks) == (failure not in ("fork", "spill"))
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("site, reader, arity", [("csv", "_csv_columns", 3), ("json", "_json_columns", 6),
+                                                 ("ledger", "_json_columns", 6)])
+def test_split_parse_in_process_reads_the_second_half_into_the_first_halfs_columns(site, reader, arity, monkeypatch):
+    # so this process never holds the second half's columns apart from the first's: the reader of the second half is
+    # given the first half's columns (its arguments past ``arity``) and extends them
+    stage, *args = sites(1)[site]
+    expected = serial(monkeypatch, stage, *args)
+    calls, block_reader = [], getattr(ingest, reader)
+
+    def spy(*args):
+        calls.append((args[arity:], result := block_reader(*args)))
+        return result
+
+    monkeypatch.setattr(ingest, reader, spy)
+    monkeypatch.setattr(os, "fork", _refused)
+    assert outcome(stage, *args) == expected
+    (given, first), (columns, second) = calls
+    assert given == () and len(columns) == 1 and columns[0] is first and second is first
 
 
 FAULTS = {
@@ -298,3 +350,152 @@ def test_split_json_parse_gives_the_reference_outcome(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CSV_BLOCK", CSV_BLOCK)
         assert outcome(parse, data, "json") == outcome(parse_reference, data)
+
+
+LEDGER_FAULTS = {
+    "missing-key": lambda record: {key: value for key, value in record.items() if key != "object_id"},
+    "bool": lambda record: {**record, "profile": [{**record["profile"][0], "end": True}, *record["profile"][1:]]},
+    "fraction": lambda record: {**record, "profile": [*record["profile"][:-1],
+                                                      {**record["profile"][-1], "fraction": 1.5}]},
+    "step-order": lambda record: {**record, "profile": [{**record["profile"][0], "end": record["profile"][0]["start"]},
+                                                        *record["profile"][1:]]},
+    "unknown-object": lambda record: {**record, "object_id": "obj-x"},
+    "non-object": lambda record: [*record.values()],
+}
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("fault, where", [  # a record that is no object has no record boundary next to it, so no cut
+    (fault, where) for fault in LEDGER_FAULTS for where in ("first-half", "second-half", "before-cut", "after-cut")
+    if fault != "non-object" or where.endswith("half")])
+def test_split_ledger_parse_gives_the_serial_fault(fault, where, monkeypatch, forks):
+    # a fault in the kinds fails the split and the whole-text parse locates it; one that passes them (an unknown
+    # object, a fraction past 1, a step that ends where it starts) is Ledger.build's, on the merged columns
+    def bad_ledger(index: int) -> bytes:
+        records = ledger_records(9)
+        records[index] = LEDGER_FAULTS[fault](records[index])
+        return json_document([("objects", ledger_objects(9)), ("records", records)], "indent")
+
+    def before_cut(data: bytes) -> int:  # the records before the record boundary after the midpoint
+        return data[:ingest._RECORD_CUT.search(data, len(data) // 2).end()].count(b'"svc-')
+
+    side = {"first-half": lambda index, cut: index < cut - 1, "second-half": lambda index, cut: index > cut,
+            "before-cut": lambda index, cut: index == cut - 1, "after-cut": lambda index, cut: index == cut}[where]
+    index = next(index for index in (2, ROWS - 2, *range(ROWS)) if side(index, before_cut(bad_ledger(index))))
+    bad = bad_ledger(index)
+    expected = serial(monkeypatch, ledger, bad)
+    assert isinstance(expected[0], type) and outcome(ledger, bad) == expected
+    assert len(forks) == 1  # and conftest finds the child reaped, also where this process's half raised
+    assert f"records[{index}]" in expected[1] + str(expected[2])
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_split_ledger_parse_reads_no_whole_text(layout, monkeypatch, forks):
+    # a sound ledger is read a block of records at a time in both halves, its objects from the first block
+    data = ledger_json(5, layout)
+    expected = serial(monkeypatch, ledger, data)
+
+    def whole_text(data):
+        raise AssertionError("the whole text was decoded")
+
+    monkeypatch.setattr(ingest, "_decode_json", whole_text)
+    forks.clear()
+    assert ledger(data) == expected
+    assert len(forks) == 1
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("site", ["json", "ledger"])
+def test_document_with_a_key_after_its_list_is_read_whole(site, monkeypatch, forks):
+    # its last "]" is not followed by its "}" alone, so no cut check could pass: the block reader never starts
+    stage, data, *args = sites(4)[site]
+    data = data.rstrip()[:-1] + b', "meta": {"note": "]}, {"}}'
+    expected = serial(monkeypatch, stage, data, *args)
+    calls, block_reader = [], ingest._json_columns
+    monkeypatch.setattr(ingest, "_json_columns", lambda *args: calls.append(args) or block_reader(*args))
+    forks.clear()
+    assert outcome(stage, data, *args) == expected and not isinstance(expected[0], type)
+    assert calls == [] and forks == []
+
+
+LEDGER_VARIANTS = {  # each a document whose split would differ from its whole-text parse, but for a cut check
+    "records-first": lambda objects, records: [("records", records), ("objects", objects)],
+    "no-objects": lambda objects, records: [("records", records)],
+    "objects-not-a-list": lambda objects, records: [("objects", {}), ("records", records)],
+    "one-record-then-records": lambda objects, records: [("objects", objects), ("records", records[:1]),
+                                                         ("previous", records)],
+    "records-again": lambda objects, records: [("objects", objects), ("records", records), ("records", [])],
+    "objects-again": lambda objects, records: [("objects", objects), ("records", records), ("objects", objects[:1])],
+}
+
+
+@pytest.mark.usefixtures("small_split")
+@pytest.mark.parametrize("variant", LEDGER_VARIANTS)
+def test_split_ledger_cut_checks_give_the_whole_text_outcome(variant, monkeypatch, forks):
+    # objects only from the first block's document, a first block whose appended NaN ends its records, a last block
+    # followed by the document's "}" alone: each check sends its document to the whole-text parse
+    data = json_document(LEDGER_VARIANTS[variant](ledger_objects(6), ledger_records(6)), "indent")
+    expected = serial(monkeypatch, ledger, data)
+    forks.clear()
+    assert outcome(ledger, data) == expected
+    assert len(forks) == 1
+
+
+LEDGER_KEY_FAULTS = ("missing-key", "bool", "fraction", "unknown-object", "non-object", "profile-object", "utf8",
+                     "object-value", "duplicate-object", "objects-not-a-list", "no-objects")
+
+
+@st.composite
+def ledgers(draw) -> bytes:
+    """A ledger of ROWS records in one of LAYOUTS, ``records`` before or after ``objects``, consumer ids that may hold a
+    record boundary's text, records whose ``profile`` is not their last key, a key before or after both lists (a second
+    ``records``, a list ending in a NaN, or a list of ROWS records, among them), and one fault in a record of either
+    half, or in the objects. Each of these is drawn in at most about a third of the ledgers, so that a good share of
+    them is read by the split."""
+    seed = draw(st.integers(0, 99))
+    objects, records, some = ledger_objects(seed), ledger_records(seed), st.sampled_from([0, 0, 0, 1, 3])
+    for index in draw(st.lists(st.integers(0, ROWS - 1), max_size=draw(some))):
+        records[index]["consumer_id"] += '"]}, {"'
+    for index in draw(st.lists(st.integers(0, ROWS - 1), max_size=draw(some))):
+        records[index] = {"profile": records[index].pop("profile"), **records[index]}
+    fault = draw(st.sampled_from([None] * len(LEDGER_KEY_FAULTS) + list(LEDGER_KEY_FAULTS)))
+    index = draw(st.sampled_from([draw(st.integers(0, ROWS // 2 - 4)), draw(st.integers(ROWS // 2 + 4, ROWS - 1))]))
+    step = records[index]["profile"][0]
+    if fault == "missing-key":
+        del records[index][draw(st.sampled_from(["consumer_id", "object_id", "profile"]))]
+    elif fault == "bool":
+        step[draw(st.sampled_from(["start", "end", "fraction"]))] = True
+    elif fault == "fraction":
+        step["fraction"] = draw(st.sampled_from([1.5, -0.25, math.nan]))
+    elif fault == "unknown-object":
+        records[index]["object_id"] = "obj-x"
+    elif fault == "non-object":
+        records[index] = draw(st.sampled_from([[1, 2], "]}, {", None, 3]))
+    elif fault == "profile-object":
+        records[index]["profile"] = step
+    elif fault == "utf8":
+        records[index]["consumer_id"] = "utf8"
+    elif fault == "object-value":
+        objects[draw(st.integers(0, 3))][draw(st.sampled_from(["m_kg", "lifespan_start", "id"]))] = "x"
+    elif fault == "duplicate-object":
+        objects[1]["id"] = "obj-0"
+    elif fault == "objects-not-a-list":
+        objects = draw(st.sampled_from([{}, "", {"id": "obj-0"}]))
+    lists = [("objects", objects), ("records", records)][fault == "no-objects":][::draw(st.sampled_from([1, 1, -1]))]
+    other = st.sampled_from([("meta", {"x": 1}), ("meta", [{"y": [1]}, {"z": "]}, {"}, math.nan]), ("records", []),
+                             ("previous", ledger_records(seed + 1))])
+    before, after = (draw(st.lists(other, max_size=draw(st.sampled_from([0, 0, 1])))) for _ in range(2))
+    return json_document([*before, *lists, *after], draw(st.sampled_from(list(LAYOUTS)))).replace(b'"utf8"', b'"\xff"')
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledgers())
+def test_split_ledger_parse_gives_the_whole_text_outcome(data):
+    # the ledger, or the error's class, message and location, of the whole-text parse: a cut inside a string, outside
+    # the records or with no objects before it, and every fault, leave the whole-text parse to read the document
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CSV_BLOCK", 10**9)
+        expected = outcome(ledger, data)
+        patch.setattr(ingest, "_CSV_BLOCK", CSV_BLOCK)
+        assert outcome(ledger, data) == expected
